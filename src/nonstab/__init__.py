@@ -2,6 +2,7 @@
 
 from .fourier_code import (
     FourierDescription,
+    Report,
     bounds,
     code_dimension,
     greedy_construct,
@@ -30,6 +31,7 @@ __all__ = [
     "FourierDescription",
     "GottesmanSpec",
     "PrimeField",
+    "Report",
     "SparseState",
     "WeylElement",
     "apply",

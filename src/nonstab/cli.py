@@ -33,10 +33,9 @@ from .fourier_code import (
     greedy_construct,
     verify_distance,
 )
-from .galois import error_sphere_count
 from .gottesman import GottesmanSpec, validate
 from .oracle import apply, codeword, kl_check, message_coordinates, orthonormality_check
-from .weyl import WeylElement, inverse
+from .weyl import ENUMERATION_CAP, GROUP_CAP, WeylElement, check_sphere, inverse
 
 
 @dataclass(frozen=True)
@@ -152,14 +151,6 @@ class NotFound(Exception):
     """Randomized search exhausted its attempts; mapped to exit status 1."""
 
 
-def _budget_check(spec: GottesmanSpec, d: int, max_sphere: int) -> None:
-    need = error_sphere_count(spec.n, spec.q, min(d - 1, spec.n))
-    if need > max_sphere:
-        raise SystemExit2(
-            f"enumeration budget exceeded: need {need} pairs, cap {max_sphere}"
-        )
-
-
 def cmd_family(args) -> int:
     bundle = make_family(args.name, args)
     violations = validate(bundle.spec)
@@ -173,7 +164,7 @@ def cmd_family(args) -> int:
 def cmd_verify(args) -> int:
     bundle = _read_bundle(args.infile)
     d = args.d if args.d is not None else bundle.claimed_distance
-    _budget_check(bundle.spec, d, args.max_sphere)
+    check_sphere(bundle.spec.n, bundle.spec.q, min(d - 1, bundle.spec.n), args.max_sphere)
     violations = validate(bundle.spec)
     if violations:
         _emit({"pass": False, "violations": violations})
@@ -188,27 +179,21 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     bundle = _read_bundle(args.infile)
     d = args.d if args.d is not None else bundle.claimed_distance
-    _budget_check(bundle.spec, d, args.max_sphere)
-    if bundle.spec.size > args.max_group:
-        raise SystemExit2(
-            f"subgroup size {bundle.spec.size} exceeds cap {args.max_group}"
-        )
-    kl = kl_check(bundle.description, d)
+    kl = kl_check(bundle.description, d, cap=args.max_sphere, group_cap=args.max_group)
     doc = {"kl": kl.to_json_dict(), "params": dict(bundle.params(), d=d)}
+    passed = kl.passed
     if bundle.spec.is_maximal():
-        doc["orthonormality"] = orthonormality_check(bundle.description).to_json_dict()
-        ortho_ok = doc["orthonormality"]["pass"]
-    else:
-        ortho_ok = True
+        ortho = orthonormality_check(bundle.description, group_cap=args.max_group)
+        doc["orthonormality"] = ortho.to_json_dict()
+        passed = passed and ortho.passed
     _emit(doc)
-    return 0 if kl.passed and ortho_ok else 1
+    return 0 if passed else 1
 
 
 def cmd_greedy(args) -> int:
     bundle = _read_bundle(args.infile)
-    _budget_check(bundle.spec, args.d, args.max_sphere)
     description = greedy_construct(bundle.spec, args.d, cap=args.max_sphere)
-    report = verify_distance(description, args.d)
+    report = verify_distance(description, args.d, cap=args.max_sphere)
     if not report.passed:
         _emit({"pass": False, "witness": report.witness})
         return 1
@@ -324,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra)
         p.add_argument("--in", dest="infile", default=None, help="bundle file (default stdin)")
         p.add_argument("--d", type=int, default=None, help="distance (default: bundle's claim)")
-        p.add_argument("--max-sphere", type=int, default=10**7)
-        p.add_argument("--max-group", type=int, default=2**16)
+        p.add_argument("--max-sphere", type=int, default=ENUMERATION_CAP)
+        p.add_argument("--max-group", type=int, default=GROUP_CAP)
         p.set_defaults(func=func)
 
     p = sub.add_parser("greedy", help="greedy packing over a bundle's subgroup")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-sphere", type=int, default=10**7)
+    p.add_argument("--max-sphere", type=int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_greedy)
 
     p = sub.add_parser("encode-sim", help="simulate the encoder for one message")

@@ -20,7 +20,7 @@ import numpy as np
 from .fourier_code import FourierDescription
 from .gottesman import GottesmanSpec, bounded_pair_arrays
 from .oracle import SparseState, apply
-from .weyl import ENUMERATION_CAP, WeylElement, inverse
+from .weyl import WeylElement, inverse
 
 
 class DecodingError(Exception):
@@ -64,7 +64,6 @@ def search_error(
     syndrome: Syndrome,
     description: FourierDescription,
     t: int,
-    cap: int = ENUMERATION_CAP,
     stats: dict | None = None,
 ) -> tuple[WeylElement, tuple]:
     """Find (g, u) with wt(g) <= t matching the syndrome's group equations.
@@ -86,7 +85,7 @@ def search_error(
             stats["candidates"] = 1
         return WeylElement.identity(spec.group, spec.n), tuple(map(int, v))
     checked += 1
-    xs, ys = bounded_pair_arrays(q, spec.n, min(t, spec.n), cap=cap)
+    xs, ys = bounded_pair_arrays(q, spec.n, min(t, spec.n))
     # the eigenvalue of s_i on g|phi_u> is gamma(s_i, g) chi_u(s_i), so the
     # candidate error (x, y) forces u = v - (M^T x - L^T y)
     shifts = (xs @ spec.M - ys @ spec.L) % q

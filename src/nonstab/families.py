@@ -171,9 +171,6 @@ class SetFamily:
             len(s1 ^ s2) for s1, s2 in itertools.combinations(self.members, 2)
         }
 
-    def to_json_list(self) -> list:
-        return [sorted(s) for s in self.members]
-
 
 def subspace_family(m: int, r: int, q: int) -> SetFamily:
     """All r-dimensional subspaces of GF(q)^m as point sets.

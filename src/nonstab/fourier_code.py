@@ -33,7 +33,7 @@ from .gottesman import (
     low_weight_members,
     purity_radius,
 )
-from .weyl import ENUMERATION_CAP
+from .weyl import ENUMERATION_CAP, GROUP_CAP, check_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +87,9 @@ def code_dimension(description: FourierDescription) -> int:
 
 
 @dataclass(frozen=True)
-class VerifyReport:
+class Report:
+    """Outcome of a check: pass or fail, a witness of failure, work counts."""
+
     passed: bool
     witness: dict | None = None
     counts: dict | None = None
@@ -106,7 +108,7 @@ class VerifyReport:
 
 def verify_distance(
     description: FourierDescription, d: int, cap: int = ENUMERATION_CAP
-) -> VerifyReport:
+) -> Report:
     """Algebraic distance check: does the code detect all errors of weight < d?"""
     spec = description.spec
     q = spec.q
@@ -116,7 +118,7 @@ def verify_distance(
         a_vec = np.array(a, dtype=np.int64)
         for u in diffs:
             if int(np.array(u, dtype=np.int64) @ a_vec) % q:
-                return VerifyReport(
+                return Report(
                     False,
                     witness={
                         "condition": 1,
@@ -130,12 +132,12 @@ def verify_distance(
     hits = diffs & forbidden.members
     if hits:
         witness_u = min(hits)
-        return VerifyReport(
+        return Report(
             False,
             witness={"condition": 2, "difference": list(witness_u)},
             counts={"low_weight_members": len(members), "forbidden": len(forbidden)},
         )
-    return VerifyReport(
+    return Report(
         True,
         counts={
             "low_weight_members": len(members),
@@ -195,13 +197,10 @@ def bounds(n: int, q: int, t: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-def projection_coefficients(
-    description: FourierDescription, cap: int = 2**16
-) -> dict:
+def projection_coefficients(description: FourierDescription) -> dict:
     """Coefficient map a -> T_{s_a} of the code projection in the group algebra."""
     spec = description.spec
-    if spec.size > cap:
-        raise ValueError(f"group size {spec.size} exceeds cap {cap}")
+    check_size("subgroup size", spec.size, GROUP_CAP)
     q, r, p = spec.q, spec.r, spec.phase_denominator
     unit = p // q
     a_rows = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)

@@ -44,9 +44,6 @@ class PrimeField:
             raise ValueError(f"{name} has entries outside [0, {self.p})")
         return out
 
-    def neg(self, arr) -> np.ndarray:
-        return (-np.asarray(arr, dtype=np.int64)) % self.p
-
     def matmul(self, a, b) -> np.ndarray:
         return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % self.p
 

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import PrimeField, error_sphere_count
+from .galois import PrimeField
 from .weyl import ENUMERATION_CAP, AlphabetGroup, WeylElement, enumerate_bounded, gamma, prime_group
 
 
@@ -69,7 +69,6 @@ class GottesmanSpec:
     L: np.ndarray
     M: np.ndarray
     D: np.ndarray
-    rho_table: np.ndarray | None = None
     quad_upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -80,10 +79,6 @@ class GottesmanSpec:
             raise ValueError("L and M must be matrices of the same shape")
         if self.D.shape != (self.r, self.r):
             raise ValueError("D must be r x r")
-        if self.rho_table is not None:
-            object.__setattr__(self, "rho_table", _frozen(self.rho_table))
-            if self.rho_table.shape != (self.q**self.r,):
-                raise ValueError("rho table must have q^r entries")
         if self.quad_upper is not None:
             object.__setattr__(self, "quad_upper", _frozen(self.quad_upper))
 
@@ -115,25 +110,14 @@ class GottesmanSpec:
         return self.size == self.q**self.n
 
     # ------------------------------------------------------------------
-    def _index(self, a: np.ndarray) -> int:
-        idx = 0
-        for v in a:
-            idx = idx * self.q + int(v)
-        return idx
-
     def rho(self, a) -> int:
         """Phase exponent of s_a, mod 2q."""
         a = self.field.check(np.atleast_1d(np.asarray(a, dtype=np.int64)), "index vector")
         if a.shape != (self.r,):
             raise ValueError(f"index vector must have length {self.r}")
-        if self.rho_table is not None:
-            return int(self.rho_table[self._index(a)]) % self.phase_denominator
         return int(a @ self.D @ a) % self.phase_denominator
 
     def rho_batch(self, a_rows: np.ndarray) -> np.ndarray:
-        if self.rho_table is not None:
-            powers = self.q ** np.arange(self.r - 1, -1, -1, dtype=np.int64)
-            return self.rho_table[a_rows @ powers] % self.phase_denominator
         return np.einsum("ij,jk,ik->i", a_rows, self.D, a_rows) % self.phase_denominator
 
     def element(self, a) -> WeylElement:
@@ -148,8 +132,6 @@ class GottesmanSpec:
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
-        if self.rho_table is not None:
-            raise ValueError("specs with an explicit phase table are not serializable")
         doc = {
             "q": self.q,
             "n": self.n,
@@ -313,8 +295,6 @@ def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) 
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if error_sphere_count(spec.n, spec.q, min(cutoff - 1, spec.n)) > cap:
-        raise ValueError("enumeration budget exceeded")
     xs, ys = bounded_pair_arrays(spec.q, spec.n, min(cutoff - 1, spec.n), cap=cap)
     if xs.shape[0] == 0:
         return None
@@ -335,8 +315,6 @@ def forbidden_set(spec: GottesmanSpec, d: int, cap: int = ENUMERATION_CAP) -> Fo
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if error_sphere_count(spec.n, spec.q, min(d - 1, spec.n)) > cap:
-        raise ValueError("enumeration budget exceeded")
     xs, ys = bounded_pair_arrays(spec.q, spec.n, min(d - 1, spec.n), cap=cap)
     if xs.shape[0] == 0:
         return ForbiddenSet(d, frozenset())
@@ -354,8 +332,6 @@ def low_weight_members(
         raise ValueError("w must be >= 0")
     if w == 0:
         return []
-    if error_sphere_count(spec.n, spec.q, min(w, spec.n)) > cap:
-        raise ValueError("enumeration budget exceeded")
     xs, ys = bounded_pair_arrays(spec.q, spec.n, min(w, spec.n), cap=cap)
     if xs.shape[0] == 0:
         return []

@@ -13,61 +13,81 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier_code import FourierDescription, code_dimension, projection_coefficients
+from .fourier_code import FourierDescription, Report, projection_coefficients
 from .galois import linear_solve
-from .gottesman import GottesmanSpec
-from .weyl import AlphabetGroup, WeylElement
+from .gottesman import GottesmanSpec, bounded_pair_arrays
+from .weyl import (
+    DENSE_MATRIX_CAP,
+    ENUMERATION_CAP,
+    GROUP_CAP,
+    AlphabetGroup,
+    WeylElement,
+    check_size,
+    root_table,
+)
 
 PRUNE_TOL = 1e-14
-DENSE_CAP = 2**20
 
 
-def _radix_powers(group: AlphabetGroup, n: int) -> np.ndarray:
-    radices = np.array([group.orders[j % group.k] for j in range(n * group.k)], dtype=np.int64)
-    powers = np.ones(len(radices), dtype=np.int64)
-    for j in range(len(radices) - 2, -1, -1):
-        powers[j] = powers[j + 1] * radices[j + 1]
+@lru_cache(maxsize=None)
+def _powers(q: int, width: int) -> np.ndarray:
+    """Place values q^(width-1), ..., q, 1 of a packed word index.
+
+    Packed indices are int64, so a word space of more than 2^63 words is
+    refused here rather than left to wrap around.
+    """
+    if q**width > 2**63:
+        raise ValueError(f"packed index overflows int64: {q}^{width} words exceed 2^63")
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    powers.setflags(write=False)
     return powers
 
 
-def _unpack(group: AlphabetGroup, n: int, packed: np.ndarray) -> np.ndarray:
-    width = n * group.k
-    powers = _radix_powers(group, n)
-    out = np.zeros((len(packed), width), dtype=np.int64)
-    for j in range(width):
-        out[:, j] = (packed // powers[j]) % group.orders[j % group.k]
-    return out
+def _digits(packed: np.ndarray, q: int, width: int) -> np.ndarray:
+    """Digit rows of packed word indices."""
+    digits = packed[:, None] // _powers(q, width)
+    digits %= q
+    return digits
+
+
+def _shift_phase(words: np.ndarray, x: np.ndarray, y: np.ndarray, q: int):
+    """U_x V_y on basis words: packed indices of w + x and exponents y . w mod q.
+
+    Rows broadcast, so one word may meet many (x, y) or many words one (x, y).
+    """
+    targets = ((words + x) % q) @ _powers(q, words.shape[-1])
+    return targets, np.einsum("...i,...i->...", words, y) % q
 
 
 @dataclass(frozen=True, eq=False)
 class SparseState:
-    """Sparse complex state on words of length n over an abelian alphabet."""
+    """Sparse complex state on words of n digits mod q."""
 
     group: AlphabetGroup
     n: int
-    words: np.ndarray  # (count, n*k), rows sorted by packed index
+    words: np.ndarray  # (count, n), rows sorted by packed index
     amps: np.ndarray  # complex128
 
     @classmethod
     def from_pairs(cls, group: AlphabetGroup, n: int, words, amps) -> "SparseState":
         """Canonical state: duplicate words merged, near-zeros pruned, sorted."""
-        words = np.array(words, dtype=np.int64).reshape(-1, n * group.k)
+        words = np.array(words, dtype=np.int64).reshape(-1, n) % group.q
         amps = np.asarray(amps, dtype=complex).ravel()
         if words.shape[0] != amps.shape[0]:
             raise ValueError("words and amplitudes differ in length")
-        for j in range(words.shape[1]):
-            words[:, j] %= group.orders[j % group.k]
-        powers = _radix_powers(group, n)
-        packed = words @ powers
+        return cls._from_packed(group, n, words @ _powers(group.q, n), amps)
+
+    @classmethod
+    def _from_packed(cls, group: AlphabetGroup, n: int, packed, amps) -> "SparseState":
         uniq, inverse = np.unique(packed, return_inverse=True)
         merged = np.zeros(len(uniq), dtype=complex)
         np.add.at(merged, inverse, amps)
         keep = np.abs(merged) > PRUNE_TOL
-        out_words = _unpack(group, n, uniq[keep])
+        out_words = _digits(uniq[keep], group.q, n)
         out_amps = merged[keep]
         out_words.setflags(write=False)
         out_amps.setflags(write=False)
@@ -77,18 +97,16 @@ class SparseState:
     def from_dict(cls, group: AlphabetGroup, n: int, mapping: dict) -> "SparseState":
         words = list(mapping.keys())
         amps = [mapping[w] for w in words]
-        if not words:
-            return cls.from_pairs(group, n, np.zeros((0, n * group.k)), [])
-        return cls.from_pairs(group, n, np.array(words), amps)
+        return cls.from_pairs(group, n, np.array(words).reshape(-1, n), amps)
 
     @classmethod
     def basis_word(cls, group: AlphabetGroup, word) -> "SparseState":
         word = group.word(word)
-        return cls.from_pairs(group, len(word) // group.k, [word], [1.0])
+        return cls.from_pairs(group, len(word), [word], [1.0])
 
     @cached_property
     def packed(self) -> np.ndarray:
-        return self.words @ _radix_powers(self.group, self.n)
+        return self.words @ _powers(self.group.q, self.n)
 
     def items(self):
         for row, amp in zip(self.words, self.amps):
@@ -126,10 +144,9 @@ class SparseState:
     def fidelity(self, other: "SparseState") -> float:
         return abs(self.inner(other))
 
-    def to_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        dim = self.group.size**self.n
-        if dim > cap:
-            raise ValueError(f"dense dimension {dim} exceeds cap {cap}")
+    def to_dense(self) -> np.ndarray:
+        dim = self.group.q**self.n
+        check_size("dense dimension", dim, GROUP_CAP)
         out = np.zeros(dim, dtype=complex)
         out[self.packed] = self.amps
         return out
@@ -141,14 +158,9 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
         raise ValueError("element and state act on different word spaces")
     grp = state.group
     p = grp.phase_denominator
-    coeffs = np.array(
-        [(p // grp.orders[j % grp.k]) * g.b[j] for j in range(len(g.b))], dtype=np.int64
-    )
-    exponents = (g.phase + state.words @ coeffs) % p
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    new_amps = state.amps * roots[exponents]
-    new_words = state.words + np.array(g.a, dtype=np.int64)
-    return SparseState.from_pairs(grp, state.n, new_words, new_amps)
+    targets, exponents = _shift_phase(state.words, np.array(g.a), np.array(g.b), grp.q)
+    phases = root_table(p)[(g.phase + 2 * exponents) % p]  # <b, x> = w^(2 b.x)
+    return SparseState._from_packed(grp, state.n, targets, state.amps * phases)
 
 
 # ----------------------------------------------------------------------
@@ -156,10 +168,9 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
 # ----------------------------------------------------------------------
 
 
-def _spec_tables(spec: GottesmanSpec):
+def _spec_tables(spec: GottesmanSpec, group_cap: int = GROUP_CAP):
     """(index rows, U-parts, V-parts, phase exponents) for the whole subgroup."""
-    if spec.size > 2**16:
-        raise ValueError(f"subgroup size {spec.size} exceeds cap {2**16}")
+    check_size("subgroup size", spec.size, group_cap)
     a_rows = np.array(
         list(itertools.product(range(spec.q), repeat=spec.r)), dtype=np.int64
     )
@@ -169,13 +180,19 @@ def _spec_tables(spec: GottesmanSpec):
     return a_rows, la, ma, rho
 
 
-def codeword(description: FourierDescription, u, closed_form_tol: float = 1e-10) -> SparseState:
+def codeword(
+    description: FourierDescription,
+    u,
+    closed_form_tol: float = 1e-10,
+    group_cap: int = GROUP_CAP,
+) -> SparseState:
     """Unit eigenvector of the subgroup with character index u (maximal specs).
 
     Built by applying the rank-one character projection to standard basis
     words, in lexicographic order, until a nonzero image appears.  When the
     spec carries a product-form certificate, the closed form is computed as
-    an independent second path and the two must agree.
+    an independent second path and the two must agree.  A maximal spec has
+    as many elements as the state has amplitudes, so `group_cap` bounds both.
     """
     spec = description.spec
     if tuple(int(v) for v in u) not in description.members:
@@ -184,30 +201,21 @@ def codeword(description: FourierDescription, u, closed_form_tol: float = 1e-10)
         raise ValueError("codeword construction requires a maximal spec")
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    dim = q**n
-    if dim > DENSE_CAP:
-        raise ValueError(f"state dimension {dim} exceeds cap {DENSE_CAP}")
-    a_rows, la, ma, rho = _spec_tables(spec)
+    a_rows, la, ma, rho = _spec_tables(spec, group_cap)
     u_vec = np.array(u, dtype=np.int64)
     chi = (unit * ((a_rows @ u_vec) % q)) % p
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    group = spec.group
+    roots = root_table(p)
 
     state = None
     for w_tuple in itertools.product(range(q), repeat=n):
-        w = np.array(w_tuple, dtype=np.int64)
-        exponents = (rho + unit * ((ma @ w) % q) - chi) % p
-        targets = ((la + w) % q) @ powers
-        dense = np.zeros(dim, dtype=complex)
-        np.add.at(dense, targets, roots[exponents])
+        targets, exponents = _shift_phase(np.array(w_tuple, dtype=np.int64), la, ma, q)
+        dense = np.zeros(q**n, dtype=complex)
+        np.add.at(dense, targets, roots[(rho + unit * exponents - chi) % p])
         dense /= spec.size
         norm = np.linalg.norm(dense)
         if norm > 1e-8:
             support = np.nonzero(np.abs(dense) > PRUNE_TOL)[0]
-            state = SparseState.from_pairs(
-                group, n, _unpack(group, n, support), dense[support] / norm
-            )
+            state = SparseState._from_packed(spec.group, n, support, dense[support] / norm)
             break
     if state is None:
         raise ValueError("projection vanished on every basis word (invalid spec?)")
@@ -274,7 +282,7 @@ def closed_form_codeword(spec: GottesmanSpec, u) -> SparseState:
     zs = (xs + delta) % q
     quad = np.einsum("ij,jk,ik->i", zs, upper, zs) % q
     lin = (xs @ c_vec) % q
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    roots = root_table(q)
     amps = roots[quad] * np.conj(roots[lin]) / math.sqrt(len(xs))
     return SparseState.from_pairs(spec.group, n, zs, amps)
 
@@ -284,130 +292,93 @@ def closed_form_codeword(spec: GottesmanSpec, u) -> SparseState:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    passed: bool
-    witness: dict | None = None
-    counts: dict | None = None
+def _gram_witness(basis, moved, members, tol):
+    """Where <phi_u| g |phi_v> is not a multiple of the identity, if anywhere."""
+    gram = basis.conj().T @ moved
+    diag = np.diag(gram)
+    off = gram - np.diag(diag)
+    bad_off = np.abs(off) > tol
+    spread = np.abs(diag - diag[0])
+    if bad_off.any():
+        i, j = np.argwhere(bad_off)[0]
+        value = off[i, j]
+    elif spread.max() > tol:
+        i = j = int(np.argmax(spread))
+        value = diag[j]
+    else:
+        return None
+    return {
+        "u": list(members[i]),
+        "v": list(members[j]),
+        "value": [float(value.real), float(value.imag)],
+    }
 
-    def __bool__(self) -> bool:
-        return self.passed
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"pass": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.counts is not None:
-            out["counts"] = self.counts
-        return out
-
-
-def _error_tables(q: int, n: int, w: int, cap: int):
-    from .gottesman import bounded_pair_arrays
-
-    return bounded_pair_arrays(q, n, min(w, n), cap=cap)
+def _projection_witness(projection, moved, trace, tol):
+    """The deviation of P g P from phi(g) P, if beyond tol."""
+    pgp = projection @ moved
+    deviation = np.abs(pgp - np.trace(pgp) / trace * projection).max()
+    return {"value": float(deviation)} if deviation > tol else None
 
 
 def kl_check(
     description: FourierDescription,
     d: int,
     tol: float = 1e-9,
-    cap: int = DENSE_CAP,
-) -> OracleReport:
+    cap: int = ENUMERATION_CAP,
+    group_cap: int = GROUP_CAP,
+) -> Report:
     """Direct check that every error of weight < d is detected.
 
     For each error g and the codeword basis {phi_u}, the matrix of
     <phi_u| g |phi_v> must be a constant multiple of the identity within
     `tol`.  Maximal specs use the explicit codeword basis; non-maximal
-    specs check P g P = phi(g) P on the dense projection.
+    specs check P g P = phi(g) P on the dense projection.  `cap` bounds the
+    error enumeration and `group_cap` the subgroup tables; both are checked,
+    like the dense-matrix cap of the projection, before any state is built.
     """
     spec = description.spec
     q, n = spec.q, spec.n
-    dim = q**n
-    if dim > cap:
-        raise ValueError(f"dense dimension {dim} exceeds cap {cap}")
-    xs, ys = _error_tables(q, n, d - 1, cap=10**7)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = _unpack(spec.group, n, np.arange(dim))
-
-    if spec.is_maximal():
+    xs, ys = bounded_pair_arrays(q, n, min(d - 1, n), cap=cap)
+    check_size("subgroup size", spec.size, group_cap)
+    maximal = spec.is_maximal()
+    if maximal:
         members = description.sorted_members()
-        basis = np.column_stack(
-            [codeword(description, u).to_dense(cap) for u in members]
-        )
-        kk = len(members)
-        for idx in range(xs.shape[0]):
-            x, y = xs[idx], ys[idx]
-            targets = ((digits + x) % q) @ powers
-            phases = roots[(digits @ y) % q]
-            moved = np.zeros_like(basis)
-            moved[targets] = phases[:, None] * basis
-            gram = basis.conj().T @ moved
-            diag = np.diag(gram)
-            off = gram - np.diag(diag)
-            bad_off = np.abs(off) > tol
-            if bad_off.any():
-                i, j = np.argwhere(bad_off)[0]
-                return OracleReport(
-                    False,
-                    witness={
-                        "error": {"x": x.tolist(), "y": y.tolist()},
-                        "u": list(members[i]),
-                        "v": list(members[j]),
-                        "value": [float(off[i, j].real), float(off[i, j].imag)],
-                    },
-                )
-            spread = np.abs(diag - diag[0])
-            if spread.max() > tol:
-                j = int(np.argmax(spread))
-                return OracleReport(
-                    False,
-                    witness={
-                        "error": {"x": x.tolist(), "y": y.tolist()},
-                        "u": list(members[j]),
-                        "v": list(members[j]),
-                        "value": [float(diag[j].real), float(diag[j].imag)],
-                    },
-                )
-        return OracleReport(
-            True, counts={"errors": int(xs.shape[0]), "pairs": kk * kk}
-        )
-
-    projection = dense_projection(description, cap=cap)
-    trace = np.trace(projection).real
-    for idx in range(xs.shape[0]):
-        x, y = xs[idx], ys[idx]
-        targets = ((digits + x) % q) @ powers
-        phases = roots[(digits @ y) % q]
-        moved = np.zeros_like(projection)
-        moved[targets] = phases[:, None] * projection  # g @ P
-        pgp = projection @ moved
-        phi = np.trace(pgp) / trace
-        deviation = np.abs(pgp - phi * projection).max()
-        if deviation > tol:
-            return OracleReport(
-                False,
-                witness={
-                    "error": {"x": x.tolist(), "y": y.tolist()},
-                    "value": float(deviation),
-                },
-            )
-    return OracleReport(True, counts={"errors": int(xs.shape[0])})
+        operand = np.zeros((q**n, len(members)), dtype=complex)
+        for col, u in enumerate(members):
+            state = codeword(description, u, group_cap=group_cap)
+            operand[state.packed, col] = state.amps
+    else:
+        operand = dense_projection(description)
+        trace = np.trace(operand).real
+    digits = _digits(np.arange(q**n), q, n)
+    roots = root_table(q)
+    for x, y in zip(xs, ys):
+        targets, exponents = _shift_phase(digits, x, y, q)
+        moved = np.zeros_like(operand)
+        moved[targets] = roots[exponents][:, None] * operand  # g @ operand
+        if maximal:
+            found = _gram_witness(operand, moved, members, tol)
+        else:
+            found = _projection_witness(operand, moved, trace, tol)
+        if found is not None:
+            return Report(False, witness={"error": {"x": x.tolist(), "y": y.tolist()}, **found})
+    counts = {"errors": int(xs.shape[0])}
+    if maximal:
+        counts["pairs"] = len(members) ** 2
+    return Report(True, counts=counts)
 
 
-def dense_projection(description: FourierDescription, cap: int = 2**12) -> np.ndarray:
+def dense_projection(description: FourierDescription) -> np.ndarray:
     """The code projection as a dense matrix (small n only)."""
     spec = description.spec
     q, n, p = spec.q, spec.n, spec.phase_denominator
     dim = q**n
-    if dim > cap:
-        raise ValueError(f"dense dimension {dim} exceeds cap {cap}")
+    check_size("dense dimension", dim, DENSE_MATRIX_CAP)
     coeffs = projection_coefficients(description)
     a_rows, la, ma, rho = _spec_tables(spec)
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = _unpack(spec.group, n, np.arange(dim))
+    roots = root_table(p)
+    digits = _digits(np.arange(dim), q, n)
     unit = p // q
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
@@ -415,16 +386,17 @@ def dense_projection(description: FourierDescription, cap: int = 2**12) -> np.nd
         t_a = coeffs[tuple(map(int, a_rows[idx]))]
         if abs(t_a) < PRUNE_TOL:
             continue
-        rows = ((digits + la[idx]) % q) @ powers
-        phases = roots[(rho[idx] + unit * ((digits @ ma[idx]) % q)) % p]
-        out[rows, cols] += t_a * phases
+        rows, exponents = _shift_phase(digits, la[idx], ma[idx], q)
+        out[rows, cols] += t_a * roots[(rho[idx] + unit * exponents) % p]
     return out
 
 
-def orthonormality_check(description: FourierDescription, tol: float = 1e-10) -> OracleReport:
+def orthonormality_check(
+    description: FourierDescription, tol: float = 1e-10, group_cap: int = GROUP_CAP
+) -> Report:
     """Gram matrix of the codeword basis must be the identity within tol."""
     members = description.sorted_members()
-    states = [codeword(description, u) for u in members]
+    states = [codeword(description, u, group_cap=group_cap) for u in members]
     kk = len(states)
     gram = np.zeros((kk, kk), dtype=complex)
     for i in range(kk):
@@ -433,13 +405,9 @@ def orthonormality_check(description: FourierDescription, tol: float = 1e-10) ->
     deviation = np.abs(gram - np.eye(kk))
     if deviation.max() > tol:
         i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
-        return OracleReport(
+        return Report(
             False,
             witness={"u": list(members[i]), "v": list(members[j]),
                      "value": [float(gram[i, j].real), float(gram[i, j].imag)]},
         )
-    return OracleReport(True, counts={"codewords": kk})
-
-
-def codeword_count_matches_dimension(description: FourierDescription) -> bool:
-    return len(description.sorted_members()) == code_dimension(description)
+    return Report(True, counts={"codewords": kk})

@@ -1,29 +1,26 @@
 """Exact symbolic algebra of the error group of phased shift/multiply operators.
 
-Operators act on words of length n over a finite abelian group
-A = Z_{n_1} x ... x Z_{n_k}.  An element is written
+Operators act on words of n digits in Z_q.  An element is written
 
     w^phase U_a V_b
 
 where U_a shifts basis words (U_a|x> = |x+a>), V_b multiplies by the
-canonical bicharacter (V_b|x> = <b,x>|x>), and the phase unit w is the
-primitive P-th root of unity exp(2*pi*i/P) with P = 2N, N the exponent of A.
+character (V_b|x> = <b,x>|x>, with <b,x> = exp(2*pi*i*(b.x)/q)), and the
+phase unit w is the primitive 2q-th root of unity exp(2*pi*i/(2q)).  Words
+are tuples of n digits mod q.  All phases are integer exponents mod 2q;
+complex numbers appear only in `dense_matrix` and in callers that opt in
+via `phase_value`.
 
-Words are stored as flat tuples of n*k integers; slot j of each letter is
-reduced modulo orders[j].  For a prime field GF(q) (k = 1) a word is simply
-a tuple of n digits mod q.  All phases are integer exponents mod P; complex
-numbers appear only in `dense_matrix` and in callers that opt in via
-`phase_value`.
-
-The phase denominator is 2N rather than N: subgroups containing an element
+The phase denominator is 2q rather than q: subgroups containing an element
 whose square is -I (e.g. a U_1 V_1 factor over Z_2) only close up once the
 quarter phase i is available.
+
+The module also holds the package's resource caps, each defined once here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,108 +28,99 @@ import numpy as np
 
 from .galois import error_sphere_count
 
-DENSE_MATRIX_CAP = 4096
-ENUMERATION_CAP = 10**7
+# Resource caps.  The first two are the defaults of the CLI's --max-sphere
+# and --max-group; callers that take a `cap` or `group_cap` may override them.
+ENUMERATION_CAP = 10**7  # error pairs in one enumeration
+GROUP_CAP = 2**16  # elements of one subgroup table; also amplitudes of one dense state
+DENSE_MATRIX_CAP = 2**12  # side of one dense operator matrix
 
 Word = tuple[int, ...]
 
 
+def check_sphere(n: int, q: int, w: int, cap: int = ENUMERATION_CAP) -> None:
+    """Refuse an enumeration of the error sphere of radius w beyond `cap` pairs."""
+    need = error_sphere_count(n, q, w)
+    if need > cap:
+        raise ValueError(f"enumeration budget exceeded: need {need} pairs, cap {cap}")
+
+
+def check_size(what: str, size: int, cap: int) -> None:
+    """Refuse to build something of `size` beyond `cap`; `what` names the size."""
+    if size > cap:
+        raise ValueError(f"{what} {size} exceeds cap {cap}")
+
+
 @lru_cache(maxsize=None)
-def _roots(denominator: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(denominator) / denominator)
+def root_table(denominator: int) -> np.ndarray:
+    """exp(2*pi*i*k/denominator) for k = 0 .. denominator-1, computed once."""
+    roots = np.exp(2j * np.pi * np.arange(denominator) / denominator)
+    roots.setflags(write=False)
+    return roots
 
 
 def phase_value(exponent: int, denominator: int) -> complex:
     """exp(2*pi*i*exponent/denominator) with a cached root table."""
-    return complex(_roots(denominator)[exponent % denominator])
+    return complex(root_table(denominator)[exponent % denominator])
 
 
 @dataclass(frozen=True)
 class AlphabetGroup:
-    """A finite abelian group Z_{n_1} x ... x Z_{n_k} used as the alphabet."""
+    """The cyclic group Z_q of digits, the alphabet of every word position."""
 
-    orders: tuple[int, ...]
+    q: int
 
     def __post_init__(self) -> None:
-        if not self.orders or any(m < 2 for m in self.orders):
-            raise ValueError("orders must be integers >= 2")
-
-    @property
-    def k(self) -> int:
-        return len(self.orders)
+        if not isinstance(self.q, int) or self.q < 2:
+            raise ValueError("the alphabet size must be an integer >= 2")
 
     @property
     def size(self) -> int:
-        return math.prod(self.orders)
-
-    @property
-    def exponent(self) -> int:
-        return math.lcm(*self.orders)
+        return self.q
 
     @property
     def phase_denominator(self) -> int:
-        return 2 * self.exponent
+        return 2 * self.q
 
     def word(self, seq) -> Word:
-        """Canonical word: flat tuple with slot j reduced mod orders[j % k]."""
-        seq = tuple(int(v) for v in seq)
-        if len(seq) % self.k:
-            raise ValueError(f"word length {len(seq)} is not a multiple of k={self.k}")
-        return tuple(v % self.orders[j % self.k] for j, v in enumerate(seq))
+        """Canonical word: a tuple of digits reduced mod q."""
+        return tuple(int(v) % self.q for v in seq)
 
     def zero(self, n: int) -> Word:
-        return (0,) * (n * self.k)
+        return (0,) * n
 
     def _check_pair(self, a: Word, b: Word) -> None:
         if len(a) != len(b):
             raise ValueError("words have different lengths")
-        if len(a) % self.k:
-            raise ValueError("word length is not a multiple of k")
 
     def add(self, a: Word, b: Word) -> Word:
         self._check_pair(a, b)
-        return tuple((x + y) % self.orders[j % self.k] for j, (x, y) in enumerate(zip(a, b)))
+        return tuple((x + y) % self.q for x, y in zip(a, b))
 
     def neg(self, a: Word) -> Word:
-        return tuple((-x) % self.orders[j % self.k] for j, x in enumerate(a))
+        return tuple((-x) % self.q for x in a)
 
     def bicharacter_exponent(self, a: Word, b: Word) -> int:
-        """Exponent e mod P with <a,b> = exp(2*pi*i*e/P), P = 2N."""
+        """Exponent e mod 2q with <a,b> = exp(2*pi*i*e/(2q))."""
         self._check_pair(a, b)
-        p = self.phase_denominator
-        total = 0
-        for j, (x, y) in enumerate(zip(a, b)):
-            total += (p // self.orders[j % self.k]) * x * y
-        return total % p
+        return 2 * sum(x * y for x, y in zip(a, b)) % self.phase_denominator
 
     def weight(self, a: Word, b: Word) -> int:
-        """Number of letter positions where (a_i, b_i) != (0, 0)."""
+        """Number of positions where (a_i, b_i) != (0, 0)."""
         self._check_pair(a, b)
-        k = self.k
-        n = len(a) // k
-        return sum(
-            1
-            for i in range(n)
-            if any(a[i * k + j] or b[i * k + j] for j in range(k))
-        )
-
-    def letters(self):
-        """All group elements as flat k-tuples, in lexicographic order."""
-        return itertools.product(*[range(m) for m in self.orders])
+        return sum(1 for x, y in zip(a, b) if x or y)
 
     def all_words(self, n: int):
-        """All words of length n in lexicographic order over letters."""
-        for combo in itertools.product(self.letters(), repeat=n):
-            yield tuple(itertools.chain.from_iterable(combo))
+        """All words of length n in lexicographic order."""
+        return itertools.product(range(self.q), repeat=n)
 
 
 def prime_group(q: int) -> AlphabetGroup:
-    return AlphabetGroup((q,))
+    return AlphabetGroup(int(q))
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """w^phase U_a V_b with an exact phase exponent mod the group's 2N."""
+    """w^phase U_a V_b with an exact phase exponent mod 2q."""
 
     group: AlphabetGroup
     phase: int
@@ -161,7 +149,7 @@ class WeylElement:
 
     @property
     def n(self) -> int:
-        return len(self.a) // self.group.k
+        return len(self.a)
 
     def is_scalar(self) -> bool:
         return not any(self.a) and not any(self.b)
@@ -202,11 +190,10 @@ def gamma(g: WeylElement, h: WeylElement) -> int:
 
 
 def dense_matrix(g: WeylElement) -> np.ndarray:
-    """Complex matrix of g on the (#A)^n-dimensional word space (oracle use)."""
+    """Complex matrix of g on the q^n-dimensional word space (oracle use)."""
     grp = g.group
-    dim = grp.size ** g.n
-    if dim > DENSE_MATRIX_CAP:
-        raise ValueError(f"dense matrix dimension {dim} exceeds cap {DENSE_MATRIX_CAP}")
+    dim = grp.q**g.n
+    check_size("dense dimension", dim, DENSE_MATRIX_CAP)
     words = list(grp.all_words(g.n))
     index = {w: i for i, w in enumerate(words)}
     out = np.zeros((dim, dim), dtype=complex)
@@ -221,27 +208,19 @@ def enumerate_bounded(group: AlphabetGroup, n: int, w: int, cap: int = ENUMERATI
     """Yield all (a, b) word pairs with 1 <= wt(a, b) <= w, each exactly once.
 
     Order is deterministic: by weight, then support positions, then the
-    per-position letter pairs in lexicographic order.
+    per-position digit pairs in lexicographic order.
     """
     if w < 0 or w > n:
         raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
-    budget = error_sphere_count(n, group.size, w)
-    if budget > cap:
-        raise ValueError(f"enumeration of {budget} pairs exceeds cap {cap}")
-    zero_letter = (0,) * group.k
-    options = [
-        (la, lb)
-        for la in group.letters()
-        for lb in group.letters()
-        if la != zero_letter or lb != zero_letter
-    ]
+    check_sphere(n, group.q, w, cap)
+    digits = range(group.q)
+    options = [(x, y) for x in digits for y in digits if x or y]
     for weight in range(1, w + 1):
         for support in itertools.combinations(range(n), weight):
             for choice in itertools.product(options, repeat=weight):
-                a = [0] * (n * group.k)
-                b = [0] * (n * group.k)
-                for pos, (la, lb) in zip(support, choice):
-                    for j in range(group.k):
-                        a[pos * group.k + j] = la[j]
-                        b[pos * group.k + j] = lb[j]
+                a = [0] * n
+                b = [0] * n
+                for pos, (x, y) in zip(support, choice):
+                    a[pos] = x
+                    b[pos] = y
                 yield tuple(a), tuple(b)

@@ -41,6 +41,14 @@ def random_description(rng, spec, max_size=4):
     return FourierDescription(spec, frozenset(members))
 
 
+def oversized_nonmaximal_description():
+    """A valid q=2, n=13, r=3 code: its dense projection would be 8192 x 8192."""
+    from nonstab.fourier_code import FourierDescription
+
+    spec = random_nonmaximal_spec(np.random.default_rng(0), 13, 3)
+    return FourierDescription(spec, frozenset({(0, 0, 0)}))
+
+
 def brute_force_subspace_count(m, q, r):
     """Count r-dimensional subspaces of GF(q)^m by closing every vector set."""
     vectors = list(itertools.product(range(q), repeat=m))

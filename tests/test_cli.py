@@ -210,3 +210,26 @@ def test_stdin_bundle(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, out = run(capsys, "verify")
     assert code == 0 and json.loads(out)["pass"]
+
+
+def test_oracle_refuses_oversized_projection(capsys, tmp_path):
+    from conftest import oversized_nonmaximal_description
+
+    from nonstab.cli import CodeBundle
+
+    path = tmp_path / "n13.json"
+    bundle = CodeBundle(oversized_nonmaximal_description(), 2, "random n=13 r=3")
+    path.write_text(json.dumps(bundle.to_json_dict()))
+    code = main(["oracle", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: dense dimension 8192 exceeds cap 4096\n"
+
+
+def test_encode_sim_refuses_int64_overflow(capsys, tmp_path):
+    # 4 registers of 7 base-5 digits: 5^28 > 2^63 words
+    path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "7", "--q", "5")
+    code = main(["encode-sim", "--in", str(path), "--message", "0,0,0,0,0,0,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "overflows int64" in captured.err and len(captured.err.splitlines()) == 1

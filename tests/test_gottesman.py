@@ -207,33 +207,6 @@ def test_low_weight_members_examples():
     assert element.a == (1, 0) and element.b == (0, 0)
 
 
-def test_rho_table_escape_hatch():
-    # an explicit phase table equal to the quadratic form behaves identically
-    base, _ = distance2_family(5, 2)
-    indices = np.array(
-        list(itertools.product(range(2), repeat=5)), dtype=np.int64
-    )
-    table = np.array([int(a @ base.D @ a) % 4 for a in indices], dtype=np.int64)
-    tabled = GottesmanSpec(q=2, L=base.L, M=base.M, D=base.D, rho_table=table)
-    assert validate(tabled) == []
-    for a in indices[::5]:
-        assert tabled.element(a) == base.element(a)
-    assert np.array_equal(tabled.rho_batch(indices), base.rho_batch(indices))
-    # a table violating the closure law is rejected
-    bad_table = table.copy()
-    bad_table[0] = 1  # identity must carry phase 0
-    bad = GottesmanSpec(q=2, L=base.L, M=base.M, D=base.D, rho_table=bad_table)
-    assert any("nonzero phase" in v for v in validate(bad))
-    shifted = GottesmanSpec(
-        q=2, L=base.L, M=base.M, D=base.D, rho_table=(table + 2 * indices[:, 0]) % 4
-    )
-    assert validate(shifted) == []  # differs by a character: still a valid subgroup
-    with pytest.raises(ValueError, match="not serializable"):
-        tabled.to_json_dict()
-    with pytest.raises(ValueError, match="q\\^r entries"):
-        GottesmanSpec(q=2, L=base.L, M=base.M, D=base.D, rho_table=table[:-1])
-
-
 def test_enumeration_caps_are_enforced():
     spec = laflamme_spec(15)
     with pytest.raises(ValueError, match="budget"):

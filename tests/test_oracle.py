@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import random_description, random_maximal_spec, random_nonmaximal_spec
+from conftest import (
+    oversized_nonmaximal_description,
+    random_description,
+    random_maximal_spec,
+    random_nonmaximal_spec,
+)
 
 from nonstab.families import code_15_8_3, distance2_family
 from nonstab.fourier_code import FourierDescription, code_dimension, verify_distance
@@ -198,3 +203,34 @@ def test_kl_agrees_with_verify_on_random_descriptions():
         assert kl_check(description, 2).passed == verify_distance(description, 2).passed
         agreements += 1
     assert agreements == 8
+
+
+def test_kl_check_refuses_oversized_projection_before_allocating():
+    import tracemalloc
+
+    description = oversized_nonmaximal_description()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense dimension 8192 exceeds cap 4096"):
+            kl_check(description, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_kl_check_caps_come_from_its_arguments():
+    _, b = distance2_family(5, 2)
+    with pytest.raises(ValueError, match="enumeration budget exceeded: need 16 pairs, cap 15"):
+        kl_check(b, 2, cap=15)
+    with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 16"):
+        kl_check(b, 2, group_cap=16)
+    with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 16"):
+        orthonormality_check(b, group_cap=16)
+    assert kl_check(b, 2, cap=16, group_cap=32).passed
+
+
+def test_packed_index_refuses_int64_overflow():
+    assert len(SparseState.basis_word(Z2, (0,) * 63)) == 1
+    with pytest.raises(ValueError, match="overflows int64"):
+        SparseState.basis_word(Z2, (0,) * 64)
