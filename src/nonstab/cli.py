@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", default=None, help="bundle file (default stdin)")
         p.add_argument("--d", type=int, default=None, help="distance (default: bundle's claim)")
         p.add_argument("--max-sphere", type=int, default=ENUMERATION_CAP)
-        p.add_argument("--max-group", type=int, default=GROUP_CAP)
+        if name == "oracle":
+            p.add_argument("--max-group", type=int, default=GROUP_CAP)
         p.set_defaults(func=func)
 
     p = sub.add_parser("greedy", help="greedy packing over a bundle's subgroup")

@@ -31,6 +31,8 @@ from .weyl import (
 )
 
 PRUNE_TOL = 1e-14
+# Complex values in one chunk of the batched Knill-Laflamme Gram.
+GRAM_CHUNK = 2**16
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +173,7 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
 def _spec_tables(spec: GottesmanSpec, group_cap: int = GROUP_CAP):
     """(index rows, U-parts, V-parts, phase exponents) for the whole subgroup."""
     check_size("subgroup size", spec.size, group_cap)
-    a_rows = np.array(
-        list(itertools.product(range(spec.q), repeat=spec.r)), dtype=np.int64
-    )
+    a_rows = _digits(np.arange(spec.q**spec.r), spec.q, spec.r)
     la = (a_rows @ spec.L.T) % spec.q
     ma = (a_rows @ spec.M.T) % spec.q
     rho = spec.rho_batch(a_rows)
@@ -197,11 +197,33 @@ def codeword(
     spec = description.spec
     if tuple(int(v) for v in u) not in description.members:
         raise ValueError("u is not a member of the Fourier description")
+    _require_maximal(spec)
+    return _project(spec, _spec_tables(spec, group_cap), u, closed_form_tol)
+
+
+def _codeword_basis(description: FourierDescription, group_cap: int = GROUP_CAP):
+    """`codeword(description, u)` for each sorted member u, from one subgroup table.
+
+    A generator, so that a caller which copies each state into a matrix
+    never holds them all.
+    """
+    spec = description.spec
+    _require_maximal(spec)
+    tables = _spec_tables(spec, group_cap)
+    for u in description.sorted_members():
+        yield _project(spec, tables, u)
+
+
+def _require_maximal(spec: GottesmanSpec) -> None:
     if not spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
+
+
+def _project(spec: GottesmanSpec, tables, u, closed_form_tol: float = 1e-10) -> SparseState:
+    """The codeword of member u from the subgroup tables of `_spec_tables`."""
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    a_rows, la, ma, rho = _spec_tables(spec, group_cap)
+    a_rows, la, ma, rho = tables
     u_vec = np.array(u, dtype=np.int64)
     chi = (unit * ((a_rows @ u_vec) % q)) % p
     roots = root_table(p)
@@ -262,7 +284,7 @@ def message_coordinates(spec: GottesmanSpec, u) -> tuple[np.ndarray, int]:
 
 def sum_zero_words(n: int, q: int) -> np.ndarray:
     """All words in GF(q)^n with zero digit sum, in lexicographic order."""
-    free = np.array(list(itertools.product(range(q), repeat=n - 1)), dtype=np.int64)
+    free = _digits(np.arange(q ** (n - 1)), q, n - 1)
     last = (-free.sum(axis=1)) % q
     return np.hstack([free, last[:, None]])
 
@@ -321,6 +343,57 @@ def _projection_witness(projection, moved, trace, tol):
     return {"value": float(deviation)} if deviation > tol else None
 
 
+def _gram_screen(basis, digits, xs, ys, q, tol):
+    """Mask of the errors whose Gram may not be a multiple of the identity.
+
+    G[u, v] = <phi_u| U_x V_y |phi_v> = sum_w conj(phi_u(w + x)) w^(y.w) phi_v(w),
+    so the errors are grouped by shift x: the shifted rows conj(phi_u(w + x))
+    are gathered once per x, and one stacked matmul of them, scaled by the
+    phases w^(y.w) of each y, with the rows phi_v(w) gives the Grams of a
+    batch of y.  Words go in chunks of rows * K^2 <= GRAM_CHUNK, and the
+    scaled rows of a batch hold at most GRAM_CHUNK complex values.  The sums
+    run in another order than `_gram_witness`, so a caller confirms each
+    flagged error there.
+    """
+    dim, kk = basis.shape
+    rows = max(1, GRAM_CHUNK // kk**2)
+    y_batch = max(1, GRAM_CHUNK // (rows * kk))
+    columns = basis.T.copy()  # the phase scaling runs along the words
+    powers = _powers(q, digits.shape[1])
+    # y.w sums n terms of at most (q-1)^2, far below 2^53: the float64
+    # matmul below gives it exactly, and this table reduces it mod q.
+    phases = root_table(q)[np.arange(digits.shape[1] * (q - 1) ** 2 + 1) % q]
+    off_diagonal = ~np.eye(kk, dtype=bool)
+    flagged = np.zeros(len(xs), dtype=bool)
+    if not len(xs):
+        return flagged
+    keys = xs @ powers
+    order = np.argsort(keys, kind="stable")
+    with np.errstate(over="raise", invalid="raise"):
+        for errors in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+            x = xs[errors[0]]
+            support = np.flatnonzero(x)
+            ys_float = ys[errors].astype(float)
+            grams = np.zeros((len(errors), kk, kk), dtype=complex)
+            for start in range(0, dim, rows):
+                words = digits[start : start + rows]
+                stop = start + len(words)
+                # only the digits in the support of x change under the shift
+                moved = words[:, support]
+                targets = np.arange(start, stop) + ((moved + x[support]) % q - moved) @ powers[support]
+                shifted = columns.take(targets, axis=1).conj()
+                words_float = words.T.astype(float)
+                for b in range(0, len(errors), y_batch):
+                    exponents = (ys_float[b : b + y_batch] @ words_float).astype(np.intp)
+                    scaled = shifted * phases[exponents][:, None, :]
+                    grams[b : b + y_batch] += scaled @ basis[start:stop]
+            diag = np.diagonal(grams, axis1=1, axis2=2)
+            spread = np.abs(diag - diag[:, :1]).max(axis=1)
+            off = np.abs(grams[:, off_diagonal]).max(axis=1, initial=0.0)
+            flagged[errors] = (spread > tol) | (off > tol)
+    return flagged
+
+
 def kl_check(
     description: FourierDescription,
     d: int,
@@ -332,10 +405,13 @@ def kl_check(
 
     For each error g and the codeword basis {phi_u}, the matrix of
     <phi_u| g |phi_v> must be a constant multiple of the identity within
-    `tol`.  Maximal specs use the explicit codeword basis; non-maximal
-    specs check P g P = phi(g) P on the dense projection.  `cap` bounds the
-    error enumeration and `group_cap` the subgroup tables; both are checked,
-    like the dense-matrix cap of the projection, before any state is built.
+    `tol`.  Maximal specs use the explicit codeword basis: `_gram_screen`
+    batches all Grams at `tol / 2`, and only the errors it flags are
+    recomputed one at a time, in canonical order, under `tol`.  Non-maximal
+    specs check P g P = phi(g) P on the dense projection, error by error.
+    `cap` bounds the error enumeration and `group_cap` the subgroup tables;
+    both are checked, like the dense-matrix cap of the projection, before
+    any state is built.
     """
     spec = description.spec
     q, n = spec.q, spec.n
@@ -345,15 +421,18 @@ def kl_check(
     if maximal:
         members = description.sorted_members()
         operand = np.zeros((q**n, len(members)), dtype=complex)
-        for col, u in enumerate(members):
-            state = codeword(description, u, group_cap=group_cap)
+        for col, state in enumerate(_codeword_basis(description, group_cap)):
             operand[state.packed, col] = state.amps
     else:
         operand = dense_projection(description)
         trace = np.trace(operand).real
     digits = _digits(np.arange(q**n), q, n)
     roots = root_table(q)
-    for x, y in zip(xs, ys):
+    suspects = zip(xs, ys)
+    if maximal:
+        flagged = _gram_screen(operand, digits, xs, ys, q, tol / 2)
+        suspects = zip(xs[flagged], ys[flagged])
+    for x, y in suspects:
         targets, exponents = _shift_phase(digits, x, y, q)
         moved = np.zeros_like(operand)
         moved[targets] = roots[exponents][:, None] * operand  # g @ operand
@@ -396,7 +475,7 @@ def orthonormality_check(
 ) -> Report:
     """Gram matrix of the codeword basis must be the identity within tol."""
     members = description.sorted_members()
-    states = [codeword(description, u, group_cap=group_cap) for u in members]
+    states = list(_codeword_basis(description, group_cap))
     kk = len(states)
     gram = np.zeros((kk, kk), dtype=complex)
     for i in range(kk):

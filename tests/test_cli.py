@@ -226,6 +226,22 @@ def test_oracle_refuses_oversized_projection(capsys, tmp_path):
     assert captured.err == "error: dense dimension 8192 exceeds cap 4096\n"
 
 
+def test_max_group_is_an_oracle_flag_only(capsys, tmp_path):
+    path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(path), "--max-group", "16"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --max-group 16" in captured.err
+    assert "Traceback" not in captured.err
+    code = main(["oracle", "--in", str(path), "--max-group", "16"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: subgroup size 32 exceeds cap 16\n"
+    code, out = run(capsys, "oracle", "--in", str(path), "--max-group", "32")
+    assert code == 0 and json.loads(out)["kl"]["pass"]
+
+
 def test_encode_sim_refuses_int64_overflow(capsys, tmp_path):
     # 4 registers of 7 base-5 digits: 5^28 > 2^63 words
     path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "7", "--q", "5")

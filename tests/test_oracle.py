@@ -7,11 +7,23 @@ from conftest import (
     random_nonmaximal_spec,
 )
 
-from nonstab.families import code_15_8_3, distance2_family
-from nonstab.fourier_code import FourierDescription, code_dimension, verify_distance
-from nonstab.gottesman import character_exponent
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonstab.families import code_15_8_3, distance2_family, maximal_form_spec
+from nonstab.fourier_code import (
+    FourierDescription,
+    Report,
+    code_dimension,
+    greedy_construct,
+    verify_distance,
+)
+from nonstab.gottesman import bounded_pair_arrays, character_exponent, forbidden_set, purity_radius
 from nonstab.oracle import (
     SparseState,
+    _digits,
+    _gram_witness,
+    _shift_phase,
     apply,
     closed_form_codeword,
     codeword,
@@ -20,7 +32,7 @@ from nonstab.oracle import (
     message_coordinates,
     orthonormality_check,
 )
-from nonstab.weyl import WeylElement, compose, dense_matrix, phase_value, prime_group
+from nonstab.weyl import WeylElement, compose, dense_matrix, phase_value, prime_group, root_table
 
 Z2 = prime_group(2)
 Z3 = prime_group(3)
@@ -140,6 +152,7 @@ def test_kl_check_distance2():
     report = kl_check(b, 2)
     assert report.passed
     assert report.counts == {"errors": 15, "pairs": 36}
+    assert kl_check(b, 1).counts == {"errors": 0, "pairs": 36}
 
 
 def test_kl_check_fails_on_corrupted_description():
@@ -234,3 +247,79 @@ def test_packed_index_refuses_int64_overflow():
     assert len(SparseState.basis_word(Z2, (0,) * 63)) == 1
     with pytest.raises(ValueError, match="overflows int64"):
         SparseState.basis_word(Z2, (0,) * 64)
+
+
+def reference_kl_check(description, d, tol=1e-9):
+    """kl_check on a maximal spec as one Gram per error, in canonical order."""
+    spec = description.spec
+    q, n = spec.q, spec.n
+    xs, ys = bounded_pair_arrays(q, n, min(d - 1, n))
+    members = description.sorted_members()
+    operand = np.zeros((q**n, len(members)), dtype=complex)
+    for col, u in enumerate(members):
+        state = codeword(description, u)
+        operand[state.packed, col] = state.amps
+    digits = _digits(np.arange(q**n), q, n)
+    roots = root_table(q)
+    for x, y in zip(xs, ys):
+        targets, exponents = _shift_phase(digits, x, y, q)
+        moved = np.zeros_like(operand)
+        moved[targets] = roots[exponents][:, None] * operand
+        found = _gram_witness(operand, moved, members, tol)
+        if found is not None:
+            return Report(False, witness={"error": {"x": x.tolist(), "y": y.tolist()}, **found})
+    return Report(True, counts={"errors": int(xs.shape[0]), "pairs": len(members) ** 2})
+
+
+DIGITS_FOR_Q = {2: (4, 7), 3: (3, 5), 5: (3, 4)}
+
+
+@st.composite
+def maximal_descriptions(draw):
+    """(description, d): a greedy code where the spec is d-pure, else random,
+    and, if drawn, one member added at a forbidden difference."""
+    q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
+    n = draw(st.integers(*DIGITS_FOR_Q[q]))
+    d = draw(st.sampled_from([2, 3]))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
+    spec = maximal_form_spec(q, n, np.triu(np.array(entries, dtype=np.int64).reshape(n, n)))
+    if purity_radius(spec, d) is None:
+        description = greedy_construct(spec, d)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        description = random_description(rng, spec)
+    forbidden = sorted(forbidden_set(spec, d).members)
+    if forbidden and draw(st.booleans()):
+        f = np.array(draw(st.sampled_from(forbidden)))
+        base = np.array(draw(st.sampled_from(description.sorted_members())))
+        bad_member = tuple(int(v) for v in (base + f) % q)
+        description = FourierDescription(spec, description.members | {bad_member})
+    return description, d
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(maximal_descriptions())
+def test_kl_check_matches_per_error_reference(case):
+    description, d = case
+    expected = reference_kl_check(description, d)
+    got = kl_check(description, d)
+    assert (got.passed, got.counts, got.witness) == (
+        expected.passed,
+        expected.counts,
+        expected.witness,
+    )
+
+
+def test_kl_check_gram_memory_is_bounded():
+    import tracemalloc
+
+    upper = np.array([[2, 2, 3, 4], [0, 0, 4, 4], [0, 0, 4, 2], [0, 0, 0, 2]])
+    description = greedy_construct(maximal_form_spec(5, 4, upper), 2)
+    assert len(description.members) == 22
+    tracemalloc.start()
+    try:
+        assert kl_check(description, 2).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
