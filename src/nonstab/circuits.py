@@ -32,7 +32,7 @@ import numpy as np
 
 from .galois import is_prime
 from .gottesman import GottesmanSpec
-from .oracle import SparseState
+from .oracle import SparseState, _canonical, _digit, _powers
 from .weyl import prime_group
 
 GATE_ARITY = {
@@ -103,41 +103,45 @@ def zero_state(circuit: Circuit) -> SparseState:
 
 
 def simulate(circuit: Circuit, state: SparseState) -> SparseState:
-    """Apply the circuit's gates in order; exact and norm-preserving."""
+    """Apply the circuit's gates in order; exact and norm-preserving.
+
+    Gates read their operand digits from the packed word indices and write
+    a changed digit back by adding (new - old) times its place value.
+    """
     group = prime_group(circuit.q)
     if state.group != group or state.n != circuit.registers:
         raise ValueError("input state does not match the circuit's registers")
     q = circuit.q
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    words = state.words.copy()
-    amps = state.amps.copy()
+    place = _powers(q, circuit.registers)
+    packed, amps = state.packed, state.amps
     for gate in circuit.gates:
         ops = gate.operands
+        digits = [_digit(packed, place[r], q) for r in ops]
         if gate.kind == "inverter":
-            words[:, ops[0]] = (-words[:, ops[0]]) % q
+            (old,) = digits
+            packed = packed + ((-old) % q - old) * place[ops[0]]
         elif gate.kind == "c-u":
-            words[:, ops[1]] = (words[:, ops[1]] + words[:, ops[0]]) % q
+            src, old = digits
+            packed = packed + ((old + src) % q - old) * place[ops[1]]
         elif gate.kind == "c-v":
-            amps = amps * roots[(words[:, ops[0]] * words[:, ops[1]]) % q]
+            amps = amps * roots[(digits[0] * digits[1]) % q]
         elif gate.kind == "cc-u":
-            words[:, ops[2]] = (words[:, ops[2]] + words[:, ops[0]] * words[:, ops[1]]) % q
+            a, b, old = digits
+            packed = packed + ((old + a * b) % q - old) * place[ops[2]]
         elif gate.kind == "cc-v":
-            amps = amps * roots[
-                (words[:, ops[2]] + words[:, ops[0]] * words[:, ops[1]]) % q
-            ]
+            a, b, c = digits
+            amps = amps * roots[(c + a * b) % q]
         elif gate.kind == "prepare-zero":
-            if np.any(words[:, ops[0]]):
+            if np.any(digits[0]):
                 raise ValueError(f"prepare-zero on register {ops[0]}: digit not |0>")
         elif gate.kind == "fourier":
-            count = words.shape[0]
-            words = np.repeat(words, q, axis=0)
-            digits = np.tile(np.arange(q, dtype=np.int64), count)
-            old = words[:, ops[0]].copy()
-            words[:, ops[0]] = digits
-            amps = np.repeat(amps, q) * roots[(old * digits) % q] / np.sqrt(q)
-            merged = SparseState.from_pairs(group, circuit.registers, words, amps)
-            words, amps = merged.words.copy(), merged.amps.copy()
-    return SparseState.from_pairs(group, circuit.registers, words, amps)
+            old = np.repeat(digits[0], q)
+            new = np.tile(np.arange(q, dtype=np.int64), len(packed))
+            packed = np.repeat(packed, q) + (new - old) * place[ops[0]]
+            amps = np.repeat(amps, q) * roots[(old * new) % q] / np.sqrt(q)
+            packed, amps = _canonical(packed, amps)
+    return SparseState._from_packed(group, circuit.registers, packed, amps)
 
 
 def uniform_over_sum_zero(n: int, q: int) -> Circuit:
@@ -204,13 +208,17 @@ def message_state(spec: GottesmanSpec, c_vec, delta: int) -> SparseState:
 def encoder_output_data(state: SparseState, n: int) -> SparseState:
     """Extract the data register from an encoder output.
 
-    Requires the message registers to hold a single basis word across the
-    support and the ancilla register to be exactly |0^n>.
+    Requires a nonzero state whose message registers hold a single basis
+    word across the support and whose ancilla register is exactly |0^n>.
     """
-    words = state.words
-    if np.any(words[:, 3 * n :]):
+    if state.n != 4 * n:
+        raise ValueError(f"an encoder output has {4 * n} registers, not {state.n}")
+    if not len(state):
+        raise ValueError("encoder output is the zero state")
+    block = state.group.q**n
+    if np.any(state.packed % block):
         raise ValueError("ancilla register is not |0^n>")
-    head = words[:, : 2 * n]
+    head = state.packed // block**2
     if np.any(head != head[0]):
         raise ValueError("message registers are entangled with the data")
-    return SparseState.from_pairs(state.group, n, words[:, 2 * n : 3 * n], state.amps)
+    return SparseState._from_packed(state.group, n, state.packed // block % block, state.amps)

@@ -203,6 +203,8 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_encode_sim(args) -> int:
+    if args.top < 0:
+        raise SystemExit2(f"--top must be >= 0, got {args.top}")
     bundle = _read_bundle(args.infile, check_distance=True)
     u = _parse_vector(args.message)
     if u not in bundle.description.members:

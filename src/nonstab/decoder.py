@@ -38,10 +38,12 @@ class Syndrome:
 def measure_syndrome(state: SparseState, spec: GottesmanSpec, tol: float = 1e-9) -> Syndrome:
     """Eigenvalues of the generators s_{e_i} on `state`, as exact exponents.
 
-    The state must be a common eigenvector of every generator; inconsistent
-    amplitude ratios (beyond `tol`) signal an error outside the correctable
-    set and raise DecodingError.
+    The state must be a nonzero common eigenvector of every generator;
+    inconsistent amplitude ratios (beyond `tol`) signal an error outside the
+    correctable set and raise DecodingError, as does the zero state.
     """
+    if not len(state):
+        raise DecodingError("the zero state has no syndrome")
     p = spec.phase_denominator
     exponents = []
     eye = np.eye(spec.r, dtype=np.int64)

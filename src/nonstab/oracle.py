@@ -65,13 +65,33 @@ def _shift_phase(words: np.ndarray, x: np.ndarray, y: np.ndarray, q: int):
     return targets, np.einsum("...i,...i->...", words, y) % q
 
 
+def _canonical(packed: np.ndarray, amps: np.ndarray):
+    """Sorted unique packed indices with their merged amplitudes, near-zeros pruned.
+
+    Equal indices are summed in input order, so the amplitude bits depend
+    only on the order of the rows handed in.
+    """
+    uniq, inverse = np.unique(packed, return_inverse=True)
+    merged = np.zeros(len(uniq), dtype=complex)
+    np.add.at(merged, inverse, amps)
+    keep = np.abs(merged) > PRUNE_TOL
+    out_packed, out_amps = uniq[keep], merged[keep]
+    out_packed.setflags(write=False)
+    out_amps.setflags(write=False)
+    return out_packed, out_amps
+
+
 @dataclass(frozen=True, eq=False)
 class SparseState:
-    """Sparse complex state on words of n digits mod q."""
+    """Sparse complex state on words of n digits mod q.
+
+    The state is its sorted packed word indices (digit k of a word weighs
+    q^(n-1-k)) and the amplitudes on them; the digit rows are derived.
+    """
 
     group: AlphabetGroup
     n: int
-    words: np.ndarray  # (count, n), rows sorted by packed index
+    packed: np.ndarray  # int64, sorted and unique
     amps: np.ndarray  # complex128
 
     @classmethod
@@ -85,15 +105,7 @@ class SparseState:
 
     @classmethod
     def _from_packed(cls, group: AlphabetGroup, n: int, packed, amps) -> "SparseState":
-        uniq, inverse = np.unique(packed, return_inverse=True)
-        merged = np.zeros(len(uniq), dtype=complex)
-        np.add.at(merged, inverse, amps)
-        keep = np.abs(merged) > PRUNE_TOL
-        out_words = _digits(uniq[keep], group.q, n)
-        out_amps = merged[keep]
-        out_words.setflags(write=False)
-        out_amps.setflags(write=False)
-        return cls(group, n, out_words, out_amps)
+        return cls(group, n, *_canonical(packed, amps))
 
     @classmethod
     def from_dict(cls, group: AlphabetGroup, n: int, mapping: dict) -> "SparseState":
@@ -107,8 +119,11 @@ class SparseState:
         return cls.from_pairs(group, len(word), [word], [1.0])
 
     @cached_property
-    def packed(self) -> np.ndarray:
-        return self.words @ _powers(self.group.q, self.n)
+    def words(self) -> np.ndarray:
+        """Digit rows of the support, one per packed index (read-only)."""
+        words = _digits(self.packed, self.group.q, self.n)
+        words.setflags(write=False)
+        return words
 
     def items(self):
         for row, amp in zip(self.words, self.amps):
@@ -127,10 +142,10 @@ class SparseState:
         nrm = self.norm()
         if nrm < PRUNE_TOL:
             raise ValueError("cannot normalize a (near-)zero state")
-        return SparseState.from_pairs(self.group, self.n, self.words, self.amps / nrm)
+        return SparseState._from_packed(self.group, self.n, self.packed, self.amps / nrm)
 
     def scaled(self, factor: complex) -> "SparseState":
-        return SparseState.from_pairs(self.group, self.n, self.words, self.amps * factor)
+        return SparseState._from_packed(self.group, self.n, self.packed, self.amps * factor)
 
     def inner(self, other: "SparseState") -> complex:
         """<self | other>, conjugate-linear in self."""
@@ -154,13 +169,37 @@ class SparseState:
         return out
 
 
+def _digit(packed: np.ndarray, place: int, q: int) -> np.ndarray:
+    """The digit of place value `place` in each packed index: packed // place % q.
+
+    The remainder is taken as x - q (x // q), since numpy divides by a scalar
+    several times faster than it takes a remainder.  Indices are >= 0.
+    """
+    quotient = packed // place
+    return quotient - quotient // q * q
+
+
 def apply(g: WeylElement, state: SparseState) -> SparseState:
-    """Monomial action of w^phase U_a V_b: shift by a, multiply by <b, x>."""
+    """Monomial action of w^phase U_a V_b: shift by a, multiply by <b, x>.
+
+    Only the digits in the support of (a, b) are read from the packed
+    indices: a shifted digit adds (new - old) times its place value to the
+    index, and the phase exponent b . x sums over the same digits.
+    """
     if g.group != state.group or g.n != state.n:
         raise ValueError("element and state act on different word spaces")
     grp = state.group
-    p = grp.phase_denominator
-    targets, exponents = _shift_phase(state.words, np.array(g.a), np.array(g.b), grp.q)
+    q, p = grp.q, grp.phase_denominator
+    place = _powers(q, state.n)
+    targets = state.packed
+    exponents = np.zeros(len(state), dtype=np.int64)
+    for k, (a_k, b_k) in enumerate(zip(g.a, g.b)):
+        if a_k or b_k:
+            digit = _digit(state.packed, place[k], q)
+            if a_k:
+                targets = targets + ((digit + a_k) % q - digit) * place[k]
+            if b_k:
+                exponents += b_k * digit
     phases = root_table(p)[(g.phase + 2 * exponents) % p]  # <b, x> = w^(2 b.x)
     return SparseState._from_packed(grp, state.n, targets, state.amps * phases)
 

@@ -195,9 +195,18 @@ def test_encoder_output_data_rejects_entanglement():
     )
     with pytest.raises(ValueError, match="entangled"):
         encoder_output_data(bad, 1)
+    bad_d = SparseState.from_pairs(
+        group, 4, [[0, 0, 0, 0], [0, 1, 1, 0]], [1 / np.sqrt(2)] * 2
+    )
+    with pytest.raises(ValueError, match="entangled"):
+        encoder_output_data(bad_d, 1)
     nonzero_anc = SparseState.basis_word(group, (0, 0, 0, 1))
     with pytest.raises(ValueError, match="ancilla"):
         encoder_output_data(nonzero_anc, 1)
+    with pytest.raises(ValueError, match="zero state"):
+        encoder_output_data(SparseState.from_pairs(group, 4, [[0, 0, 0, 0]], [0.0]), 1)
+    with pytest.raises(ValueError, match="has 8 registers, not 4"):
+        encoder_output_data(nonzero_anc, 2)
 
 
 def test_circuit_json_roundtrip():

@@ -87,6 +87,17 @@ def test_encode_sim_command(capsys, tmp_path):
     assert report["support"] == 16
 
 
+def test_encode_sim_refuses_negative_top(capsys, tmp_path):
+    path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "2")
+    for top in ("-1", "-16"):
+        code = main(["encode-sim", "--in", str(path), "--message", "0,0,0,0,1", "--top", top])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --top must be >= 0, got {top}\n"
+    code, out = run(capsys, "encode-sim", "--in", str(path), "--message", "0,0,0,0,1", "--top", "0")
+    assert code == 0 and json.loads(out)["top_amplitudes"] == []
+
+
 def test_encode_sim_gf3(capsys, tmp_path):
     path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "3")
     code, out = run(capsys, "encode-sim", "--in", str(path), "--message", "0,0,0,0,2")

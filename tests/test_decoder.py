@@ -67,6 +67,16 @@ def test_syndrome_rejects_non_eigenvector():
         measure_syndrome(junk, spec)
 
 
+def test_zero_state_is_not_decodable():
+    b = stabilizer_description()
+    empty = SparseState.from_pairs(prime_group(2), 7, [[0] * 7], [0.0])
+    assert len(empty) == 0
+    with pytest.raises(DecodingError, match="zero state"):
+        measure_syndrome(empty, b.spec)
+    with pytest.raises(DecodingError, match="zero state"):
+        decode(empty, b, 1)
+
+
 def test_search_identity_shortcut():
     b = stabilizer_description()
     stats = {}
