@@ -151,24 +151,38 @@ class NotFound(Exception):
     """Randomized search exhausted its attempts; mapped to exit status 1."""
 
 
+class InvalidSpec(Exception):
+    """The spec breaks its invariants; the violations are reported with exit status 1."""
+
+
 def cmd_family(args) -> int:
     bundle = make_family(args.name, args)
     violations = validate(bundle.spec)
     if violations:
-        _emit({"pass": False, "violations": violations})
-        return 1
+        raise InvalidSpec(violations)
     _emit(bundle.to_json_dict())
     return 0
 
 
-def cmd_verify(args) -> int:
+def _distance(d: int) -> int:
+    if d < 1:
+        raise SystemExit2(f"d must be >= 1, got {d}")
+    return d
+
+
+def _checked_bundle(args) -> tuple[CodeBundle, int]:
+    """The bundle and the distance to check; an oversized sphere is refused before validation."""
     bundle = _read_bundle(args.infile)
-    d = args.d if args.d is not None else bundle.claimed_distance
+    d = _distance(args.d if args.d is not None else bundle.claimed_distance)
     check_sphere(bundle.spec.n, bundle.spec.q, min(d - 1, bundle.spec.n), args.max_sphere)
     violations = validate(bundle.spec)
     if violations:
-        _emit({"pass": False, "violations": violations})
-        return 1
+        raise InvalidSpec(violations)
+    return bundle, d
+
+
+def cmd_verify(args) -> int:
+    bundle, d = _checked_bundle(args)
     report = verify_distance(bundle.description, d, cap=args.max_sphere)
     doc = report.to_json_dict()
     doc["params"] = dict(bundle.params(), d=d)
@@ -177,8 +191,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    bundle = _read_bundle(args.infile)
-    d = args.d if args.d is not None else bundle.claimed_distance
+    bundle, d = _checked_bundle(args)
     kl = kl_check(bundle.description, d, cap=args.max_sphere, group_cap=args.max_group)
     doc = {"kl": kl.to_json_dict(), "params": dict(bundle.params(), d=d)}
     passed = kl.passed
@@ -192,6 +205,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_greedy(args) -> int:
     bundle = _read_bundle(args.infile)
+    _distance(args.d)
     description = greedy_construct(bundle.spec, args.d, cap=args.max_sphere)
     report = verify_distance(description, args.d, cap=args.max_sphere)
     if not report.passed:
@@ -290,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nonstab",
         description="Construct, verify, encode and decode nonstabilizer codes.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism bound (results are independent of it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="emit a named construction")
@@ -351,6 +363,9 @@ def main(argv=None) -> int:
         return 2
     except NotFound as exc:
         _emit({"pass": False, "error": str(exc)})
+        return 1
+    except InvalidSpec as exc:
+        _emit({"pass": False, "violations": exc.args[0]})
         return 1
     except (ValueError, DecodingError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,8 +31,6 @@ from .weyl import (
 )
 
 PRUNE_TOL = 1e-14
-# Complex values in one chunk of the batched Knill-Laflamme Gram.
-GRAM_CHUNK = 2**16
 
 
 @lru_cache(maxsize=None)
@@ -61,8 +59,9 @@ def _shift_phase(words: np.ndarray, x: np.ndarray, y: np.ndarray, q: int):
 
     Rows broadcast, so one word may meet many (x, y) or many words one (x, y).
     """
-    targets = ((words + x) % q) @ _powers(q, words.shape[-1])
-    return targets, np.einsum("...i,...i->...", words, y) % q
+    moved = words + x
+    moved %= q  # in place: the word rows are the largest array here
+    return moved @ _powers(q, words.shape[-1]), np.einsum("...i,...i->...", words, y) % q
 
 
 def _canonical(packed: np.ndarray, amps: np.ndarray):
@@ -240,17 +239,22 @@ def codeword(
     return _project(spec, _spec_tables(spec, group_cap), u, closed_form_tol)
 
 
-def _codeword_basis(description: FourierDescription, group_cap: int = GROUP_CAP):
-    """`codeword(description, u)` for each sorted member u, from one subgroup table.
+@lru_cache(maxsize=1)
+def _basis_matrix(description: FourierDescription, group_cap: int) -> np.ndarray:
+    """The codeword basis as a read-only q^n x K matrix, one column per sorted member.
 
-    A generator, so that a caller which copies each state into a matrix
-    never holds them all.
+    Built from one subgroup table.  Only the last result is kept, so that
+    `kl_check` and `orthonormality_check` on one description share a build.
     """
     spec = description.spec
     _require_maximal(spec)
     tables = _spec_tables(spec, group_cap)
-    for u in description.sorted_members():
-        yield _project(spec, tables, u)
+    basis = np.zeros((spec.q**spec.n, len(description)), dtype=complex)
+    for col, u in enumerate(description.sorted_members()):
+        state = _project(spec, tables, u)
+        basis[state.packed, col] = state.amps
+    basis.setflags(write=False)
+    return basis
 
 
 def _require_maximal(spec: GottesmanSpec) -> None:
@@ -286,9 +290,7 @@ def _project(spec: GottesmanSpec, tables, u, closed_form_tol: float = 1e-10) -> 
         except ValueError:
             reference = None  # no product-form coordinates (q divides n)
         if reference is not None and abs(state.fidelity(reference) - 1.0) > closed_form_tol:
-            raise RuntimeError(
-                "projection-built codeword disagrees with the closed form"
-            )
+            raise ValueError("projection-built codeword disagrees with the closed form")
     return state
 
 
@@ -382,55 +384,43 @@ def _projection_witness(projection, moved, trace, tol):
     return {"value": float(deviation)} if deviation > tol else None
 
 
-def _gram_screen(basis, digits, xs, ys, q, tol):
-    """Mask of the errors whose Gram may not be a multiple of the identity.
+def _reduced_screen(basis, q, m, supports, tol):
+    """Mask of the errors that the reduced matrices on m-subsets of digits clear.
 
-    G[u, v] = <phi_u| U_x V_y |phi_v> = sum_w conj(phi_u(w + x)) w^(y.w) phi_v(w),
-    so the errors are grouped by shift x: the shifted rows conj(phi_u(w + x))
-    are gathered once per x, and one stacked matmul of them, scaled by the
-    phases w^(y.w) of each y, with the rows phi_v(w) gives the Grams of a
-    batch of y.  Words go in chunks of rows * K^2 <= GRAM_CHUNK, and the
-    scaled rows of a batch hold at most GRAM_CHUNK complex values.  The sums
-    run in another order than `_gram_witness`, so a caller confirms each
-    flagged error there.
+    For a set T of m digits, reorder the words so that T's digits come last:
+    the basis becomes A_T with q^(n-m) rows and q^m K columns, and
+    R_T = A_T^H A_T has entries R_T[(a, u), (b, v)] = sum over the words w
+    off T of conj(phi_u(a, w)) phi_v(b, w).  T is clean when every block
+    R_T[:, u, :, v] is within eps = tol / (2 q^m) of delta_uv R_T[:, 0, :, 0].
+    An error is cleared when its support, a row of `supports`, lies in a
+    clean T.
+
+    Why eps is safe: an error E supported on T acts as E_T on T's digits,
+    and E_T is monomial, with q^m entries of unit modulus at (a, pi(a)).  So
+    <phi_u| E |phi_v> = sum over a of E_T[a, pi(a)] R_T[(a, u), (pi(a), v)],
+    and on a clean T each Gram is within q^m eps = tol / 2 of c I, with c
+    the same sum over R_T[:, 0, :, 0].  The other tol / 2 covers rounding,
+    so a cleared error passes `_gram_witness` at `tol`.
+
+    A code that passes has K <= q^(n - 2m), the quantum Singleton bound.
+    Beyond it nothing is screened, and R_T, with q^(2m) K^2 entries, is
+    never larger than the basis.  A 1 x 1 Gram always passes.
     """
-    dim, kk = basis.shape
-    rows = max(1, GRAM_CHUNK // kk**2)
-    y_batch = max(1, GRAM_CHUNK // (rows * kk))
-    columns = basis.T.copy()  # the phase scaling runs along the words
-    powers = _powers(q, digits.shape[1])
-    # y.w sums n terms of at most (q-1)^2, far below 2^53: the float64
-    # matmul below gives it exactly, and this table reduces it mod q.
-    phases = root_table(q)[np.arange(digits.shape[1] * (q - 1) ** 2 + 1) % q]
-    off_diagonal = ~np.eye(kk, dtype=bool)
-    flagged = np.zeros(len(xs), dtype=bool)
-    if not len(xs):
-        return flagged
-    keys = xs @ powers
-    order = np.argsort(keys, kind="stable")
-    with np.errstate(over="raise", invalid="raise"):
-        for errors in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-            x = xs[errors[0]]
-            support = np.flatnonzero(x)
-            ys_float = ys[errors].astype(float)
-            grams = np.zeros((len(errors), kk, kk), dtype=complex)
-            for start in range(0, dim, rows):
-                words = digits[start : start + rows]
-                stop = start + len(words)
-                # only the digits in the support of x change under the shift
-                moved = words[:, support]
-                targets = np.arange(start, stop) + ((moved + x[support]) % q - moved) @ powers[support]
-                shifted = columns.take(targets, axis=1).conj()
-                words_float = words.T.astype(float)
-                for b in range(0, len(errors), y_batch):
-                    exponents = (ys_float[b : b + y_batch] @ words_float).astype(np.intp)
-                    scaled = shifted * phases[exponents][:, None, :]
-                    grams[b : b + y_batch] += scaled @ basis[start:stop]
-            diag = np.diagonal(grams, axis1=1, axis2=2)
-            spread = np.abs(diag - diag[:, :1]).max(axis=1)
-            off = np.abs(grams[:, off_diagonal]).max(axis=1, initial=0.0)
-            flagged[errors] = (spread > tol) | (off > tol)
-    return flagged
+    n = supports.shape[1]
+    kk = basis.shape[1]
+    cleared = np.full(len(supports), kk == 1)
+    if kk == 1 or 2 * m > n or kk > q ** (n - 2 * m):
+        return cleared
+    side = q**m
+    tensor = basis.reshape((q,) * n + (kk,))
+    identity = np.eye(kk)[:, None, :]
+    for subset in itertools.combinations(range(n), m):
+        rest = [k for k in range(n) if k not in subset]
+        a_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, side * kk)
+        reduced = (a_t.conj().T @ a_t).reshape(side, kk, side, kk)
+        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= tol / (2 * side):
+            cleared |= ~supports[:, rest].any(axis=1)
+    return cleared
 
 
 def kl_check(
@@ -444,9 +434,9 @@ def kl_check(
 
     For each error g and the codeword basis {phi_u}, the matrix of
     <phi_u| g |phi_v> must be a constant multiple of the identity within
-    `tol`.  Maximal specs use the explicit codeword basis: `_gram_screen`
-    batches all Grams at `tol / 2`, and only the errors it flags are
-    recomputed one at a time, in canonical order, under `tol`.  Non-maximal
+    `tol`.  Maximal specs use the explicit codeword basis: `_reduced_screen`
+    clears the errors on the clean (d-1)-subsets of digits, and the rest are
+    checked one at a time, in canonical order, under `tol`.  Non-maximal
     specs check P g P = phi(g) P on the dense projection, error by error.
     `cap` bounds the error enumeration and `group_cap` the subgroup tables;
     both are checked, like the dense-matrix cap of the projection, before
@@ -454,24 +444,21 @@ def kl_check(
     """
     spec = description.spec
     q, n = spec.q, spec.n
-    xs, ys = bounded_pair_arrays(q, n, min(d - 1, n), cap=cap)
+    m = min(d - 1, n)
+    xs, ys = bounded_pair_arrays(q, n, m, cap=cap)
     check_size("subgroup size", spec.size, group_cap)
     maximal = spec.is_maximal()
     if maximal:
         members = description.sorted_members()
-        operand = np.zeros((q**n, len(members)), dtype=complex)
-        for col, state in enumerate(_codeword_basis(description, group_cap)):
-            operand[state.packed, col] = state.amps
+        operand = _basis_matrix(description, group_cap)
+        suspects = ~_reduced_screen(operand, q, m, (xs != 0) | (ys != 0), tol)
     else:
         operand = dense_projection(description)
         trace = np.trace(operand).real
+        suspects = np.ones(len(xs), dtype=bool)
     digits = _digits(np.arange(q**n), q, n)
     roots = root_table(q)
-    suspects = zip(xs, ys)
-    if maximal:
-        flagged = _gram_screen(operand, digits, xs, ys, q, tol / 2)
-        suspects = zip(xs[flagged], ys[flagged])
-    for x, y in suspects:
+    for x, y in zip(xs[suspects], ys[suspects]):
         targets, exponents = _shift_phase(digits, x, y, q)
         moved = np.zeros_like(operand)
         moved[targets] = roots[exponents][:, None] * operand  # g @ operand
@@ -514,13 +501,9 @@ def orthonormality_check(
 ) -> Report:
     """Gram matrix of the codeword basis must be the identity within tol."""
     members = description.sorted_members()
-    states = list(_codeword_basis(description, group_cap))
-    kk = len(states)
-    gram = np.zeros((kk, kk), dtype=complex)
-    for i in range(kk):
-        for j in range(kk):
-            gram[i, j] = states[i].inner(states[j])
-    deviation = np.abs(gram - np.eye(kk))
+    basis = _basis_matrix(description, group_cap)
+    gram = basis.conj().T @ basis
+    deviation = np.abs(gram - np.eye(len(members)))
     if deviation.max() > tol:
         i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
         return Report(
@@ -528,4 +511,4 @@ def orthonormality_check(
             witness={"u": list(members[i]), "v": list(members[j]),
                      "value": [float(gram[i, j].real), float(gram[i, j].imag)]},
         )
-    return Report(True, counts={"codewords": kk})
+    return Report(True, counts={"codewords": len(members)})

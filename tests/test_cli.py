@@ -134,10 +134,12 @@ def test_alpha_good_family(capsys, tmp_path):
     assert code == 2  # --seed is required
 
 
-def test_threads_flag_accepted(capsys):
-    code, out = run(capsys, "--threads", "4", "table")
-    assert code == 0
-    assert out.startswith("n,q,K,d")
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "table"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "usage: nonstab" in captured.err and "Traceback" not in captured.err
 
 
 def test_table_command(capsys):
@@ -260,3 +262,69 @@ def test_encode_sim_refuses_int64_overflow(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "overflows int64" in captured.err and len(captured.err.splitlines()) == 1
+
+
+def corrupted_code15(capsys, tmp_path, corrupt):
+    _, doc = family_bundle(capsys, tmp_path, "--name", "code15")
+    corrupt(doc["spec"])
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_oracle_validates_the_spec_first(capsys, tmp_path):
+    def break_phase(spec):
+        spec["D"][0][0] ^= 1
+        del spec["quad_upper"]  # else the closed form catches it first
+
+    path = corrupted_code15(capsys, tmp_path, break_phase)
+    for command in ("verify", "oracle"):
+        code, out = run(capsys, command, "--in", str(path))
+        assert code == 1, command
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["violations"][0].startswith("phase cocycle fails"), command
+
+
+def test_bad_product_form_certificate_exits_2(capsys, tmp_path):
+    def break_certificate(spec):
+        spec["quad_upper"][0][1] ^= 1
+
+    path = corrupted_code15(capsys, tmp_path, break_certificate)
+    code = main(["oracle", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: projection-built codeword disagrees with the closed form\n"
+
+
+def test_distance_below_1_exits_2(capsys, tmp_path):
+    path, doc = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "2")
+    doc["params"]["d"] = 0
+    claims_0 = tmp_path / "claims_0.json"
+    claims_0.write_text(json.dumps(doc))
+    cases = [([command, "--in", str(path), "--d", d], d)
+             for command in ("verify", "oracle", "greedy") for d in ("0", "-1")]
+    cases += [([command, "--in", str(claims_0)], "0") for command in ("verify", "oracle")]
+    for argv, d in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == f"error: d must be >= 1, got {d}\n", argv
+
+
+def test_oracle_builds_each_codeword_once(capsys, tmp_path, monkeypatch):
+    from nonstab import oracle
+
+    calls = []
+    project = oracle._project
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return project(*args, **kwargs)
+
+    path, _ = family_bundle(capsys, tmp_path, "--name", "code15")
+    monkeypatch.setattr(oracle, "_project", counted)
+    oracle._basis_matrix.cache_clear()
+    code, out = run(capsys, "oracle", "--in", str(path))
+    assert code == 0 and json.loads(out)["orthonormality"]["pass"]
+    assert len(calls) == 8

@@ -7,7 +7,7 @@ from conftest import (
     random_nonmaximal_spec,
 )
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonstab.families import code_15_8_3, distance2_family, maximal_form_spec
@@ -23,6 +23,7 @@ from nonstab.oracle import (
     SparseState,
     _digits,
     _gram_witness,
+    _reduced_screen,
     _shift_phase,
     apply,
     closed_form_codeword,
@@ -249,22 +250,35 @@ def test_packed_index_refuses_int64_overflow():
         SparseState.basis_word(Z2, (0,) * 64)
 
 
+def weyl_times(operand, x, y, q):
+    """U_x V_y @ operand, and U_x V_y^dagger @ operand, on the dense word space."""
+    digits = _digits(np.arange(len(operand)), q, len(x))
+    targets, exponents = _shift_phase(digits, x, y, q)
+    phases = root_table(q)[exponents][:, None]
+    moved = np.zeros_like(operand)
+    moved[targets] = phases * operand
+    return moved, np.conj(phases) * operand[targets]
+
+
+def codeword_matrix(description):
+    members = description.sorted_members()
+    spec = description.spec
+    operand = np.zeros((spec.q**spec.n, len(members)), dtype=complex)
+    for col, u in enumerate(members):
+        state = codeword(description, u)
+        operand[state.packed, col] = state.amps
+    return operand
+
+
 def reference_kl_check(description, d, tol=1e-9):
     """kl_check on a maximal spec as one Gram per error, in canonical order."""
     spec = description.spec
     q, n = spec.q, spec.n
     xs, ys = bounded_pair_arrays(q, n, min(d - 1, n))
     members = description.sorted_members()
-    operand = np.zeros((q**n, len(members)), dtype=complex)
-    for col, u in enumerate(members):
-        state = codeword(description, u)
-        operand[state.packed, col] = state.amps
-    digits = _digits(np.arange(q**n), q, n)
-    roots = root_table(q)
+    operand = codeword_matrix(description)
     for x, y in zip(xs, ys):
-        targets, exponents = _shift_phase(digits, x, y, q)
-        moved = np.zeros_like(operand)
-        moved[targets] = roots[exponents][:, None] * operand
+        moved, _ = weyl_times(operand, x, y, q)
         found = _gram_witness(operand, moved, members, tol)
         if found is not None:
             return Report(False, witness={"error": {"x": x.tolist(), "y": y.tolist()}, **found})
@@ -272,6 +286,8 @@ def reference_kl_check(description, d, tol=1e-9):
 
 
 DIGITS_FOR_Q = {2: (4, 7), 3: (3, 5), 5: (3, 4)}
+# d = 4 only on the shapes where the per-error reference stays quick
+MAX_DIGITS_AT_D4 = {2: 6, 3: 4}
 
 
 @st.composite
@@ -279,8 +295,9 @@ def maximal_descriptions(draw):
     """(description, d): a greedy code where the spec is d-pure, else random,
     and, if drawn, one member added at a forbidden difference."""
     q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
-    n = draw(st.integers(*DIGITS_FOR_Q[q]))
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([2, 3, 4] if q in MAX_DIGITS_AT_D4 else [2, 3]))
+    low, high = DIGITS_FOR_Q[q]
+    n = draw(st.integers(low, MAX_DIGITS_AT_D4[q] if d == 4 else high))
     entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
     spec = maximal_form_spec(q, n, np.triu(np.array(entries, dtype=np.int64).reshape(n, n)))
     if purity_radius(spec, d) is None:
@@ -316,10 +333,54 @@ def test_kl_check_gram_memory_is_bounded():
     upper = np.array([[2, 2, 3, 4], [0, 0, 4, 4], [0, 0, 4, 2], [0, 0, 0, 2]])
     description = greedy_construct(maximal_form_spec(5, 4, upper), 2)
     assert len(description.members) == 22
-    tracemalloc.start()
-    try:
-        assert kl_check(description, 2).passed
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 2**20
+    # at d = 3 the quantum Singleton bound K <= 5^(4 - 4) rules the code out
+    for d, passes in ((2, True), (3, False)):
+        tracemalloc.start()
+        try:
+            assert kl_check(description, d).passed == passes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, d
+
+
+TOL = 1e-9
+
+
+@st.composite
+def perturbed_bases(draw):
+    """(basis, q, m, xs, ys, members): a greedy code's basis with one Gram moved.
+
+    Column v gains delta E^dagger phi_u for an error E of weight <= m, so
+    <phi_u| E |phi_v> moves by about delta, drawn around TOL, and the
+    entries of R_T on the m-subsets T around E's support by about
+    delta / q^m.  With u = v the diagonal of that Gram spreads instead.
+    """
+    q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
+    n = draw(st.integers(*DIGITS_FOR_Q[q]))
+    d = draw(st.sampled_from([2, 3]))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
+    spec = maximal_form_spec(q, n, np.triu(np.array(entries, dtype=np.int64).reshape(n, n)))
+    assume(purity_radius(spec, d) is None)
+    description = greedy_construct(spec, d)
+    kk = len(description)
+    assume(kk > 1)
+    m = d - 1
+    xs, ys = bounded_pair_arrays(q, n, m)
+    basis = codeword_matrix(description)
+    u, v = draw(st.integers(0, kk - 1)), draw(st.integers(0, kk - 1))
+    e = draw(st.integers(0, len(xs) - 1))
+    delta = TOL * draw(st.floats(0.25, 4.0))
+    _, adjoint = weyl_times(basis, xs[e], ys[e], q)
+    basis[:, v] += delta * adjoint[:, u]
+    return basis, q, m, xs, ys, description.sorted_members()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(perturbed_bases())
+def test_reduced_screen_clears_only_passing_errors(case):
+    basis, q, m, xs, ys, members = case
+    cleared = _reduced_screen(basis, q, m, (xs != 0) | (ys != 0), TOL)
+    for x, y in zip(xs[cleared], ys[cleared]):
+        moved, _ = weyl_times(basis, x, y, q)
+        assert _gram_witness(basis, moved, members, TOL) is None
