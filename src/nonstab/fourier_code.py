@@ -31,7 +31,10 @@ from .gottesman import (
     GottesmanSpec,
     forbidden_set,
     low_weight_members,
+    pack_keys,
     purity_radius,
+    unique_keys,
+    unpack_keys,
 )
 from .weyl import ENUMERATION_CAP, GROUP_CAP, check_size
 
@@ -63,12 +66,23 @@ class FourierDescription:
     def member_array(self) -> np.ndarray:
         return np.array(self.sorted_members(), dtype=np.int64)
 
+    def difference_keys(self) -> np.ndarray:
+        """The difference set B - B as sorted unique packed keys (see `pack_keys`).
+
+        Keys are accumulated one digit at a time over the K x K pairs, so no
+        K^2 x r array of digits is ever built; each digit's K x K differences
+        use the smallest integer type that holds -q, which is several times
+        faster than int64.
+        """
+        q, r = self.spec.q, self.spec.r
+        digits = self.member_array.T.astype(np.min_scalar_type(-q))
+        columns = ((col[:, None] - col[None, :]) % q for col in digits)
+        return unique_keys(pack_keys(columns, q, r))
+
     def differences(self) -> set:
         """The difference set B - B in GF(q)^r coordinates."""
-        q = self.spec.q
-        arr = self.member_array
-        diffs = (arr[:, None, :] - arr[None, :, :]) % q
-        return set(map(tuple, diffs.reshape(-1, arr.shape[1]).tolist()))
+        rows = unpack_keys(self.difference_keys(), self.spec.q, self.spec.r)
+        return set(map(tuple, rows.tolist()))
 
     def to_json_dict(self) -> dict:
         return {"spec": self.spec.to_json_dict(), "B": [list(u) for u in self.sorted_members()]}
@@ -109,32 +123,44 @@ class Report:
 def verify_distance(
     description: FourierDescription, d: int, cap: int = ENUMERATION_CAP
 ) -> Report:
-    """Algebraic distance check: does the code detect all errors of weight < d?"""
+    """Algebraic distance check: does the code detect all errors of weight < d?
+
+    Condition 1 holds for a low-weight member s_a exactly when u . a is
+    constant over u in B, which one product of B with the members decides;
+    its witness is the lexicographically smallest difference u with
+    u . a != 0, for the first failing member in canonical order.  Condition
+    2 intersects the sorted difference keys with the forbidden keys; its
+    witness is the smallest common index.
+    """
     spec = description.spec
-    q = spec.q
+    q, r = spec.q, spec.r
     members = low_weight_members(spec, min(d - 1, spec.n), cap=cap)
-    diffs = description.differences()
-    for a, element in members:
-        a_vec = np.array(a, dtype=np.int64)
-        for u in diffs:
-            if int(np.array(u, dtype=np.int64) @ a_vec) % q:
-                return Report(
-                    False,
-                    witness={
-                        "condition": 1,
-                        "subgroup_index": list(a),
-                        "weight": element.weight(),
-                        "difference": list(u),
-                    },
-                    counts={"low_weight_members": len(members)},
-                )
+    diffs = description.difference_keys()
+    if members:
+        a_rows = np.array([a for a, _ in members], dtype=np.int64)
+        values = (description.member_array @ a_rows.T) % q
+        failing = np.flatnonzero(np.any(values != values[0], axis=0))
+        if failing.size:
+            a, element = members[failing[0]]
+            # u . a over the difference keys, one digit of a at a time
+            dots = sum(diffs // q ** (r - 1 - k) % q * a_k for k, a_k in enumerate(a) if a_k)
+            first = np.flatnonzero(dots % q)[0]
+            return Report(
+                False,
+                witness={
+                    "condition": 1,
+                    "subgroup_index": list(a),
+                    "weight": element.weight(),
+                    "difference": unpack_keys(diffs[first : first + 1], q, r)[0].tolist(),
+                },
+                counts={"low_weight_members": len(members)},
+            )
     forbidden = forbidden_set(spec, d, cap=cap)
-    hits = diffs & forbidden.members
-    if hits:
-        witness_u = min(hits)
+    hits = np.intersect1d(diffs, forbidden.keys, assume_unique=True)
+    if hits.size:
         return Report(
             False,
-            witness={"condition": 2, "difference": list(witness_u)},
+            witness={"condition": 2, "difference": unpack_keys(hits[:1], q, r)[0].tolist()},
             counts={"low_weight_members": len(members), "forbidden": len(forbidden)},
         )
     return Report(
@@ -147,10 +173,23 @@ def verify_distance(
     )
 
 
+def _weight_lex_keys(q: int, r: int) -> np.ndarray:
+    """Packed keys of all of GF(q)^r by weight, then lexicographically.
+
+    The weights of the keys 0 .. q^r - 1 are accumulated one digit at a time,
+    least significant digit innermost, and a stable argsort by weight keeps
+    key order, which is lexicographic order, within each weight.
+    """
+    weights = np.zeros(1, dtype=np.int64)
+    nonzero = np.arange(q) != 0
+    for _ in range(r):
+        weights = (weights[:, None] + nonzero).ravel()
+    return np.argsort(weights, kind="stable")
+
+
 def weight_lex_indices(q: int, r: int) -> list:
     """All of GF(q)^r ordered by weight, then lexicographically; 0 first."""
-    vectors = list(itertools.product(range(q), repeat=r))
-    return sorted(vectors, key=lambda v: (sum(1 for x in v if x), v))
+    return list(map(tuple, unpack_keys(_weight_lex_keys(q, r), q, r).tolist()))
 
 
 def greedy_construct(
@@ -163,25 +202,37 @@ def greedy_construct(
     forbidden set.  Requires a d-pure spec; deterministic given `order`
     (default: weight-lex with 0 first).  Picks at least floor(#S / #X)
     members when the forbidden set X is nonempty.
+
+    The walk runs on packed keys over a boolean alive-array of all q^r
+    indices, which `cap` bounds before anything is built: each pick u
+    clears the keys of u - X for the whole forbidden array X at once.
     """
+    q, r = spec.q, spec.r
+    check_size("character space", spec.size, cap)
     if purity_radius(spec, d, cap=cap) is not None:
         raise ValueError(f"spec is not {d}-pure; greedy construction needs purity")
     forbidden = forbidden_set(spec, d, cap=cap)
     if order is None:
-        order = weight_lex_indices(spec.q, spec.r)
-    q = spec.q
-    alive = set(order)
-    if len(alive) != spec.size:
-        raise ValueError("order must enumerate all of GF(q)^r")
+        keys = _weight_lex_keys(q, r)
+    else:
+        rows = np.array(order, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != r or np.any((rows < 0) | (rows >= q)):
+            raise ValueError("order must enumerate all of GF(q)^r")
+        keys = pack_keys(rows.T, q, r)
+        if len(unique_keys(keys)) != spec.size:
+            raise ValueError("order must enumerate all of GF(q)^r")
+    forbidden_columns = np.ascontiguousarray(forbidden.rows().T)
+    alive = np.ones(spec.size, dtype=bool)
     picked = []
-    for u in order:
-        if u not in alive:
+    for u in keys.tolist():
+        if not alive[u]:
             continue
         picked.append(u)
-        alive.discard(u)
-        for x in forbidden.members:
-            alive.discard(tuple((a - b) % q for a, b in zip(u, x)))
-    return FourierDescription(spec, frozenset(picked))
+        alive[u] = False
+        moved = (unpack_keys(np.array([u]), q, r).T - forbidden_columns) % q
+        alive[pack_keys(moved, q, r)] = False
+    rows = unpack_keys(np.array(picked, dtype=np.int64), q, r)
+    return FourierDescription(spec, frozenset(map(tuple, rows.tolist())))
 
 
 def bounds(n: int, q: int, t: int) -> tuple[Fraction, Fraction]:

@@ -162,24 +162,85 @@ class GottesmanSpec:
         return spec
 
 
-@dataclass(frozen=True)
+# ----------------------------------------------------------------------
+# Packed character indices
+# ----------------------------------------------------------------------
+
+
+def _key_dtype(q: int, r: int):
+    return np.int64 if q**r <= 2**63 else object
+
+
+def pack_keys(columns, q: int, r: int) -> np.ndarray:
+    """Packed keys of character indices in GF(q)^r, from their r digit columns.
+
+    `columns` yields the digit arrays, most significant first and all of one
+    shape (`rows.T` for a matrix of digit rows), so that a caller never has
+    to hold all r of them at once.  Digit k weighs q^(r-1-k), so the order of
+    the keys is the lexicographic order of the indices.  Keys are int64 while
+    q^r <= 2^63 and exact Python ints in an object array beyond, so that no
+    key wraps around.
+    """
+    keys = None
+    for column in columns:
+        if keys is None:
+            keys = np.array(column, dtype=_key_dtype(q, r))
+        else:
+            keys *= q
+            keys += column
+    return keys
+
+
+def unique_keys(keys) -> np.ndarray:
+    """Sorted unique keys, flattened.
+
+    A sort and a mask: on int64 keys this is several times faster than
+    `np.unique`, which hashes before it sorts.
+    """
+    keys = np.sort(keys, axis=None)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def unpack_keys(keys: np.ndarray, q: int, r: int) -> np.ndarray:
+    """Digit rows (int64) of packed character indices; the inverse of `pack_keys`."""
+    places = np.array([q ** (r - 1 - k) for k in range(r)], dtype=_key_dtype(q, r))
+    return (keys[:, None] // places % q).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class ForbiddenSet:
-    """Character indices that the difference set of a code must avoid."""
+    """Character indices that the difference set of a code must avoid.
+
+    Stored as the sorted unique packed keys of `pack_keys`; the tuple views
+    are derived from them.
+    """
 
     d: int
-    members: frozenset
+    q: int
+    r: int
+    keys: np.ndarray
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members())
 
     def __contains__(self, u) -> bool:
         return tuple(int(v) for v in u) in self.members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.keys)
+
+    def rows(self) -> np.ndarray:
+        """The members as digit rows, in lexicographic order."""
+        return unpack_keys(self.keys, self.q, self.r)
 
     def weights(self) -> set:
-        return {sum(1 for v in u if v) for u in self.members}
+        return set(np.count_nonzero(self.rows(), axis=1).tolist())
 
     def sorted_members(self) -> list:
-        return sorted(self.members)
+        return list(map(tuple, self.rows().tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -316,12 +377,11 @@ def forbidden_set(spec: GottesmanSpec, d: int, cap: int = ENUMERATION_CAP) -> Fo
     if d < 1:
         raise ValueError("d must be >= 1")
     xs, ys = bounded_pair_arrays(spec.q, spec.n, min(d - 1, spec.n), cap=cap)
-    if xs.shape[0] == 0:
-        return ForbiddenSet(d, frozenset())
-    in_image, _ = _ImageSolver(spec).solve_batch(xs, ys)
-    us = (ys @ spec.L - xs @ spec.M) % spec.q
-    members = frozenset(tuple(map(int, row)) for row in us[~in_image])
-    return ForbiddenSet(d, members)
+    us = np.zeros((0, spec.r), dtype=np.int64)
+    if xs.shape[0]:
+        in_image, _ = _ImageSolver(spec).solve_batch(xs, ys)
+        us = (ys[~in_image] @ spec.L - xs[~in_image] @ spec.M) % spec.q
+    return ForbiddenSet(d, spec.q, spec.r, unique_keys(pack_keys(us.T, spec.q, spec.r)))
 
 
 def low_weight_members(

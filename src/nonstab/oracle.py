@@ -18,7 +18,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fourier_code import FourierDescription, Report, projection_coefficients
-from .galois import linear_solve
 from .gottesman import GottesmanSpec, bounded_pair_arrays
 from .weyl import (
     DENSE_MATRIX_CAP,
@@ -73,8 +72,13 @@ def _canonical(packed: np.ndarray, amps: np.ndarray):
     uniq, inverse = np.unique(packed, return_inverse=True)
     merged = np.zeros(len(uniq), dtype=complex)
     np.add.at(merged, inverse, amps)
-    keep = np.abs(merged) > PRUNE_TOL
-    out_packed, out_amps = uniq[keep], merged[keep]
+    return _pruned(uniq, merged)
+
+
+def _pruned(packed: np.ndarray, amps: np.ndarray):
+    """Read-only copies of sorted unique indices and amplitudes, near-zeros dropped."""
+    keep = np.abs(amps) > PRUNE_TOL
+    out_packed, out_amps = packed[keep], amps[keep]
     out_packed.setflags(write=False)
     out_amps.setflags(write=False)
     return out_packed, out_amps
@@ -183,7 +187,10 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
 
     Only the digits in the support of (a, b) are read from the packed
     indices: a shifted digit adds (new - old) times its place value to the
-    index, and the phase exponent b . x sums over the same digits.
+    index, and the phase exponent b . x sums over the same digits.  The
+    element permutes words, so no two targets meet: one argsort orders
+    them, and adding 0.0 turns -0.0 into +0.0 as the merge of `_canonical`
+    does, so that the amplitude bits are the same.
     """
     if g.group != state.group or g.n != state.n:
         raise ValueError("element and state act on different word spaces")
@@ -200,7 +207,8 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
             if b_k:
                 exponents += b_k * digit
     phases = root_table(p)[(g.phase + 2 * exponents) % p]  # <b, x> = w^(2 b.x)
-    return SparseState._from_packed(grp, state.n, targets, state.amps * phases)
+    order = np.argsort(targets)
+    return SparseState(grp, state.n, *_pruned(targets[order], (state.amps * phases)[order] + 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -299,35 +307,51 @@ def message_coordinates(spec: GottesmanSpec, u) -> tuple[np.ndarray, int]:
 
     Solves u = L^T c + delta * w with c in the sum-zero code, where w is
     determined by the V-part offset of the spec.  Requires the certificate
-    and a unique solution (fails when q divides the digit count).
+    and a unique solution (fails when q divides the digit count).  The
+    system is reduced once per spec; only the right-hand side depends on u.
     """
+    q, n = spec.q, spec.n
+    transform, pivots = _product_form_reduction(spec)
+    tb = (transform @ np.concatenate([np.array(u, dtype=np.int64) % q, [0]])) % q
+    if np.any(tb[len(pivots) :]):
+        raise ValueError("character has no product-form coordinates")
+    if len(pivots) < n + 1:
+        raise ValueError(
+            "product-form coordinates are not unique (degenerate: q divides n)"
+        )
+    x = np.zeros(n + 1, dtype=np.int64)
+    x[pivots] = tb[: len(pivots)]
+    return x[:n], int(x[n])
+
+
+@lru_cache(maxsize=1)
+def _product_form_reduction(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(T, pivot columns) of the row reduction T A = R of the product-form
+    system A = [[L^T, w], [1 ... 1, 0]] of `message_coordinates`, read-only."""
     if spec.quad_upper is None:
         raise ValueError("spec does not carry a product-form certificate")
     q, n = spec.q, spec.n
-    field = spec.field
     l7 = (spec.quad_upper + spec.quad_upper.T) % q
     w_vec = ((spec.M - (l7 @ spec.L) % q).T @ np.ones(n, dtype=np.int64)) % q
     system = np.zeros((n + 1, n + 1), dtype=np.int64)
     system[:n, :n] = spec.L.T
     system[:n, n] = w_vec
     system[n, :n] = 1
-    rhs = np.concatenate([np.array(u, dtype=np.int64) % q, [0]])
-    solution = linear_solve(field, system, rhs)
-    if solution is None:
-        raise ValueError("character has no product-form coordinates")
-    x, kernel = solution
-    if kernel:
-        raise ValueError(
-            "product-form coordinates are not unique (degenerate: q divides n)"
-        )
-    return x[:n], int(x[n])
+    _, pivots, transform = spec.field.rref(system)
+    pivots = np.array(pivots, dtype=np.int64)
+    transform.setflags(write=False)
+    pivots.setflags(write=False)
+    return transform, pivots
 
 
+@lru_cache(maxsize=16)
 def sum_zero_words(n: int, q: int) -> np.ndarray:
-    """All words in GF(q)^n with zero digit sum, in lexicographic order."""
+    """All words in GF(q)^n with zero digit sum, in lexicographic order (read-only)."""
     free = _digits(np.arange(q ** (n - 1)), q, n - 1)
     last = (-free.sum(axis=1)) % q
-    return np.hstack([free, last[:, None]])
+    words = np.hstack([free, last[:, None]])
+    words.setflags(write=False)
+    return words
 
 
 def closed_form_codeword(spec: GottesmanSpec, u) -> SparseState:

@@ -30,7 +30,7 @@ from .galois import error_sphere_count
 
 # Resource caps.  The first two are the defaults of the CLI's --max-sphere
 # and --max-group; callers that take a `cap` or `group_cap` may override them.
-ENUMERATION_CAP = 10**7  # error pairs in one enumeration
+ENUMERATION_CAP = 10**7  # error pairs in one enumeration; also the q^r indices greedy walks
 GROUP_CAP = 2**16  # elements of one subgroup table; also amplitudes of one dense state
 DENSE_MATRIX_CAP = 2**12  # side of one dense operator matrix
 

@@ -78,6 +78,20 @@ def test_greedy_command(capsys, tmp_path):
     assert code == 0 and json.loads(out)["pass"]
 
 
+def test_greedy_refuses_a_character_space_beyond_max_sphere(capsys, tmp_path):
+    # subspace33 has 2^33 character indices; greedy walks all of them, so the
+    # budget is checked before anything is built
+    path, _ = family_bundle(capsys, tmp_path, "--name", "subspace33")
+    code = main(["greedy", "--in", str(path), "--d", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: character space 8589934592 exceeds cap 10000000\n"
+    path, _ = family_bundle(capsys, tmp_path, "--name", "laflamme", "--n", "7")
+    code = main(["greedy", "--in", str(path), "--d", "3", "--max-sphere", "127"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "error: character space 128 exceeds cap 127\n"
+
+
 def test_encode_sim_command(capsys, tmp_path):
     path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "2")
     code, out = run(capsys, "encode-sim", "--in", str(path), "--message", "0,0,0,0,1")

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_description, random_maximal_spec
+from conftest import random_description, random_maximal_spec, random_nonmaximal_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonstab.families import code_15_8_3, distance2_family, laflamme_spec
+from nonstab.families import code_15_8_3, distance2_family, distance2_spec, laflamme_spec
 from nonstab.fourier_code import (
     FourierDescription,
     bounds,
@@ -15,7 +17,12 @@ from nonstab.fourier_code import (
     verify_distance,
     weight_lex_indices,
 )
-from nonstab.gottesman import GottesmanSpec, forbidden_set, purity_radius
+from nonstab.gottesman import (
+    GottesmanSpec,
+    forbidden_set,
+    low_weight_members,
+    purity_radius,
+)
 from nonstab.oracle import dense_projection
 
 
@@ -64,8 +71,13 @@ def test_verify_distance_condition_one():
     spec = GottesmanSpec(q=2, L=[[1]], M=[[0]], D=[[0]])
     both = FourierDescription(spec, frozenset({(0,), (1,)}))
     report = verify_distance(both, 2)
-    assert not report.passed
-    assert report.witness["condition"] == 1
+    # B - B = {(0,), (1,)}: the witness is the lexicographically smallest
+    # difference u with u . a != 0 for the weight-1 member a = (1,)
+    assert report.to_json_dict() == {
+        "pass": False,
+        "witness": {"condition": 1, "subgroup_index": [1], "weight": 1, "difference": [1]},
+        "counts": {"low_weight_members": 1},
+    }
     single = FourierDescription(spec, frozenset({(1,)}))
     assert verify_distance(single, 2).passed
 
@@ -212,9 +224,128 @@ def test_weight_lex_order():
     weights = [sum(v) for v in order]
     assert weights == sorted(weights)
     assert len(order) == 8
+    for q, r in ((2, 5), (3, 3), (5, 2)):
+        vectors = itertools.product(range(q), repeat=r)
+        expected = sorted(vectors, key=lambda v: (sum(1 for x in v if x), v))
+        assert weight_lex_indices(q, r) == expected
 
 
 def test_description_json_roundtrip():
     _, b = distance2_family(5, 2)
     clone = FourierDescription.from_json_dict(b.to_json_dict())
     assert clone.members == b.members
+
+
+# ----------------------------------------------------------------------
+# Packed keys against tuple-set references
+# ----------------------------------------------------------------------
+
+QS = (2, 3, 5)
+# digit counts per q that keep q^n small enough for the set references
+MAXIMAL_NS = {2: (3, 4, 5, 6), 3: (2, 3, 4), 5: (2, 3)}
+
+
+def reference_greedy(spec, d, order):
+    """The greedy walk on a Python set of tuples."""
+    q = spec.q
+    forbidden = forbidden_set(spec, d).sorted_members()
+    alive = set(order)
+    picked = set()
+    for u in order:
+        if u not in alive:
+            continue
+        picked.add(u)
+        alive.discard(u)
+        for x in forbidden:
+            alive.discard(tuple((a - b) % q for a, b in zip(u, x)))
+    return picked
+
+
+def reference_verify(description, d):
+    """verify_distance on a Python set of difference tuples."""
+    spec = description.spec
+    q = spec.q
+    members = low_weight_members(spec, min(d - 1, spec.n))
+    diffs = {
+        tuple((a - b) % q for a, b in zip(u, v))
+        for u in description.members
+        for v in description.members
+    }
+    counts = {"low_weight_members": len(members)}
+    for a, element in members:
+        failing = sorted(u for u in diffs if sum(x * y for x, y in zip(u, a)) % q)
+        if failing:
+            witness = {"condition": 1, "subgroup_index": list(a),
+                       "weight": element.weight(), "difference": list(failing[0])}
+            return {"pass": False, "witness": witness, "counts": counts}
+    forbidden = forbidden_set(spec, d)
+    counts["forbidden"] = len(forbidden)
+    hits = diffs & forbidden.members
+    if hits:
+        return {"pass": False, "witness": {"condition": 2, "difference": list(min(hits))},
+                "counts": counts}
+    counts["differences"] = len(diffs)
+    return {"pass": True, "counts": counts}
+
+
+@st.composite
+def specs(draw):
+    """A random valid spec over q in {2, 3, 5}, maximal or not."""
+    q = draw(st.sampled_from(QS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from(MAXIMAL_NS[q]))
+    if n > 2 and draw(st.booleans()):
+        return random_nonmaximal_spec(rng, n, draw(st.integers(1, n - 1)), q=q)
+    return random_maximal_spec(rng, n, q=q)
+
+
+@st.composite
+def pure_cases(draw):
+    """A spec with the distance d at which it is pure, and d = 3 where it is not.
+
+    Random product-form maximal specs are always 2-pure and sometimes 3-pure;
+    the distance-2 and Laflamme specs are 3-pure.
+    """
+    kind = draw(st.sampled_from(["random", "random", "random", "d2", "laflamme"]))
+    if kind == "d2":
+        spec = distance2_spec(5, draw(st.sampled_from((2, 3))))
+    elif kind == "laflamme":
+        spec = laflamme_spec(draw(st.sampled_from((5, 7))))
+    else:
+        q = draw(st.sampled_from(QS))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spec = random_maximal_spec(rng, draw(st.sampled_from(MAXIMAL_NS[q] + (7,) * (q == 2))), q=q)
+    d = 3 if purity_radius(spec, 3) is None else 2
+    return spec, d
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(pure_cases(), st.randoms(use_true_random=False))
+def test_greedy_matches_tuple_set_reference(case, rnd):
+    spec, d = case
+    if d == 2:
+        with pytest.raises(ValueError, match="not 3-pure"):
+            greedy_construct(spec, 3)
+    order = weight_lex_indices(spec.q, spec.r)
+    assert greedy_construct(spec, d).members == reference_greedy(spec, d, order)
+    rnd.shuffle(order)
+    assert greedy_construct(spec, d, order=order).members == reference_greedy(spec, d, order)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(specs(), st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_verify_distance_matches_tuple_set_reference(spec, d, seed, size):
+    description = random_description(np.random.default_rng(seed), spec, max_size=size)
+    assert verify_distance(description, d).to_json_dict() == reference_verify(description, d)
+
+
+def test_verify_keys_beyond_int64_stay_exact():
+    # 2^65 and 3^41 character indices: the packed keys must not wrap around
+    for n, q, want in ((65, 2, {"differences": 2146, "forbidden": 195}),
+                       (41, 3, {"differences": 3363, "forbidden": 328})):
+        _, description = distance2_family(n, q)
+        assert description.difference_keys().dtype == object
+        report = verify_distance(description, 2)
+        assert report.to_json_dict() == {
+            "pass": True, "counts": {"low_weight_members": 0, **want},
+        }

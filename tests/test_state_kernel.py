@@ -20,12 +20,16 @@ from nonstab.circuits import (
     simulate,
 )
 from nonstab.families import maximal_form_spec
+from nonstab.galois import linear_solve
 from nonstab.oracle import (
     PRUNE_TOL,
     SparseState,
+    _digit,
+    _powers,
     apply,
     closed_form_codeword,
     message_coordinates,
+    sum_zero_words,
 )
 from nonstab.weyl import WeylElement, prime_group, root_table
 
@@ -168,6 +172,42 @@ def test_simulate_matches_word_matrix_reference(case):
     assert outcome(simulate, circuit, state) == outcome(reference_simulate, circuit, state)
 
 
+def merged_apply(g, state):
+    """`apply` as it was: the digit-wise targets merged by `_canonical`."""
+    grp = state.group
+    q, p = grp.q, grp.phase_denominator
+    place = _powers(q, state.n)
+    targets = state.packed
+    exponents = np.zeros(len(state), dtype=np.int64)
+    for k, (a_k, b_k) in enumerate(zip(g.a, g.b)):
+        if a_k or b_k:
+            digit = _digit(state.packed, place[k], q)
+            if a_k:
+                targets = targets + ((digit + a_k) % q - digit) * place[k]
+            if b_k:
+                exponents += b_k * digit
+    phases = root_table(p)[(g.phase + 2 * exponents) % p]
+    return SparseState._from_packed(grp, state.n, targets, state.amps * phases)
+
+
+@st.composite
+def matched_apply_cases(draw):
+    """An element and a state on the same words; the amplitudes may carry -0.0 parts."""
+    state = draw(states())
+    parts = st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(-1, 1)
+    amps = np.array([complex(draw(parts), draw(parts)) for _ in range(len(state))])
+    state = SparseState(state.group, state.n, state.packed, amps)
+    return draw(elements(state.group.q, state.n)), state
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(matched_apply_cases())
+def test_apply_sort_matches_canonical_merge(case):
+    # a Weyl element permutes words, so sorting the targets is the whole merge
+    g, state = case
+    assert outcome(apply, g, state) == outcome(merged_apply, g, state)
+
+
 def test_words_are_derived_from_packed():
     state = SparseState.from_pairs(prime_group(3), 3, [[2, 1, 0], [0, 0, 1]], [0.6, 0.8])
     assert state.packed.tolist() == [1, 21]
@@ -197,3 +237,25 @@ def test_encoder_matches_closed_form(case):
         out = simulate(circuit, message_state(spec, c_vec, delta))
         data = encoder_output_data(out, spec.n)
         assert data.fidelity(closed_form_codeword(spec, u)) >= 1 - 1e-9
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(product_form_cases())
+def test_message_coordinates_match_a_fresh_solve(case):
+    # the system is reduced once per spec; each message only changes the rhs
+    spec, members = case
+    q, n = spec.q, spec.n
+    l7 = (spec.quad_upper + spec.quad_upper.T) % q
+    w_vec = ((spec.M - (l7 @ spec.L) % q).T @ np.ones(n, dtype=np.int64)) % q
+    system = np.zeros((n + 1, n + 1), dtype=np.int64)
+    system[:n, :n], system[:n, n], system[n, :n] = spec.L.T, w_vec, 1
+    for u in members:
+        x, kernel = linear_solve(spec.field, system, np.array(list(u) + [0]))
+        c_vec, delta = message_coordinates(spec, u)
+        assert not kernel and c_vec.tolist() == x[:n].tolist() and delta == x[n]
+
+
+def test_sum_zero_words_is_built_once_and_read_only():
+    words = sum_zero_words(4, 3)
+    assert sum_zero_words(4, 3) is words and not words.flags.writeable
+    assert words.shape == (27, 4) and not (words.sum(axis=1) % 3).any()
