@@ -18,6 +18,7 @@ A code bundle is {"spec", "B", "params", "provenance"}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .fourier_code import (
     greedy_construct,
     verify_distance,
 )
-from .gottesman import GottesmanSpec, validate
+from .gottesman import GottesmanSpec, json_integer, validate
 from .oracle import apply, codeword, kl_check, message_coordinates, orthonormality_check
 from .weyl import ENUMERATION_CAP, GROUP_CAP, WeylElement, check_sphere, inverse
 
@@ -64,14 +65,18 @@ class CodeBundle:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CodeBundle":
+        """A bundle from JSON; a malformed field raises a one-line ValueError."""
         description = FourierDescription.from_json_dict(doc)
         params = doc.get("params", {})
         bundle = cls(
             description,
-            int(params.get("d", 1)),
+            json_integer(params.get("d", 1), "params d"),
             str(doc.get("provenance", "")),
         )
-        if "K" in params and int(params["K"]) != code_dimension(description):
+        for key, value in (("n", bundle.spec.n), ("q", bundle.spec.q)):
+            if key in params and json_integer(params[key], f"params {key}") != value:
+                raise ValueError(f"params {key}={params[key]} does not match the spec's {value}")
+        if "K" in params and json_integer(params["K"], "params K") != code_dimension(description):
             raise ValueError(
                 f"claimed dimension {params['K']} != actual {code_dimension(description)}"
             )
@@ -84,7 +89,12 @@ def _emit(doc: dict) -> None:
 
 def _read_bundle(path: str | None, check_distance: bool = False) -> CodeBundle:
     text = sys.stdin.read() if path in (None, "-") else open(path).read()
-    bundle = CodeBundle.from_json_dict(json.loads(text))
+    try:
+        bundle = CodeBundle.from_json_dict(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"bundle is missing the field {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed bundle: {exc}") from None
     if check_distance:
         report = verify_distance(bundle.description, bundle.claimed_distance)
         if not report.passed:
@@ -314,11 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="1/6", help="fraction, e.g. 1/6")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--attempts", type=int, default=200)
-    p.set_defaults(func=cmd_family)
 
-    for name, func, extra in (
-        ("verify", cmd_verify, "algebraic distance check"),
-        ("oracle", cmd_oracle, "state-vector Knill-Laflamme check"),
+    for name, extra in (
+        ("verify", "algebraic distance check"),
+        ("oracle", "state-vector Knill-Laflamme check"),
     ):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--in", dest="infile", default=None, help="bundle file (default stdin)")
@@ -326,19 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-sphere", type=int, default=ENUMERATION_CAP)
         if name == "oracle":
             p.add_argument("--max-group", type=int, default=GROUP_CAP)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("greedy", help="greedy packing over a bundle's subgroup")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-sphere", type=int, default=ENUMERATION_CAP)
-    p.set_defaults(func=cmd_greedy)
 
     p = sub.add_parser("encode-sim", help="simulate the encoder for one message")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--message", required=True, help="comma-separated member of B")
     p.add_argument("--top", type=int, default=8)
-    p.set_defaults(func=cmd_encode_sim)
 
     p = sub.add_parser("decode-sim", help="corrupt, decode, and report fidelity")
     p.add_argument("--in", dest="infile", default=None)
@@ -346,18 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-x", default="", help="comma-separated shift word")
     p.add_argument("--error-y", default="", help="comma-separated phase word")
     p.add_argument("--t", type=int, default=1)
-    p.set_defaults(func=cmd_decode_sim)
 
-    p = sub.add_parser("table", help="CSV of built-in code parameters and bounds")
-    p.set_defaults(func=cmd_table)
+    sub.add_parser("table", help="CSV of built-in code parameters and bounds")
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on every call, so that a rebound cmd_* function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

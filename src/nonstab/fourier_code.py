@@ -28,9 +28,12 @@ import numpy as np
 
 from .galois import error_sphere_count
 from .gottesman import (
+    ForbiddenSet,
     GottesmanSpec,
+    _forbidden_keys,
+    _split_sphere,
     forbidden_set,
-    low_weight_members,
+    json_matrix,
     pack_keys,
     purity_radius,
     unique_keys,
@@ -89,7 +92,11 @@ class FourierDescription:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierDescription":
-        return cls(GottesmanSpec.from_json_dict(doc["spec"]), frozenset(map(tuple, doc["B"])))
+        spec = GottesmanSpec.from_json_dict(doc["spec"])
+        rows = doc["B"]
+        if rows:  # an empty B is refused by the constructor
+            json_matrix(rows, "B", spec.q, (len(rows), spec.r))
+        return cls(spec, frozenset(map(tuple, rows)))
 
 
 def code_dimension(description: FourierDescription) -> int:
@@ -130,18 +137,23 @@ def verify_distance(
     its witness is the lexicographically smallest difference u with
     u . a != 0, for the first failing member in canonical order.  Condition
     2 intersects the sorted difference keys with the forbidden keys; its
-    witness is the smallest common index.
+    witness is the smallest common index.  The error sphere is enumerated
+    and [L; M] a = [x; y] solved once, and both conditions read from that
+    one solve.
     """
     spec = description.spec
     q, r = spec.q, spec.r
-    members = low_weight_members(spec, min(d - 1, spec.n), cap=cap)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    xs, ys, in_image, solutions = _split_sphere(spec, min(d - 1, spec.n), cap)
+    members = solutions[in_image]
     diffs = description.difference_keys()
-    if members:
-        a_rows = np.array([a for a, _ in members], dtype=np.int64)
-        values = (description.member_array @ a_rows.T) % q
+    if len(members):
+        values = (description.member_array @ members.T) % q
         failing = np.flatnonzero(np.any(values != values[0], axis=0))
         if failing.size:
-            a, element = members[failing[0]]
+            a = members[failing[0]].tolist()
+            pair = np.flatnonzero(in_image)[failing[0]]
             # u . a over the difference keys, one digit of a at a time
             dots = sum(diffs // q ** (r - 1 - k) % q * a_k for k, a_k in enumerate(a) if a_k)
             first = np.flatnonzero(dots % q)[0]
@@ -149,13 +161,13 @@ def verify_distance(
                 False,
                 witness={
                     "condition": 1,
-                    "subgroup_index": list(a),
-                    "weight": element.weight(),
+                    "subgroup_index": a,
+                    "weight": int(np.count_nonzero(xs[pair] | ys[pair])),
                     "difference": unpack_keys(diffs[first : first + 1], q, r)[0].tolist(),
                 },
                 counts={"low_weight_members": len(members)},
             )
-    forbidden = forbidden_set(spec, d, cap=cap)
+    forbidden = ForbiddenSet(d, q, r, _forbidden_keys(spec, xs, ys, in_image))
     hits = np.intersect1d(diffs, forbidden.keys, assume_unique=True)
     if hits.size:
         return Report(

@@ -78,11 +78,11 @@ class PrimeField:
             inv = self.inv_scalar(r[row, col])
             r[row] = (r[row] * inv) % self.p
             t[row] = (t[row] * inv) % self.p
-            for other in range(rows):
-                if other != row and r[other, col]:
-                    f = r[other, col]
-                    r[other] = (r[other] - f * r[row]) % self.p
-                    t[other] = (t[other] - f * t[row]) % self.p
+            # clear the column in every other row with one outer product
+            f = r[:, col].copy()
+            f[row] = 0
+            r = (r - np.outer(f, r[row])) % self.p
+            t = (t - np.outer(f, t[row])) % self.p
             pivots.append(col)
             row += 1
         return r, pivots, t

@@ -15,11 +15,15 @@ plus injectivity of a -> (La, Ma) and symmetry of L^T M.  Characters of S
 are indexed by u in GF(q)^r via chi_u(s_a) = w_q^(u . a).
 
 JSON form of a spec: {"q", "n", "r", "L", "M", "D", "phase_denominator"}
-with matrices as row-major lists of integer rows.
+with matrices as row-major lists of integer rows.  Loading refuses, with a
+one-line ValueError, any entry that is not an integer (booleans and floats
+included), L, M and quad_upper entries outside [0, q), D entries outside
+[0, 2q), and "n" or "r" fields that do not match L.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,13 +31,47 @@ from functools import cached_property
 import numpy as np
 
 from .galois import PrimeField
-from .weyl import ENUMERATION_CAP, AlphabetGroup, WeylElement, enumerate_bounded, gamma, prime_group
+from .weyl import ENUMERATION_CAP, AlphabetGroup, WeylElement, bounded_pairs, prime_group
 
 
 def _frozen(arr) -> np.ndarray:
     out = np.array(arr, dtype=np.int64)
     out.setflags(write=False)
     return out
+
+
+def json_integer(value, name: str) -> int:
+    """A JSON integer field; booleans and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_matrix(rows, name: str, bound: int, shape: tuple | None = None) -> np.ndarray:
+    """A JSON matrix of integers in [0, bound), as int64, of `shape` if given.
+
+    One array conversion decides the shape and the type: floats, strings,
+    ragged rows and integers beyond int64 do not give a signed integer
+    array.  Booleans do (numpy casts them to int), so they are looked for
+    among the entries' types.
+    """
+    try:
+        arr = np.array(rows)
+    except ValueError:
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.size == 0:
+        arr = arr.astype(np.int64)
+    if (
+        arr is None
+        or arr.ndim != 2
+        or (shape is not None and arr.shape != shape)
+        or arr.dtype.kind != "i"
+        or bool in set(map(type, itertools.chain.from_iterable(rows)))
+        or (arr.size and (arr.min() < 0 or arr.max() >= bound))
+    ):
+        form = "a matrix of" if shape is None else f"{shape[0]} rows of {shape[1]}"
+        raise ValueError(f"{name} must hold {form} integers in [0, {bound})")
+    return arr
 
 
 def synthesize_phase_matrix(q: int, l_mat, m_mat) -> np.ndarray:
@@ -118,7 +156,7 @@ class GottesmanSpec:
         return int(a @ self.D @ a) % self.phase_denominator
 
     def rho_batch(self, a_rows: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,jk,ik->i", a_rows, self.D, a_rows) % self.phase_denominator
+        return ((a_rows @ self.D) * a_rows).sum(axis=1) % self.phase_denominator
 
     def element(self, a) -> WeylElement:
         """The group element s_a = w^rho(a) U_{La} V_{Ma}."""
@@ -150,16 +188,26 @@ class GottesmanSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GottesmanSpec":
-        spec = cls(
-            q=int(doc["q"]),
-            L=doc["L"],
-            M=doc["M"],
-            D=doc["D"],
-            quad_upper=doc.get("quad_upper"),
+        q = json_integer(doc["q"], "spec q")
+        PrimeField(q)  # refuses a q that is not prime
+        l_mat = json_matrix(doc["L"], "spec L", q)
+        n, r = l_mat.shape
+        for key, size in (("n", n), ("r", r)):
+            if key in doc and json_integer(doc[key], f"spec {key}") != size:
+                raise ValueError(f"spec {key}={doc[key]} does not match L, which is {n} x {r}")
+        quad_upper = doc.get("quad_upper")
+        if quad_upper is not None:
+            quad_upper = json_matrix(quad_upper, "spec quad_upper", q, (n, n))
+        if "phase_denominator" in doc:
+            if json_integer(doc["phase_denominator"], "spec phase_denominator") != 2 * q:
+                raise ValueError("phase denominator must equal 2q")
+        return cls(
+            q=q,
+            L=l_mat,
+            M=json_matrix(doc["M"], "spec M", q, (n, r)),
+            D=json_matrix(doc["D"], "spec D", 2 * q, (r, r)),
+            quad_upper=quad_upper,
         )
-        if doc.get("phase_denominator", spec.phase_denominator) != spec.phase_denominator:
-            raise ValueError("phase denominator must equal 2q")
-        return spec
 
 
 # ----------------------------------------------------------------------
@@ -253,44 +301,40 @@ def validate(spec: GottesmanSpec, rng_seed: int = 0, samples: int = 40) -> list[
 
     Checks: symmetry of L^T M, injectivity of a -> (La, Ma) (which also
     rules out nontrivial scalars in S), the phase cocycle on all standard
-    basis pairs plus random pairs, and commutativity via the commutator
-    phase of basis elements.
+    basis pairs plus random pairs, and commutativity of the generators.
+    The commutator phase of s_{e_i} and s_{e_j} is 2 (M^T L - L^T M)[i, j]
+    mod 2q, so generators i and j commute exactly when that entry of
+    (g^T - g) mod q vanishes, g = L^T M.  rho(0) = 0^T D 0 = 0 always, so the
+    identity needs no check.
     """
     violations: list[str] = []
+    q, r = spec.q, spec.r
     f = spec.field
     g = f.matmul(spec.L.T, spec.M)
     if not np.array_equal(g, g.T):
         violations.append("L^T M is not symmetric")
 
     stacked = np.vstack([spec.L, spec.M])
-    if f.rank(stacked) != spec.r:
+    if f.rank(stacked) != r:
         violations.append("a -> (La, Ma) is not injective (scalar elements present)")
 
-    if spec.rho(np.zeros(spec.r, dtype=np.int64)) != 0:
-        violations.append("identity element carries a nonzero phase")
-
-    rng = np.random.default_rng(rng_seed)
-    eyes = np.eye(spec.r, dtype=np.int64)
-    pairs = [(eyes[i], eyes[j]) for i in range(spec.r) for j in range(spec.r)]
-    pairs += [
-        (rng.integers(0, spec.q, spec.r), rng.integers(0, spec.q, spec.r))
-        for _ in range(samples)
-    ]
+    # all basis pairs (e_i, e_j) in row-major order, then the random pairs
+    eyes = np.eye(r, dtype=np.int64)
+    drawn = np.random.default_rng(rng_seed).integers(0, q, (samples, 2, r))
+    v1 = np.vstack([np.repeat(eyes, r, axis=0), drawn[:, 0]])
+    v2 = np.vstack([np.tile(eyes, (r, 1)), drawn[:, 1]])
     p = spec.phase_denominator
-    unit = p // spec.q
-    for v1, v2 in pairs:
-        lhs = (spec.rho((v1 + v2) % spec.q) - spec.rho(v1) - spec.rho(v2)) % p
-        rhs = (unit * int((v1 @ g @ v2) % spec.q)) % p
-        if lhs != rhs:
-            violations.append(
-                f"phase cocycle fails at v1={list(map(int, v1))}, v2={list(map(int, v2))}"
-            )
-            break
+    rho = spec.rho_batch(np.vstack([(v1 + v2) % q, v1, v2])).reshape(3, -1)
+    lhs = (rho[0] - rho[1] - rho[2]) % p
+    rhs = (p // q) * (((v1 @ g) * v2).sum(axis=1) % q)
+    failing = np.flatnonzero(lhs != rhs)
+    if failing.size:
+        k = failing[0]
+        violations.append(f"phase cocycle fails at v1={v1[k].tolist()}, v2={v2[k].tolist()}")
 
-    for i in range(spec.r):
-        for j in range(i + 1, spec.r):
-            if gamma(spec.element(eyes[i]), spec.element(eyes[j])) != 0:
-                violations.append(f"generators {i} and {j} do not commute")
+    commutators = np.triu((g.T - g) % q, 1)
+    for i, j in np.argwhere(commutators).tolist():
+        violations.append(f"generators {i} and {j} do not commute")
     return violations
 
 
@@ -315,36 +359,31 @@ def character_exponent(spec: GottesmanSpec, u, a) -> int:
 
 def bounded_pair_arrays(q: int, n: int, w: int, cap: int = ENUMERATION_CAP):
     """All (x, y) pairs with 1 <= wt <= w as two arrays, in canonical order."""
-    pairs = list(enumerate_bounded(prime_group(q), n, w, cap=cap))
-    if not pairs:
-        empty = np.zeros((0, n), dtype=np.int64)
-        return empty, empty.copy()
-    xs = np.array([p[0] for p in pairs], dtype=np.int64)
-    ys = np.array([p[1] for p in pairs], dtype=np.int64)
-    return xs, ys
+    return bounded_pairs(q, n, w, cap)
 
 
-class _ImageSolver:
-    """Batched membership/solve for the stacked system [L; M] a = [x; y]."""
+def _split_sphere(spec: GottesmanSpec, w: int, cap: int):
+    """The pairs (x, y) with 1 <= wt <= w and their solves of [L; M] a = [x; y].
 
-    def __init__(self, spec: GottesmanSpec):
-        self.spec = spec
-        stacked = np.vstack([spec.L, spec.M])
-        r, pivots, t = spec.field.rref(stacked)
-        self.transform = t
-        self.pivots = pivots
-        self.nrows = len(pivots)
-        self.pivot_cols = np.array(pivots, dtype=np.int64)
+    One enumeration and one reduction of [L; M]: returns (xs, ys, in_image,
+    solutions), where row i of `solutions` solves the system for pair i
+    wherever `in_image[i]`.  Nothing is kept after the call.
+    """
+    xs, ys = bounded_pair_arrays(spec.q, spec.n, w, cap=cap)
+    if xs.shape[0] == 0:
+        return xs, ys, np.zeros(0, dtype=bool), np.zeros((0, spec.r), dtype=np.int64)
+    _, pivots, transform = spec.field.rref(np.vstack([spec.L, spec.M]))
+    reduced = (transform @ np.hstack([xs, ys]).T) % spec.q
+    in_image = ~np.any(reduced[len(pivots) :, :], axis=0)
+    solutions = np.zeros((spec.r, xs.shape[0]), dtype=np.int64)
+    solutions[pivots, :] = reduced[: len(pivots), :]
+    return xs, ys, in_image, solutions.T
 
-    def solve_batch(self, xs: np.ndarray, ys: np.ndarray):
-        """For stacked rhs columns, return (solvable mask, solutions matrix)."""
-        q = self.spec.q
-        rhs = np.hstack([xs, ys]).T  # (2n, count)
-        reduced = (self.transform @ rhs) % q
-        solvable = ~np.any(reduced[self.nrows :, :], axis=0)
-        sols = np.zeros((self.spec.r, rhs.shape[1]), dtype=np.int64)
-        sols[self.pivot_cols, :] = reduced[: self.nrows, :]
-        return solvable, sols.T
+
+def _forbidden_keys(spec: GottesmanSpec, xs, ys, in_image) -> np.ndarray:
+    """Sorted unique keys of L^T y - M^T x over the pairs outside the image."""
+    us = (ys[~in_image] @ spec.L - xs[~in_image] @ spec.M) % spec.q
+    return unique_keys(pack_keys(us.T, spec.q, spec.r))
 
 
 def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) -> int | None:
@@ -376,12 +415,8 @@ def forbidden_set(spec: GottesmanSpec, d: int, cap: int = ENUMERATION_CAP) -> Fo
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    xs, ys = bounded_pair_arrays(spec.q, spec.n, min(d - 1, spec.n), cap=cap)
-    us = np.zeros((0, spec.r), dtype=np.int64)
-    if xs.shape[0]:
-        in_image, _ = _ImageSolver(spec).solve_batch(xs, ys)
-        us = (ys[~in_image] @ spec.L - xs[~in_image] @ spec.M) % spec.q
-    return ForbiddenSet(d, spec.q, spec.r, unique_keys(pack_keys(us.T, spec.q, spec.r)))
+    xs, ys, in_image, _ = _split_sphere(spec, min(d - 1, spec.n), cap)
+    return ForbiddenSet(d, spec.q, spec.r, _forbidden_keys(spec, xs, ys, in_image))
 
 
 def low_weight_members(
@@ -390,14 +425,5 @@ def low_weight_members(
     """All (a, s_a) whose element has weight in [1, w], in canonical order."""
     if w < 0:
         raise ValueError("w must be >= 0")
-    if w == 0:
-        return []
-    xs, ys = bounded_pair_arrays(spec.q, spec.n, min(w, spec.n), cap=cap)
-    if xs.shape[0] == 0:
-        return []
-    solvable, sols = _ImageSolver(spec).solve_batch(xs, ys)
-    out = []
-    for ok, a in zip(solvable, sols):
-        if ok:
-            out.append((tuple(map(int, a)), spec.element(a)))
-    return out
+    _, _, in_image, solutions = _split_sphere(spec, min(w, spec.n), cap)
+    return [(tuple(a), spec.element(a)) for a in solutions[in_image].tolist()]

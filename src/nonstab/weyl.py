@@ -204,23 +204,37 @@ def dense_matrix(g: WeylElement) -> np.ndarray:
     return out
 
 
-def enumerate_bounded(group: AlphabetGroup, n: int, w: int, cap: int = ENUMERATION_CAP):
-    """Yield all (a, b) word pairs with 1 <= wt(a, b) <= w, each exactly once.
+def bounded_pairs(q: int, n: int, w: int, cap: int = ENUMERATION_CAP):
+    """All (a, b) word pairs with 1 <= wt(a, b) <= w, as two int64 arrays of rows.
 
-    Order is deterministic: by weight, then support positions, then the
-    per-position digit pairs in lexicographic order.
+    Order is canonical: by weight, then support positions, then the
+    per-position digit pairs (x, y) != (0, 0) in lexicographic order.  Each
+    (weight, support) block is filled by indexing, so no pair is built in
+    Python.  The range and the cap are checked before anything is allocated.
     """
     if w < 0 or w > n:
         raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
-    check_sphere(n, group.q, w, cap)
-    digits = range(group.q)
-    options = [(x, y) for x in digits for y in digits if x or y]
+    check_sphere(n, q, w, cap)
+    total = error_sphere_count(n, q, w) - 1
+    xs = np.zeros((total, n), dtype=np.int64)
+    ys = np.zeros((total, n), dtype=np.int64)
+    start = 0
     for weight in range(1, w + 1):
-        for support in itertools.combinations(range(n), weight):
-            for choice in itertools.product(options, repeat=weight):
-                a = [0] * n
-                b = [0] * n
-                for pos, (x, y) in zip(support, choice):
-                    a[pos] = x
-                    b[pos] = y
-                yield tuple(a), tuple(b)
+        supports = np.array(list(itertools.combinations(range(n), weight)), dtype=np.int64)
+        # option k in 1 .. q^2 - 1 is the digit pair (k // q, k % q); first position slowest
+        options = np.indices((q * q - 1,) * weight).reshape(weight, -1).T + 1
+        stop = start + len(supports) * len(options)
+        rows = np.arange(start, stop)[:, None]
+        columns = np.repeat(supports, len(options), axis=0)
+        xs[rows, columns] = np.tile(options // q, (len(supports), 1))
+        ys[rows, columns] = np.tile(options % q, (len(supports), 1))
+        start = stop
+    return xs, ys
+
+
+def enumerate_bounded(group: AlphabetGroup, n: int, w: int, cap: int = ENUMERATION_CAP):
+    """Yield all (a, b) word pairs with 1 <= wt(a, b) <= w, each exactly once,
+    as the rows of `bounded_pairs` in its canonical order."""
+    xs, ys = bounded_pairs(group.q, n, w, cap)
+    for a, b in zip(xs.tolist(), ys.tolist()):
+        yield tuple(a), tuple(b)

@@ -342,3 +342,57 @@ def test_oracle_builds_each_codeword_once(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "oracle", "--in", str(path))
     assert code == 0 and json.loads(out)["orthonormality"]["pass"]
     assert len(calls) == 8
+
+
+def _set(path, value):
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_set(["spec", "L", 0, 0], 7), "spec L must hold a matrix of integers in [0, 2)"),
+        (_set(["spec", "L", 0, 0], 1.5), "spec L must hold a matrix of integers in [0, 2)"),
+        (_set(["B", 0, 0], False), "B must hold 8 rows of 15 integers in [0, 2)"),
+        (_set(["spec", "n"], 99), "spec n=99 does not match L, which is 15 x 15"),
+        (_set(["spec", "D", 0, 0], 10**30), "spec D must hold 15 rows of 15 integers in [0, 4)"),
+        (_set(["params", "d"], 1.5), "params d must be an integer, got 1.5"),
+    ],
+    ids=["L entry 7 at q=2", "L entry 1.5", "boolean B digit", "spec n 99", "D entry 10^30",
+         "params d 1.5"],
+)
+def test_malformed_bundle_exits_2_at_load(capsys, tmp_path, corrupt, message):
+    _, doc = family_bundle(capsys, tmp_path, "--name", "code15")
+    corrupt(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["verify"], ["oracle"], ["greedy", "--d", "3"]):
+        code = main([*argv, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import argparse
+
+    main(["table"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--d", "x"])
+        assert exc.value.code == 2
+        assert "argument --d: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["table"]) == 0
+    assert built == []

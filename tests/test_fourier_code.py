@@ -349,3 +349,28 @@ def test_verify_keys_beyond_int64_stay_exact():
         assert report.to_json_dict() == {
             "pass": True, "counts": {"low_weight_members": 0, **want},
         }
+
+
+def test_verify_distance_enumerates_and_reduces_once(monkeypatch):
+    # conditions 1 and 2 read one enumeration of the sphere and one reduction of [L; M]
+    from nonstab import gottesman
+    from nonstab.galois import PrimeField
+
+    description = code_15_8_3()
+    reductions, enumerations = [], []
+    rref, pairs = PrimeField.rref, gottesman.bounded_pair_arrays
+
+    def counted_rref(self, a):
+        reductions.append(np.asarray(a).shape)
+        return rref(self, a)
+
+    def counted_pairs(*args, **kwargs):
+        enumerations.append(args)
+        return pairs(*args, **kwargs)
+
+    monkeypatch.setattr(PrimeField, "rref", counted_rref)
+    monkeypatch.setattr(gottesman, "bounded_pair_arrays", counted_pairs)
+    report = verify_distance(description, 3)
+    assert report.passed and report.counts["forbidden"] > 0
+    assert reductions == [(30, 15)]
+    assert enumerations == [(2, 15, 2)]

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 from conftest import brute_force_subspace_count
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonstab.galois import (
     PrimeField,
@@ -129,3 +131,70 @@ def test_field_check_rejects_unreduced():
     with pytest.raises(ValueError):
         f3.check([[0, 5]])
     assert np.array_equal(f3.reduce([[0, 5]]), [[0, 2]])
+
+
+def reference_rref(field, a):
+    """Gauss-Jordan elimination that clears each pivot column one row at a time."""
+    p = field.p
+    a = field.reduce(a)
+    rows, cols = a.shape
+    r = a.copy()
+    t = np.eye(rows, dtype=np.int64)
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        sub = np.nonzero(r[row:, col])[0]
+        if sub.size == 0:
+            continue
+        piv = row + int(sub[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+            t[[row, piv]] = t[[piv, row]]
+        inv = field.inv_scalar(r[row, col])
+        r[row] = (r[row] * inv) % p
+        t[row] = (t[row] * inv) % p
+        for other in range(rows):
+            if other != row and r[other, col]:
+                f = r[other, col]
+                r[other] = (r[other] - f * r[row]) % p
+                t[other] = (t[other] - f * t[row]) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots, t
+
+
+@st.composite
+def field_matrices(draw):
+    """(field, matrix): random, tall, wide, zero-column or low-rank, over GF(2, 3, 5, 7)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    shape = draw(st.sampled_from(["random", "tall", "wide", "no columns", "low rank"]))
+    if shape == "no columns":
+        rows, cols = draw(st.integers(0, 6)), 0
+    else:
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        if shape == "tall":
+            rows = cols + draw(st.integers(1, 8))
+        elif shape == "wide":
+            cols = rows + draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, p, size=(rows, cols))
+    if shape == "low rank" and rows and cols:
+        rank = draw(st.integers(0, min(rows, cols) - 1))
+        matrix = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols))
+    if draw(st.booleans()):
+        matrix = matrix - p * rng.integers(-2, 3, size=matrix.shape)  # unreduced entries
+    return PrimeField(p), matrix
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(field_matrices())
+def test_rref_matches_the_row_loop(case):
+    field, matrix = case
+    r, pivots, t = field.rref(matrix)
+    r_ref, pivots_ref, t_ref = reference_rref(field, matrix)
+    assert pivots == pivots_ref
+    assert r.dtype == t.dtype == np.int64
+    assert np.array_equal(r, r_ref) and np.array_equal(t, t_ref)
+    assert np.array_equal((t @ field.reduce(matrix)) % field.p, r)

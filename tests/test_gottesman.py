@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 from conftest import brute_force_forbidden, random_maximal_spec, random_nonmaximal_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonstab.families import distance2_family, laflamme_spec
 from nonstab.gottesman import (
@@ -14,7 +16,7 @@ from nonstab.gottesman import (
     synthesize_phase_matrix,
     validate,
 )
-from nonstab.weyl import WeylElement, compose, dense_matrix, phase_value
+from nonstab.weyl import WeylElement, compose, dense_matrix, gamma, phase_value
 
 
 def weight_one_member_spec():
@@ -232,3 +234,94 @@ def test_spec_shape_validation():
         GottesmanSpec(q=2, L=[[1], [0]], M=[[1]], D=[[0]])
     with pytest.raises(ValueError):
         GottesmanSpec(q=2, L=[[1]], M=[[1]], D=[[0], [0]])
+
+
+def reference_validate(spec, rng_seed=0, samples=40):
+    """Spec invariants checked one pair at a time, with scalar rho calls and
+    the commutator phases of group elements."""
+    violations = []
+    f = spec.field
+    g = f.matmul(spec.L.T, spec.M)
+    if not np.array_equal(g, g.T):
+        violations.append("L^T M is not symmetric")
+    if f.rank(np.vstack([spec.L, spec.M])) != spec.r:
+        violations.append("a -> (La, Ma) is not injective (scalar elements present)")
+    if spec.rho(np.zeros(spec.r, dtype=np.int64)) != 0:
+        violations.append("identity element carries a nonzero phase")
+    rng = np.random.default_rng(rng_seed)
+    eyes = np.eye(spec.r, dtype=np.int64)
+    pairs = [(eyes[i], eyes[j]) for i in range(spec.r) for j in range(spec.r)]
+    pairs += [
+        (rng.integers(0, spec.q, spec.r), rng.integers(0, spec.q, spec.r))
+        for _ in range(samples)
+    ]
+    p = spec.phase_denominator
+    for v1, v2 in pairs:
+        lhs = (spec.rho((v1 + v2) % spec.q) - spec.rho(v1) - spec.rho(v2)) % p
+        rhs = (p // spec.q * int((v1 @ g @ v2) % spec.q)) % p
+        if lhs != rhs:
+            violations.append(
+                f"phase cocycle fails at v1={list(map(int, v1))}, v2={list(map(int, v2))}"
+            )
+            break
+    for i in range(spec.r):
+        for j in range(i + 1, spec.r):
+            if gamma(spec.element(eyes[i]), spec.element(eyes[j])) != 0:
+                violations.append(f"generators {i} and {j} do not commute")
+    return violations
+
+
+@st.composite
+def validation_cases(draw):
+    """(spec, rng_seed, samples): a valid spec over q in {2, 3, 5}, maximal or
+    not, left alone or corrupted by a bumped D entry, an asymmetric L^T M or
+    a rank-deficient [L; M]."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 7 if q == 2 else 5))
+    r = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = random_maximal_spec(rng, n, q) if r == n else random_nonmaximal_spec(rng, n, r, q)
+    l_mat, m_mat, d_mat = spec.L.copy(), spec.M.copy(), spec.D.copy()
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+    corruption = draw(st.sampled_from(["none", "phase", "asymmetric", "rank"]))
+    if corruption == "phase":
+        d_mat[i, j] = (d_mat[i, j] + draw(st.integers(1, 2 * q - 1))) % (2 * q)
+    elif corruption == "asymmetric":
+        row = draw(st.integers(0, n - 1))
+        m_mat[row, i] = (m_mat[row, i] + draw(st.integers(1, q - 1))) % q
+    elif corruption == "rank":
+        l_mat[:, j] = l_mat[:, i] if i != j else 0
+        m_mat[:, j] = m_mat[:, i] if i != j else 0
+    spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=d_mat)
+    return spec, draw(st.integers(0, 3)), draw(st.sampled_from([0, 1, 40]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(validation_cases())
+def test_validate_matches_the_pairwise_reference(case):
+    spec, rng_seed, samples = case
+    assert validate(spec, rng_seed, samples) == reference_validate(spec, rng_seed, samples)
+
+
+def test_validate_draws_the_reference_random_pairs():
+    # one draw of shape (samples, 2, r) gives the vectors of 2 * samples draws of length r
+    for q in (2, 3, 5, 7):
+        for r in (1, 2, 5, 17, 33):
+            rng = np.random.default_rng(0)
+            one = np.random.default_rng(0).integers(0, q, (40, 2, r))
+            many = np.array([[rng.integers(0, q, r) for _ in range(2)] for _ in range(40)])
+            assert np.array_equal(one, many), (q, r)
+
+
+def test_validate_reports_every_noncommuting_pair_in_order():
+    # L = I, M with M[1, 0] = M[2, 0] = 1: L^T M is asymmetric at (0, 1) and (0, 2)
+    m_mat = np.zeros((3, 3), dtype=np.int64)
+    m_mat[1, 0] = m_mat[2, 0] = 1
+    spec = GottesmanSpec(q=2, L=np.eye(3, dtype=np.int64), M=m_mat, D=np.zeros((3, 3)))
+    violations = validate(spec)
+    assert violations[0] == "L^T M is not symmetric"
+    assert violations[-2:] == [
+        "generators 0 and 1 do not commute",
+        "generators 0 and 2 do not commute",
+    ]
+    assert violations == reference_validate(spec)

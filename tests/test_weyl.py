@@ -2,6 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonstab.galois import error_sphere_count
+from nonstab.gottesman import bounded_pair_arrays
 
 from nonstab.weyl import (
     AlphabetGroup,
@@ -208,3 +213,43 @@ def test_enumerate_bounded_order_and_uniqueness():
     assert pairs == list(enumerate_bounded(Z3, 3, 2))
     with pytest.raises(ValueError):
         list(enumerate_bounded(Z2, 40, 12, cap=1000))
+
+
+def reference_bounded_pairs(q, n, w):
+    """Pairs with 1 <= wt <= w by weight, support, then digit pairs, from itertools."""
+    options = [(x, y) for x in range(q) for y in range(q) if x or y]
+    for weight in range(1, w + 1):
+        for support in itertools.combinations(range(n), weight):
+            for choice in itertools.product(options, repeat=weight):
+                a, b = [0] * n, [0] * n
+                for pos, (x, y) in zip(support, choice):
+                    a[pos], b[pos] = x, y
+                yield tuple(a), tuple(b)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 7), st.integers(0, 3), st.booleans())
+def test_bounded_enumeration_matches_itertools_reference(q, n, w, refuse):
+    w = min(w, n)
+    need = error_sphere_count(n, q, w)
+    if refuse:
+        # one pair short of the sphere: refused before anything is built
+        with pytest.raises(ValueError, match="budget"):
+            bounded_pair_arrays(q, n, w, cap=need - 1)
+        with pytest.raises(ValueError, match="budget"):
+            next(enumerate_bounded(prime_group(q), n, w, cap=need - 1))
+        return
+    if need > 50_000:
+        return  # the reference is pure Python; the refusal branch still covers this shape
+    expected = list(reference_bounded_pairs(q, n, w))
+    assert list(enumerate_bounded(prime_group(q), n, w, cap=need)) == expected
+    xs, ys = bounded_pair_arrays(q, n, w, cap=need)
+    assert xs.dtype == ys.dtype == np.int64
+    assert xs.shape == ys.shape == (len(expected), n)
+    assert list(zip(map(tuple, xs.tolist()), map(tuple, ys.tolist()))) == expected
+
+
+def test_bounded_enumeration_refuses_a_radius_outside_0_to_n():
+    for w in (-1, 4):
+        with pytest.raises(ValueError, match="need 0 <= w <= n"):
+            bounded_pair_arrays(2, 3, w)
