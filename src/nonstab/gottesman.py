@@ -296,16 +296,27 @@ class ForbiddenSet:
 # ----------------------------------------------------------------------
 
 
-def validate(spec: GottesmanSpec, rng_seed: int = 0, samples: int = 40) -> list[str]:
+def validate(spec: GottesmanSpec) -> list[str]:
     """Check the spec invariants; returns a list of violations (empty = valid).
 
     Checks: symmetry of L^T M, injectivity of a -> (La, Ma) (which also
-    rules out nontrivial scalars in S), the phase cocycle on all standard
-    basis pairs plus random pairs, and commutativity of the generators.
-    The commutator phase of s_{e_i} and s_{e_j} is 2 (M^T L - L^T M)[i, j]
-    mod 2q, so generators i and j commute exactly when that entry of
-    (g^T - g) mod q vanishes, g = L^T M.  rho(0) = 0^T D 0 = 0 always, so the
-    identity needs no check.
+    rules out nontrivial scalars in S), the phase cocycle, and
+    commutativity of the generators.  The commutator phase of s_{e_i} and
+    s_{e_j} is 2 (M^T L - L^T M)[i, j] mod 2q, so generators i and j
+    commute exactly when that entry of (g^T - g) mod q vanishes, g = L^T M.
+    rho(0) = 0^T D 0 = 0 always, so the identity needs no check.
+
+    The cocycle rho(v1 + v2) - rho(v1) - rho(v2) = 2 (v1^T g v2) mod 2q is
+    checked exactly, on the basis pairs (e_i, e_j) in row-major order and
+    then, for odd q, on the pairs (e_i, (q-1) e_i).  The basis pairs hold
+    exactly when D + D^T = 2g mod 2q.  Reducing s = v1 + v2 mod q subtracts
+    q c for a carry vector c, and then the defect of (v1, v2) is
+    q^2 c^T D c - q c^T (D + D^T) s mod 2q.  The second term is 2q times an
+    integer.  For q = 2 the first is 4 c^T D c, so nothing more can fail.
+    For odd q it is q (c^T D c) mod 2q, and c^T D c is even for every c
+    exactly when every diagonal entry of D is even; (e_i, (q-1) e_i) has
+    c = e_i, so it fails exactly when D[i, i] is odd.  The cocycle thus
+    holds on all pairs exactly when it holds on the pairs checked.
     """
     violations: list[str] = []
     q, r = spec.q, spec.r
@@ -318,11 +329,11 @@ def validate(spec: GottesmanSpec, rng_seed: int = 0, samples: int = 40) -> list[
     if f.rank(stacked) != r:
         violations.append("a -> (La, Ma) is not injective (scalar elements present)")
 
-    # all basis pairs (e_i, e_j) in row-major order, then the random pairs
     eyes = np.eye(r, dtype=np.int64)
-    drawn = np.random.default_rng(rng_seed).integers(0, q, (samples, 2, r))
-    v1 = np.vstack([np.repeat(eyes, r, axis=0), drawn[:, 0]])
-    v2 = np.vstack([np.tile(eyes, (r, 1)), drawn[:, 1]])
+    v1 = np.repeat(eyes, r, axis=0)
+    v2 = np.tile(eyes, (r, 1))
+    if q % 2:
+        v1, v2 = np.vstack([v1, eyes]), np.vstack([v2, (q - 1) * eyes])
     p = spec.phase_denominator
     rho = spec.rho_batch(np.vstack([(v1 + v2) % q, v1, v2])).reshape(3, -1)
     lhs = (rho[0] - rho[1] - rho[2]) % p

@@ -234,33 +234,30 @@ def codeword(
 ) -> SparseState:
     """Unit eigenvector of the subgroup with character index u (maximal specs).
 
-    Built by applying the rank-one character projection to standard basis
-    words, in lexicographic order, until a nonzero image appears.  When the
-    spec carries a product-form certificate, the closed form is computed as
-    an independent second path and the two must agree.  A maximal spec has
-    as many elements as the state has amplitudes, so `group_cap` bounds both.
+    The one-member case of `_projected_basis`.  A maximal spec has as many
+    elements as the state has amplitudes, so `group_cap` bounds both.
     """
     spec = description.spec
     if tuple(int(v) for v in u) not in description.members:
         raise ValueError("u is not a member of the Fourier description")
     _require_maximal(spec)
-    return _project(spec, _spec_tables(spec, group_cap), u, closed_form_tol)
+    column = _projected_basis(spec, [u], group_cap, closed_form_tol)[:, 0]
+    return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
 @lru_cache(maxsize=1)
 def _basis_matrix(description: FourierDescription, group_cap: int) -> np.ndarray:
     """The codeword basis as a read-only q^n x K matrix, one column per sorted member.
 
-    Built from one subgroup table.  Only the last result is kept, so that
-    `kl_check` and `orthonormality_check` on one description share a build.
+    Its size is checked against DENSE_MATRIX_CAP^2 entries, the budget of a
+    dense projection, before anything is built.  Only the last result is
+    kept, so that `kl_check` and `orthonormality_check` on one description
+    share a build.
     """
     spec = description.spec
     _require_maximal(spec)
-    tables = _spec_tables(spec, group_cap)
-    basis = np.zeros((spec.q**spec.n, len(description)), dtype=complex)
-    for col, u in enumerate(description.sorted_members()):
-        state = _project(spec, tables, u)
-        basis[state.packed, col] = state.amps
+    check_size("codeword basis entries", spec.q**spec.n * len(description), DENSE_MATRIX_CAP**2)
+    basis = _projected_basis(spec, description.sorted_members(), group_cap)
     basis.setflags(write=False)
     return basis
 
@@ -270,36 +267,68 @@ def _require_maximal(spec: GottesmanSpec) -> None:
         raise ValueError("codeword construction requires a maximal spec")
 
 
-def _project(spec: GottesmanSpec, tables, u, closed_form_tol: float = 1e-10) -> SparseState:
-    """The codeword of member u from the subgroup tables of `_spec_tables`."""
+def _projected_basis(spec: GottesmanSpec, members, group_cap: int, closed_form_tol: float = 1e-10):
+    """The codewords of `members` as the columns of a q^n x len(members) matrix.
+
+    The rank-one character projection of member u is applied to standard
+    basis words in lexicographic order until its image is nonzero; that
+    image, normalized, is u's codeword.  The targets and phases of a word
+    are computed once for every member still waiting for one, and each
+    member then needs only its character column.  When the spec carries a
+    product-form certificate, the closed form is evaluated as an
+    independent second path and every column must agree with it.
+    """
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    a_rows, la, ma, rho = tables
-    u_vec = np.array(u, dtype=np.int64)
-    chi = (unit * ((a_rows @ u_vec) % q)) % p
+    a_rows, la, ma, rho = _spec_tables(spec, group_cap)
     roots = root_table(p)
-
-    state = None
-    for w_tuple in itertools.product(range(q), repeat=n):
-        targets, exponents = _shift_phase(np.array(w_tuple, dtype=np.int64), la, ma, q)
-        dense = np.zeros(q**n, dtype=complex)
-        np.add.at(dense, targets, roots[(rho + unit * exponents - chi) % p])
-        dense /= spec.size
-        norm = np.linalg.norm(dense)
-        if norm > 1e-8:
-            support = np.nonzero(np.abs(dense) > PRUNE_TOL)[0]
-            state = SparseState._from_packed(spec.group, n, support, dense[support] / norm)
+    dim = q**n
+    basis = np.zeros((dim, len(members)), dtype=complex)
+    pending = list(range(len(members)))
+    for word in range(dim):
+        if not pending:
             break
-    if state is None:
+        targets, exponents = _shift_phase(_digits(np.array([word]), q, n)[0], la, ma, q)
+        phases = rho + unit * exponents
+        waiting = []
+        for col in pending:
+            chi = unit * ((a_rows @ np.array(members[col], dtype=np.int64)) % q)
+            image = np.zeros(dim, dtype=complex)
+            np.add.at(image, targets, roots[(phases - chi) % p])
+            image /= spec.size
+            norm = np.linalg.norm(image)
+            if norm > 1e-8:
+                support = np.nonzero(np.abs(image) > PRUNE_TOL)[0]
+                support, amps = _pruned(support, image[support] / norm)
+                basis[support, col] = amps
+            else:
+                waiting.append(col)
+        pending = waiting
+    if pending:
         raise ValueError("projection vanished on every basis word (invalid spec?)")
     if spec.quad_upper is not None:
+        _check_closed_form(spec, members, basis, closed_form_tol)
+    return basis
+
+
+def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray, tol: float) -> None:
+    """Every column of `basis` must have fidelity 1 within `tol` with the
+    closed form of its member, where that member has product-form coordinates."""
+    by_delta: dict[int, list] = {}
+    for col, u in enumerate(members):
         try:
-            reference = closed_form_codeword(spec, u)
+            c_vec, delta = message_coordinates(spec, u)
         except ValueError:
-            reference = None  # no product-form coordinates (q divides n)
-        if reference is not None and abs(state.fidelity(reference) - 1.0) > closed_form_tol:
-            raise ValueError("projection-built codeword disagrees with the closed form")
-    return state
+            continue  # no unique product-form coordinates
+        by_delta.setdefault(delta, []).append((col, c_vec))
+    roots = root_table(spec.q)
+    for delta, columns in by_delta.items():
+        xs, zs, quad_phase = _closed_form_terms(spec, delta)
+        rows = zs @ _powers(spec.q, spec.n)
+        for col, c_vec in columns:
+            amps = quad_phase * np.conj(roots[(xs @ c_vec) % spec.q]) / math.sqrt(len(xs))
+            if abs(abs(np.sum(np.conj(basis[rows, col]) * amps)) - 1.0) > tol:
+                raise ValueError("projection-built codeword disagrees with the closed form")
 
 
 def message_coordinates(spec: GottesmanSpec, u) -> tuple[np.ndarray, int]:
@@ -354,6 +383,14 @@ def sum_zero_words(n: int, q: int) -> np.ndarray:
     return words
 
 
+def _closed_form_terms(spec: GottesmanSpec, delta: int):
+    """(sum-zero words x, words z = x + delta, w^(z^T Q z)) of the closed form."""
+    xs = sum_zero_words(spec.n, spec.q)
+    zs = (xs + delta) % spec.q
+    quad = ((zs @ spec.quad_upper) * zs).sum(axis=1) % spec.q
+    return xs, zs, root_table(spec.q)[quad]
+
+
 def closed_form_codeword(spec: GottesmanSpec, u) -> SparseState:
     """Codeword of a product-form spec, from its explicit amplitude formula:
 
@@ -363,15 +400,10 @@ def closed_form_codeword(spec: GottesmanSpec, u) -> SparseState:
     the product-form coordinates of u.
     """
     c_vec, delta = message_coordinates(spec, u)
-    q, n = spec.q, spec.n
-    upper = spec.quad_upper
-    xs = sum_zero_words(n, q)
-    zs = (xs + delta) % q
-    quad = np.einsum("ij,jk,ik->i", zs, upper, zs) % q
-    lin = (xs @ c_vec) % q
-    roots = root_table(q)
-    amps = roots[quad] * np.conj(roots[lin]) / math.sqrt(len(xs))
-    return SparseState.from_pairs(spec.group, n, zs, amps)
+    xs, zs, quad_phase = _closed_form_terms(spec, delta)
+    lin = (xs @ c_vec) % spec.q
+    amps = quad_phase * np.conj(root_table(spec.q)[lin]) / math.sqrt(len(xs))
+    return SparseState.from_pairs(spec.group, spec.n, zs, amps)
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +446,11 @@ def _reduced_screen(basis, q, m, supports, tol):
     For a set T of m digits, reorder the words so that T's digits come last:
     the basis becomes A_T with q^(n-m) rows and q^m K columns, and
     R_T = A_T^H A_T has entries R_T[(a, u), (b, v)] = sum over the words w
-    off T of conj(phi_u(a, w)) phi_v(b, w).  T is clean when every block
+    off T of conj(phi_u(a, w)) phi_v(b, w).  It is formed as one real
+    product Z_T^T Z_T of the float view Z_T of A_T, which interleaves the
+    real and imaginary parts of each column, so that BLAS runs a symmetric
+    rank-k update; Re R_T and Im R_T are read from its 2 x 2 blocks as
+    re.re + im.im and re.im - im.re.  T is clean when every block
     R_T[:, u, :, v] is within eps = tol / (2 q^m) of delta_uv R_T[:, 0, :, 0].
     An error is cleared when its support, a row of `supports`, lies in a
     clean T.
@@ -424,7 +460,12 @@ def _reduced_screen(basis, q, m, supports, tol):
     <phi_u| E |phi_v> = sum over a of E_T[a, pi(a)] R_T[(a, u), (pi(a), v)],
     and on a clean T each Gram is within q^m eps = tol / 2 of c I, with c
     the same sum over R_T[:, 0, :, 0].  The other tol / 2 covers rounding,
-    so a cleared error passes `_gram_witness` at `tol`.
+    so a cleared error passes `_gram_witness` at `tol`.  The real product
+    sums the very products that the complex one does, only grouped
+    differently, so each entry of R_T differs from A_T^H A_T by rounding
+    alone: at most about q^(n-m) units of 2^-53 times the sum of the
+    moduli of its terms, which is at most 1 for unit columns.  Under the
+    group cap that is below 1e-11, far inside tol / 2.
 
     A code that passes has K <= q^(n - 2m), the quantum Singleton bound.
     Beyond it nothing is screened, and R_T, with q^(2m) K^2 entries, is
@@ -436,12 +477,16 @@ def _reduced_screen(basis, q, m, supports, tol):
     if kk == 1 or 2 * m > n or kk > q ** (n - 2 * m):
         return cleared
     side = q**m
-    tensor = basis.reshape((q,) * n + (kk,))
+    columns = side * kk
+    tensor = basis.view(np.float64).reshape((q,) * n + (2 * kk,))
     identity = np.eye(kk)[:, None, :]
     for subset in itertools.combinations(range(n), m):
         rest = [k for k in range(n) if k not in subset]
-        a_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, side * kk)
-        reduced = (a_t.conj().T @ a_t).reshape(side, kk, side, kk)
+        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, 2 * columns)
+        blocks = (z_t.T @ z_t).reshape(columns, 2, columns, 2)
+        real = blocks[:, 0, :, 0] + blocks[:, 1, :, 1]
+        imag = blocks[:, 0, :, 1] - blocks[:, 1, :, 0]
+        reduced = (real + 1j * imag).reshape(side, kk, side, kk)
         if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= tol / (2 * side):
             cleared |= ~supports[:, rest].any(axis=1)
     return cleared
@@ -463,8 +508,8 @@ def kl_check(
     checked one at a time, in canonical order, under `tol`.  Non-maximal
     specs check P g P = phi(g) P on the dense projection, error by error.
     `cap` bounds the error enumeration and `group_cap` the subgroup tables;
-    both are checked, like the dense-matrix cap of the projection, before
-    any state is built.
+    both are checked, like the dense-matrix cap of the projection and the
+    entry cap of the codeword basis, before any state is built.
     """
     spec = description.spec
     q, n = spec.q, spec.n

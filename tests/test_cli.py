@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from nonstab.cli import main
+from nonstab.cli import CodeBundle, main
 
 
 def run(capsys, *argv):
@@ -326,22 +329,56 @@ def test_distance_below_1_exits_2(capsys, tmp_path):
         assert captured.err == f"error: d must be >= 1, got {d}\n", argv
 
 
-def test_oracle_builds_each_codeword_once(capsys, tmp_path, monkeypatch):
+def test_oracle_projects_the_basis_once(capsys, tmp_path, monkeypatch):
     from nonstab import oracle
 
     calls = []
-    project = oracle._project
+    projected_basis = oracle._projected_basis
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return project(*args, **kwargs)
+    def counted(spec, members, *args, **kwargs):
+        calls.append(len(members))
+        return projected_basis(spec, members, *args, **kwargs)
 
     path, _ = family_bundle(capsys, tmp_path, "--name", "code15")
-    monkeypatch.setattr(oracle, "_project", counted)
+    monkeypatch.setattr(oracle, "_projected_basis", counted)
     oracle._basis_matrix.cache_clear()
     code, out = run(capsys, "oracle", "--in", str(path))
     assert code == 0 and json.loads(out)["orthonormality"]["pass"]
-    assert len(calls) == 8
+    assert calls == [8]
+
+
+def test_oracle_refuses_an_oversized_codeword_basis(capsys, tmp_path):
+    from nonstab.families import code_15_8_3
+    from nonstab.fourier_code import greedy_construct
+
+    description = greedy_construct(code_15_8_3().spec, 2)
+    assert len(description) == 4187
+    path = tmp_path / "greedy_d2.json"
+    path.write_text(json.dumps(CodeBundle(description, 2, "greedy d=2").to_json_dict()))
+    code = main(["oracle", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    # 2^15 amplitudes for each of 4,187 codewords, against 2^24
+    assert captured.err == "error: codeword basis entries 137199616 exceeds cap 16777216\n"
+
+
+def test_oracle_leaves_numpy_random_unimported(capsys, tmp_path):
+    import nonstab
+
+    path, _ = family_bundle(capsys, tmp_path, "--name", "code15")
+    script = (
+        "import sys\n"
+        "from nonstab.cli import main\n"
+        f"code = main(['oracle', '--in', {str(path)!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(nonstab.__file__))
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def _set(path, value):

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (
@@ -18,9 +21,19 @@ from nonstab.fourier_code import (
     greedy_construct,
     verify_distance,
 )
-from nonstab.gottesman import bounded_pair_arrays, character_exponent, forbidden_set, purity_radius
+from nonstab.gottesman import (
+    GottesmanSpec,
+    bounded_pair_arrays,
+    character_exponent,
+    forbidden_set,
+    purity_radius,
+    synthesize_phase_matrix,
+    validate,
+)
 from nonstab.oracle import (
+    PRUNE_TOL,
     SparseState,
+    _basis_matrix,
     _digits,
     _gram_witness,
     _reduced_screen,
@@ -33,7 +46,15 @@ from nonstab.oracle import (
     message_coordinates,
     orthonormality_check,
 )
-from nonstab.weyl import WeylElement, compose, dense_matrix, phase_value, prime_group, root_table
+from nonstab.weyl import (
+    GROUP_CAP,
+    WeylElement,
+    compose,
+    dense_matrix,
+    phase_value,
+    prime_group,
+    root_table,
+)
 
 Z2 = prime_group(2)
 Z3 = prime_group(3)
@@ -250,10 +271,15 @@ def test_packed_index_refuses_int64_overflow():
         SparseState.basis_word(Z2, (0,) * 64)
 
 
+@functools.lru_cache(maxsize=8)
+def word_digits(q, n):
+    """Digit rows of all q^n words, built once per (q, n)."""
+    return _digits(np.arange(q**n), q, n)
+
+
 def weyl_times(operand, x, y, q):
     """U_x V_y @ operand, and U_x V_y^dagger @ operand, on the dense word space."""
-    digits = _digits(np.arange(len(operand)), q, len(x))
-    targets, exponents = _shift_phase(digits, x, y, q)
+    targets, exponents = _shift_phase(word_digits(q, len(x)), x, y, q)
     phases = root_table(q)[exponents][:, None]
     moved = np.zeros_like(operand)
     moved[targets] = phases * operand
@@ -384,3 +410,108 @@ def test_reduced_screen_clears_only_passing_errors(case):
     for x, y in zip(xs[cleared], ys[cleared]):
         moved, _ = weyl_times(basis, x, y, q)
         assert _gram_witness(basis, moved, members, TOL) is None
+
+
+def subgroup_tables(spec):
+    a_rows = _digits(np.arange(spec.q**spec.n), spec.q, spec.n)
+    la, ma = (a_rows @ spec.L.T) % spec.q, (a_rows @ spec.M.T) % spec.q
+    return a_rows, la, ma, spec.rho_batch(a_rows)
+
+
+def reference_projection(spec, tables, u):
+    """(column, word): the codeword of u built on its own, as a dense column,
+    and the index of the basis word whose image under the projection gave it."""
+    q, n, p = spec.q, spec.n, spec.phase_denominator
+    unit = p // q
+    a_rows, la, ma, rho = tables
+    chi = (unit * ((a_rows @ np.array(u, dtype=np.int64)) % q)) % p
+    roots = root_table(p)
+    for word, w_tuple in enumerate(itertools.product(range(q), repeat=n)):
+        targets, exponents = _shift_phase(np.array(w_tuple, dtype=np.int64), la, ma, q)
+        dense = np.zeros(q**n, dtype=complex)
+        np.add.at(dense, targets, roots[(rho + unit * exponents - chi) % p])
+        dense /= spec.size
+        norm = np.linalg.norm(dense)
+        if norm > 1e-8:
+            support = np.nonzero(np.abs(dense) > PRUNE_TOL)[0]
+            state = SparseState._from_packed(spec.group, n, support, dense[support] / norm)
+            column = np.zeros(q**n, dtype=complex)
+            column[state.packed] = state.amps
+            return column, word
+    raise AssertionError("projection vanished on every basis word")
+
+
+def assert_basis_matches_reference(description):
+    """The basis and every codeword(u) are bit-equal to the per-member
+    reference; returns the basis word each member's codeword came from."""
+    members = description.sorted_members()
+    tables = subgroup_tables(description.spec)
+    columns, words = zip(*(reference_projection(description.spec, tables, u) for u in members))
+    expected = np.column_stack(columns)
+    _basis_matrix.cache_clear()
+    basis = _basis_matrix(description, GROUP_CAP)
+    assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
+    for column, u in zip(columns, members):
+        state = codeword(description, u)
+        assert np.array_equal(state.packed, np.flatnonzero(column))
+        assert np.array_equal(state.amps.view(np.uint64), column[state.packed].view(np.uint64))
+    return words
+
+
+@st.composite
+def maximal_member_sets(draw):
+    """A description over a drawn maximal spec, with 1 to 6 drawn members.
+
+    The spec is either a product-form one, where L has a kernel of
+    dimension 1, or has L = diag(I_k, 0) and M = [[S, 0], [N, I]] with S
+    symmetric, where L has a kernel of dimension n - k: then q^(n-k)
+    subgroup elements meet on each word, and a member's codeword may lie
+    far past word 0.
+    """
+    q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
+    n = draw(st.integers(*DIGITS_FOR_Q[q]))
+    entries = np.array(
+        draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n)), dtype=np.int64
+    ).reshape(n, n)
+    k = draw(st.integers(0, n))
+    if k == n:
+        spec = maximal_form_spec(q, n, np.triu(entries))
+    else:
+        l_mat = np.diag([1] * k + [0] * (n - k)).astype(np.int64)
+        m_mat = np.tril(entries, -1)
+        m_mat[:k, :k] = (m_mat[:k, :k] + m_mat[:k, :k].T) % q
+        m_mat[k:, k:] = np.eye(n - k, dtype=np.int64)
+        spec = GottesmanSpec(
+            q=q, L=l_mat, M=m_mat, D=synthesize_phase_matrix(q, l_mat, m_mat)
+        )
+        assert spec.is_maximal() and validate(spec) == []
+    indices = draw(st.lists(st.integers(0, q**n - 1), min_size=1, max_size=6, unique=True))
+    rows = _digits(np.array(indices, dtype=np.int64), q, n)
+    return FourierDescription(spec, frozenset(tuple(int(v) for v in row) for row in rows))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(maximal_member_sets())
+def test_projected_basis_is_bit_equal_to_the_per_member_projection(description):
+    assert_basis_matches_reference(description)
+
+
+def test_projected_basis_advances_past_vanishing_words():
+    # a member's codeword lies on the words whose digits sum to n * delta, so
+    # members with n * delta != 0 mod q vanish on word 0 and take a later word
+    for description in (distance2_family(5, 3)[1], distance2_family(5, 5)[1]):
+        words = assert_basis_matches_reference(description)
+        assert min(words) == 0 and max(words) > 0
+
+
+def test_reduced_screen_clears_every_error_of_a_passing_code():
+    # R_T equals delta_uv rho_T up to rounding on every T, so nothing is left to confirm
+    for description, d in (
+        (distance2_family(5, 3)[1], 2),
+        (distance2_family(5, 5)[1], 2),
+        (code_15_8_3(), 3),
+    ):
+        spec = description.spec
+        xs, ys = bounded_pair_arrays(spec.q, spec.n, d - 1)
+        basis = _basis_matrix(description, GROUP_CAP)
+        assert _reduced_screen(basis, spec.q, d - 1, (xs != 0) | (ys != 0), TOL).all()
