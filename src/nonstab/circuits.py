@@ -25,14 +25,13 @@ and uncomputes the ancilla back to |0^n> exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import is_prime
+from .galois import _digit, is_prime, places
 from .gottesman import GottesmanSpec
-from .oracle import SparseState, _canonical, _digit, _powers
+from .oracle import SparseState, _canonical
 from .weyl import prime_group
 
 GATE_ARITY = {
@@ -79,24 +78,6 @@ class Circuit:
                 raise ValueError(f"gate {gate} addresses a register out of range")
         object.__setattr__(self, "gates", gates)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "registers": self.registers,
-            "gates": [{"kind": g.kind, "operands": list(g.operands)} for g in self.gates],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Circuit":
-        return cls(
-            int(doc["q"]),
-            int(doc["registers"]),
-            tuple(Gate(g["kind"], tuple(g["operands"])) for g in doc["gates"]),
-        )
-
 
 def zero_state(circuit: Circuit) -> SparseState:
     return SparseState.basis_word(prime_group(circuit.q), (0,) * circuit.registers)
@@ -113,7 +94,7 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
         raise ValueError("input state does not match the circuit's registers")
     q = circuit.q
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    place = _powers(q, circuit.registers)
+    place = places(q, circuit.registers)
     packed, amps = state.packed, state.amps
     for gate in circuit.gates:
         ops = gate.operands

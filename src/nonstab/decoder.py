@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier_code import FourierDescription
-from .gottesman import GottesmanSpec, bounded_pair_arrays
+from .gottesman import GottesmanSpec, bounded_pair_arrays, syndrome_shifts
 from .oracle import SparseState, apply
 from .weyl import WeylElement, inverse
+
+EIGENVALUE_TOL = 1e-9
 
 
 class DecodingError(Exception):
@@ -35,11 +37,11 @@ class Syndrome:
     denominator: int
 
 
-def measure_syndrome(state: SparseState, spec: GottesmanSpec, tol: float = 1e-9) -> Syndrome:
+def measure_syndrome(state: SparseState, spec: GottesmanSpec) -> Syndrome:
     """Eigenvalues of the generators s_{e_i} on `state`, as exact exponents.
 
     The state must be a nonzero common eigenvector of every generator;
-    inconsistent amplitude ratios (beyond `tol`) signal an error outside the
+    inconsistent amplitude ratios (beyond EIGENVALUE_TOL) signal an error outside the
     correctable set and raise DecodingError, as does the zero state.
     """
     if not len(state):
@@ -53,10 +55,10 @@ def measure_syndrome(state: SparseState, spec: GottesmanSpec, tol: float = 1e-9)
             raise DecodingError(f"state is not an eigenvector of generator {i}")
         ratios = moved.amps / state.amps
         ratio = ratios[0]
-        if np.abs(ratios - ratio).max() > tol:
+        if np.abs(ratios - ratio).max() > EIGENVALUE_TOL:
             raise DecodingError(f"inconsistent eigenvalue for generator {i}")
         exponent = int(round(np.angle(ratio) * p / (2 * np.pi))) % p
-        if abs(ratio - np.exp(2j * np.pi * exponent / p)) > tol:
+        if abs(ratio - np.exp(2j * np.pi * exponent / p)) > EIGENVALUE_TOL:
             raise DecodingError(f"eigenvalue of generator {i} is not a root of unity")
         exponents.append(exponent)
     return Syndrome(tuple(exponents), p)
@@ -81,17 +83,15 @@ def search_error(
     if any(e % unit for e in syndrome.exponents):
         raise DecodingError("syndrome exponents are not characters of the subgroup")
     v = np.array([e // unit for e in syndrome.exponents], dtype=np.int64) % q
-    checked = 0
     if tuple(map(int, v)) in description.members:
         if stats is not None:
             stats["candidates"] = 1
         return WeylElement.identity(spec.group, spec.n), tuple(map(int, v))
-    checked += 1
+    checked = 1
     xs, ys = bounded_pair_arrays(q, spec.n, min(t, spec.n))
     # the eigenvalue of s_i on g|phi_u> is gamma(s_i, g) chi_u(s_i), so the
     # candidate error (x, y) forces u = v - (M^T x - L^T y)
-    shifts = (xs @ spec.M - ys @ spec.L) % q
-    candidates = (v - shifts) % q
+    candidates = (v - syndrome_shifts(spec, xs, ys)) % q
     for idx in range(xs.shape[0]):
         checked += 1
         u = tuple(map(int, candidates[idx]))

@@ -18,14 +18,16 @@ families and the block matrix of alpha-good seeds are special cases.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .fourier_code import FourierDescription
-from .galois import PrimeField, gaussian_binomial
+from .galois import PrimeField, gaussian_binomial, pack, unpack
 from .gottesman import GottesmanSpec, forbidden_set
+from .weyl import SUBSET_CAP
 
 LAFLAMME_15_8_3_SETS = (
     frozenset({1, 2, 3, 4, 13}),
@@ -181,10 +183,10 @@ def subspace_family(m: int, r: int, q: int) -> SetFamily:
     lexicographic order, so the family is canonical and deterministic.
     """
     count = gaussian_binomial(m, q, r)
-    powers = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
     members = []
     if r == 0:
         return SetFamily(q**m, (frozenset({1}),))
+    coeffs = unpack(np.arange(q**r), q, r)
     for pivots in itertools.combinations(range(m), r):
         free_slots = [
             (row, col)
@@ -192,15 +194,14 @@ def subspace_family(m: int, r: int, q: int) -> SetFamily:
             for col in range(m)
             if col > pivots[row] and col not in pivots
         ]
-        for values in itertools.product(range(q), repeat=len(free_slots)):
+        for values in unpack(np.arange(q ** len(free_slots)), q, len(free_slots)):
             basis = np.zeros((r, m), dtype=np.int64)
             for row, col in zip(range(r), pivots):
                 basis[row, col] = 1
             for (row, col), v in zip(free_slots, values):
                 basis[row, col] = v
-            coeffs = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)
             points = (coeffs @ basis) % q
-            members.append(frozenset((points @ powers + 1).tolist()))
+            members.append(frozenset((pack(points, q) + 1).tolist()))
     family = SetFamily(q**m, tuple(members))
     assert len(family) == count
     return family
@@ -260,7 +261,7 @@ class AlphaGoodReport:
         return self.passed
 
 
-def alpha_good(r_mat, alpha, cap: int = 10**6) -> AlphaGoodReport:
+def alpha_good(r_mat, alpha) -> AlphaGoodReport:
     """Check the four sum-of-rows/columns weight conditions on a binary matrix.
 
     Every floor(alpha n)-subset of columns (conditions i, iii) and of rows
@@ -276,9 +277,7 @@ def alpha_good(r_mat, alpha, cap: int = 10**6) -> AlphaGoodReport:
     t = int(alpha * n)
     if t < 1:
         raise ValueError("floor(alpha n) must be at least 1")
-    import math
-
-    if math.comb(n, t) > cap:
+    if math.comb(n, t) > SUBSET_CAP:
         raise ValueError("subset enumeration budget exceeded")
     lo, hi = alpha * n, (1 - alpha) * n
     for axis, (cond_lo, cond_hi) in ((1, (1, 3)), (0, (2, 4))):

@@ -19,25 +19,19 @@ corrects t = floor((d-1)/2) errors).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .galois import error_sphere_count
+from .galois import _digit, error_sphere_count, pack, places, unique_keys, unpack
 from .gottesman import (
-    ForbiddenSet,
     GottesmanSpec,
     _forbidden_keys,
     _split_sphere,
-    forbidden_set,
     json_matrix,
-    pack_keys,
-    purity_radius,
-    unique_keys,
-    unpack_keys,
+    syndrome_shifts,
 )
 from .weyl import ENUMERATION_CAP, GROUP_CAP, check_size
 
@@ -70,7 +64,7 @@ class FourierDescription:
         return np.array(self.sorted_members(), dtype=np.int64)
 
     def difference_keys(self) -> np.ndarray:
-        """The difference set B - B as sorted unique packed keys (see `pack_keys`).
+        """The difference set B - B as sorted unique packed keys (see `galois.pack`).
 
         Keys are accumulated one digit at a time over the K x K pairs, so no
         K^2 x r array of digits is ever built; each digit's K x K differences
@@ -78,14 +72,11 @@ class FourierDescription:
         faster than int64.
         """
         q, r = self.spec.q, self.spec.r
-        digits = self.member_array.T.astype(np.min_scalar_type(-q))
-        columns = ((col[:, None] - col[None, :]) % q for col in digits)
-        return unique_keys(pack_keys(columns, q, r))
-
-    def differences(self) -> set:
-        """The difference set B - B in GF(q)^r coordinates."""
-        rows = unpack_keys(self.difference_keys(), self.spec.q, self.spec.r)
-        return set(map(tuple, rows.tolist()))
+        place = places(q, r)
+        keys = np.zeros((len(self), len(self)), dtype=place.dtype)
+        for column, value in zip(self.member_array.T.astype(np.min_scalar_type(-q)), place):
+            keys += np.multiply((column[:, None] - column[None, :]) % q, value, dtype=place.dtype)
+        return unique_keys(keys)
 
     def to_json_dict(self) -> dict:
         return {"spec": self.spec.to_json_dict(), "B": [list(u) for u in self.sorted_members()]}
@@ -155,7 +146,8 @@ def verify_distance(
             a = members[failing[0]].tolist()
             pair = np.flatnonzero(in_image)[failing[0]]
             # u . a over the difference keys, one digit of a at a time
-            dots = sum(diffs // q ** (r - 1 - k) % q * a_k for k, a_k in enumerate(a) if a_k)
+            place = places(q, r)
+            dots = sum(_digit(diffs, place[k], q) * a_k for k, a_k in enumerate(a) if a_k)
             first = np.flatnonzero(dots % q)[0]
             return Report(
                 False,
@@ -163,16 +155,16 @@ def verify_distance(
                     "condition": 1,
                     "subgroup_index": a,
                     "weight": int(np.count_nonzero(xs[pair] | ys[pair])),
-                    "difference": unpack_keys(diffs[first : first + 1], q, r)[0].tolist(),
+                    "difference": unpack(diffs[first : first + 1], q, r)[0].tolist(),
                 },
                 counts={"low_weight_members": len(members)},
             )
-    forbidden = ForbiddenSet(d, q, r, _forbidden_keys(spec, xs, ys, in_image))
-    hits = np.intersect1d(diffs, forbidden.keys, assume_unique=True)
+    forbidden = _forbidden_keys(spec, syndrome_shifts(spec, xs, ys), in_image)
+    hits = np.intersect1d(diffs, forbidden, assume_unique=True)
     if hits.size:
         return Report(
             False,
-            witness={"condition": 2, "difference": unpack_keys(hits[:1], q, r)[0].tolist()},
+            witness={"condition": 2, "difference": unpack(hits[:1], q, r)[0].tolist()},
             counts={"low_weight_members": len(members), "forbidden": len(forbidden)},
         )
     return Report(
@@ -201,7 +193,7 @@ def _weight_lex_keys(q: int, r: int) -> np.ndarray:
 
 def weight_lex_indices(q: int, r: int) -> list:
     """All of GF(q)^r ordered by weight, then lexicographically; 0 first."""
-    return list(map(tuple, unpack_keys(_weight_lex_keys(q, r), q, r).tolist()))
+    return list(map(tuple, unpack(_weight_lex_keys(q, r), q, r).tolist()))
 
 
 def greedy_construct(
@@ -215,25 +207,31 @@ def greedy_construct(
     (default: weight-lex with 0 first).  Picks at least floor(#S / #X)
     members when the forbidden set X is nonempty.
 
-    The walk runs on packed keys over a boolean alive-array of all q^r
-    indices, which `cap` bounds before anything is built: each pick u
-    clears the keys of u - X for the whole forbidden array X at once.
+    One enumeration of the error sphere gives both: the spec is d-pure
+    when no pair has a zero syndrome shift, and X is the set of shifts of
+    the pairs outside the image.  The walk runs on packed keys over a
+    boolean alive-array of all q^r indices, which `cap` bounds before
+    anything is built: each pick u clears the keys of u - X for the whole
+    forbidden array X at once.
     """
     q, r = spec.q, spec.r
     check_size("character space", spec.size, cap)
-    if purity_radius(spec, d, cap=cap) is not None:
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    xs, ys, in_image, _ = _split_sphere(spec, min(d - 1, spec.n), cap)
+    shifts = syndrome_shifts(spec, xs, ys)
+    if not shifts.any(axis=1).all():
         raise ValueError(f"spec is not {d}-pure; greedy construction needs purity")
-    forbidden = forbidden_set(spec, d, cap=cap)
+    forbidden_rows = unpack(_forbidden_keys(spec, shifts, in_image), q, r)
     if order is None:
         keys = _weight_lex_keys(q, r)
     else:
         rows = np.array(order, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != r or np.any((rows < 0) | (rows >= q)):
             raise ValueError("order must enumerate all of GF(q)^r")
-        keys = pack_keys(rows.T, q, r)
+        keys = pack(rows, q)
         if len(unique_keys(keys)) != spec.size:
             raise ValueError("order must enumerate all of GF(q)^r")
-    forbidden_columns = np.ascontiguousarray(forbidden.rows().T)
     alive = np.ones(spec.size, dtype=bool)
     picked = []
     for u in keys.tolist():
@@ -241,9 +239,8 @@ def greedy_construct(
             continue
         picked.append(u)
         alive[u] = False
-        moved = (unpack_keys(np.array([u]), q, r).T - forbidden_columns) % q
-        alive[pack_keys(moved, q, r)] = False
-    rows = unpack_keys(np.array(picked, dtype=np.int64), q, r)
+        alive[pack((unpack([u], q, r) - forbidden_rows) % q, q)] = False
+    rows = unpack(np.array(picked, dtype=np.int64), q, r)
     return FourierDescription(spec, frozenset(map(tuple, rows.tolist())))
 
 
@@ -266,7 +263,7 @@ def projection_coefficients(description: FourierDescription) -> dict:
     check_size("subgroup size", spec.size, GROUP_CAP)
     q, r, p = spec.q, spec.r, spec.phase_denominator
     unit = p // q
-    a_rows = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)
+    a_rows = unpack(np.arange(spec.size), q, r)
     b_rows = description.member_array
     exponents = (unit * ((b_rows @ a_rows.T) % q)) % p
     roots = np.exp(-2j * np.pi * np.arange(p) / p)  # conj(chi_u)(s_a)

@@ -1,9 +1,11 @@
-"""Exact arithmetic, linear algebra and counting over prime fields GF(p)."""
+"""Exact arithmetic, linear algebra and counting over prime fields GF(p),
+and the packed-digit format of vectors over GF(q)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,3 +160,61 @@ def error_sphere_count(n: int, q: int, d: int) -> int:
     if d < 0 or d > n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     return sum(math.comb(n, i) * (q * q - 1) ** i for i in range(d + 1))
+
+
+# ----------------------------------------------------------------------
+# Packed digit vectors.  Basis words and character indices share one
+# format: a vector of `width` digits mod q is one integer key in which
+# digit k weighs q^(width-1-k), so key order is the lexicographic order
+# of the vectors.
+# ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def places(q: int, width: int) -> np.ndarray:
+    """Place values q^(width-1), ..., q, 1 of a packed vector (read-only).
+
+    int64 while q^width <= 2^63, and exact Python ints in an object array
+    beyond, so that no key wraps around.
+    """
+    dtype = np.int64 if q**width <= 2**63 else object
+    table = np.array([q**k for k in range(width - 1, -1, -1)], dtype=dtype)
+    table.setflags(write=False)
+    return table
+
+
+def pack(rows, q: int) -> np.ndarray:
+    """Keys of the digit rows of an array, one product with the place values."""
+    rows = np.asarray(rows)
+    return rows @ places(q, rows.shape[-1])
+
+
+def unpack(keys, q: int, width: int) -> np.ndarray:
+    """Digit rows (int64) of packed keys; the inverse of `pack`."""
+    digits = np.asarray(keys)[:, None] // places(q, width)
+    digits %= q  # in place: the digit table is the largest array here
+    return digits.astype(np.int64, copy=False)
+
+
+def _digit(keys: np.ndarray, place, q: int) -> np.ndarray:
+    """The digit of place value `place` in each key: keys // place % q.
+
+    The remainder is taken as x - q (x // q), since numpy divides by a scalar
+    several times faster than it takes a remainder.  Keys are >= 0.  Private,
+    so that `perfbench/tracing.py`, which wraps every public function here,
+    does not time each digit read of `apply` and `simulate`.
+    """
+    quotient = keys // place
+    return quotient - quotient // q * q
+
+
+def unique_keys(keys) -> np.ndarray:
+    """Sorted unique keys, flattened.
+
+    A sort and a mask: on int64 keys this is several times faster than
+    `np.unique`, which hashes before it sorts.
+    """
+    keys = np.sort(keys, axis=None)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]

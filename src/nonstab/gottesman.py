@@ -24,13 +24,12 @@ included), L, M and quad_upper entries outside [0, q), D entries outside
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .galois import PrimeField
+from .galois import PrimeField, pack, unique_keys, unpack
 from .weyl import ENUMERATION_CAP, AlphabetGroup, WeylElement, bounded_pairs, prime_group
 
 
@@ -183,9 +182,6 @@ class GottesmanSpec:
             doc["quad_upper"] = self.quad_upper.tolist()
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GottesmanSpec":
         q = json_integer(doc["q"], "spec q")
@@ -210,58 +206,11 @@ class GottesmanSpec:
         )
 
 
-# ----------------------------------------------------------------------
-# Packed character indices
-# ----------------------------------------------------------------------
-
-
-def _key_dtype(q: int, r: int):
-    return np.int64 if q**r <= 2**63 else object
-
-
-def pack_keys(columns, q: int, r: int) -> np.ndarray:
-    """Packed keys of character indices in GF(q)^r, from their r digit columns.
-
-    `columns` yields the digit arrays, most significant first and all of one
-    shape (`rows.T` for a matrix of digit rows), so that a caller never has
-    to hold all r of them at once.  Digit k weighs q^(r-1-k), so the order of
-    the keys is the lexicographic order of the indices.  Keys are int64 while
-    q^r <= 2^63 and exact Python ints in an object array beyond, so that no
-    key wraps around.
-    """
-    keys = None
-    for column in columns:
-        if keys is None:
-            keys = np.array(column, dtype=_key_dtype(q, r))
-        else:
-            keys *= q
-            keys += column
-    return keys
-
-
-def unique_keys(keys) -> np.ndarray:
-    """Sorted unique keys, flattened.
-
-    A sort and a mask: on int64 keys this is several times faster than
-    `np.unique`, which hashes before it sorts.
-    """
-    keys = np.sort(keys, axis=None)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
-def unpack_keys(keys: np.ndarray, q: int, r: int) -> np.ndarray:
-    """Digit rows (int64) of packed character indices; the inverse of `pack_keys`."""
-    places = np.array([q ** (r - 1 - k) for k in range(r)], dtype=_key_dtype(q, r))
-    return (keys[:, None] // places % q).astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class ForbiddenSet:
     """Character indices that the difference set of a code must avoid.
 
-    Stored as the sorted unique packed keys of `pack_keys`; the tuple views
+    Stored as the sorted unique packed keys of `galois.pack`; the tuple views
     are derived from them.
     """
 
@@ -282,7 +231,7 @@ class ForbiddenSet:
 
     def rows(self) -> np.ndarray:
         """The members as digit rows, in lexicographic order."""
-        return unpack_keys(self.keys, self.q, self.r)
+        return unpack(self.keys, self.q, self.r)
 
     def weights(self) -> set:
         return set(np.count_nonzero(self.rows(), axis=1).tolist())
@@ -381,8 +330,6 @@ def _split_sphere(spec: GottesmanSpec, w: int, cap: int):
     wherever `in_image[i]`.  Nothing is kept after the call.
     """
     xs, ys = bounded_pair_arrays(spec.q, spec.n, w, cap=cap)
-    if xs.shape[0] == 0:
-        return xs, ys, np.zeros(0, dtype=bool), np.zeros((0, spec.r), dtype=np.int64)
     _, pivots, transform = spec.field.rref(np.vstack([spec.L, spec.M]))
     reduced = (transform @ np.hstack([xs, ys]).T) % spec.q
     in_image = ~np.any(reduced[len(pivots) :, :], axis=0)
@@ -391,10 +338,23 @@ def _split_sphere(spec: GottesmanSpec, w: int, cap: int):
     return xs, ys, in_image, solutions.T
 
 
-def _forbidden_keys(spec: GottesmanSpec, xs, ys, in_image) -> np.ndarray:
-    """Sorted unique keys of L^T y - M^T x over the pairs outside the image."""
-    us = (ys[~in_image] @ spec.L - xs[~in_image] @ spec.M) % spec.q
-    return unique_keys(pack_keys(us.T, spec.q, spec.r))
+def syndrome_shifts(spec: GottesmanSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """M^T x - L^T y mod q for each error pair (x, y), one row per pair.
+
+    The error U_x V_y moves the syndrome of the codeword with character
+    index u to u + M^T x - L^T y; a zero shift means that the error commutes
+    with every element of S.
+    """
+    return (xs @ spec.M - ys @ spec.L) % spec.q
+
+
+def _forbidden_keys(spec: GottesmanSpec, shifts: np.ndarray, in_image: np.ndarray) -> np.ndarray:
+    """Sorted unique keys of the syndrome shifts of the pairs outside the image.
+
+    The pairs outside the image are closed under negation, so these are
+    also the keys of L^T y - M^T x over them, the forbidden indices.
+    """
+    return unique_keys(pack(shifts[~in_image], spec.q))
 
 
 def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) -> int | None:
@@ -407,10 +367,7 @@ def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) 
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     xs, ys = bounded_pair_arrays(spec.q, spec.n, min(cutoff - 1, spec.n), cap=cap)
-    if xs.shape[0] == 0:
-        return None
-    syndrome = (xs @ spec.M - ys @ spec.L) % spec.q
-    central = ~np.any(syndrome, axis=1)
+    central = ~np.any(syndrome_shifts(spec, xs, ys), axis=1)
     if not central.any():
         return None
     weights = np.sum((xs != 0) | (ys != 0), axis=1)
@@ -427,7 +384,8 @@ def forbidden_set(spec: GottesmanSpec, d: int, cap: int = ENUMERATION_CAP) -> Fo
     if d < 1:
         raise ValueError("d must be >= 1")
     xs, ys, in_image, _ = _split_sphere(spec, min(d - 1, spec.n), cap)
-    return ForbiddenSet(d, spec.q, spec.r, _forbidden_keys(spec, xs, ys, in_image))
+    keys = _forbidden_keys(spec, syndrome_shifts(spec, xs, ys), in_image)
+    return ForbiddenSet(d, spec.q, spec.r, keys)
 
 
 def low_weight_members(

@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fourier_code import FourierDescription, Report, projection_coefficients
+from .galois import _digit, pack, places, unpack
 from .gottesman import GottesmanSpec, bounded_pair_arrays
 from .weyl import (
     DENSE_MATRIX_CAP,
@@ -30,27 +31,7 @@ from .weyl import (
 )
 
 PRUNE_TOL = 1e-14
-
-
-@lru_cache(maxsize=None)
-def _powers(q: int, width: int) -> np.ndarray:
-    """Place values q^(width-1), ..., q, 1 of a packed word index.
-
-    Packed indices are int64, so a word space of more than 2^63 words is
-    refused here rather than left to wrap around.
-    """
-    if q**width > 2**63:
-        raise ValueError(f"packed index overflows int64: {q}^{width} words exceed 2^63")
-    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    powers.setflags(write=False)
-    return powers
-
-
-def _digits(packed: np.ndarray, q: int, width: int) -> np.ndarray:
-    """Digit rows of packed word indices."""
-    digits = packed[:, None] // _powers(q, width)
-    digits %= q
-    return digits
+BASIS_TOL = 1e-10  # codeword basis against the closed form, and its orthonormality
 
 
 def _shift_phase(words: np.ndarray, x: np.ndarray, y: np.ndarray, q: int):
@@ -60,7 +41,7 @@ def _shift_phase(words: np.ndarray, x: np.ndarray, y: np.ndarray, q: int):
     """
     moved = words + x
     moved %= q  # in place: the word rows are the largest array here
-    return moved @ _powers(q, words.shape[-1]), np.einsum("...i,...i->...", words, y) % q
+    return pack(moved, q), np.einsum("...i,...i->...", words, y) % q
 
 
 def _canonical(packed: np.ndarray, amps: np.ndarray):
@@ -88,14 +69,21 @@ def _pruned(packed: np.ndarray, amps: np.ndarray):
 class SparseState:
     """Sparse complex state on words of n digits mod q.
 
-    The state is its sorted packed word indices (digit k of a word weighs
-    q^(n-1-k)) and the amplitudes on them; the digit rows are derived.
+    The state is its sorted packed word indices (`galois.pack`) and the
+    amplitudes on them; the digit rows are derived.  Packed indices are
+    int64, so a word space of more than 2^63 words is refused here rather
+    than left to wrap around.
     """
 
     group: AlphabetGroup
     n: int
     packed: np.ndarray  # int64, sorted and unique
     amps: np.ndarray  # complex128
+
+    def __post_init__(self) -> None:
+        q = self.group.q
+        if q**self.n > 2**63:
+            raise ValueError(f"packed index overflows int64: {q}^{self.n} words exceed 2^63")
 
     @classmethod
     def from_pairs(cls, group: AlphabetGroup, n: int, words, amps) -> "SparseState":
@@ -104,17 +92,11 @@ class SparseState:
         amps = np.asarray(amps, dtype=complex).ravel()
         if words.shape[0] != amps.shape[0]:
             raise ValueError("words and amplitudes differ in length")
-        return cls._from_packed(group, n, words @ _powers(group.q, n), amps)
+        return cls._from_packed(group, n, pack(words, group.q), amps)
 
     @classmethod
     def _from_packed(cls, group: AlphabetGroup, n: int, packed, amps) -> "SparseState":
         return cls(group, n, *_canonical(packed, amps))
-
-    @classmethod
-    def from_dict(cls, group: AlphabetGroup, n: int, mapping: dict) -> "SparseState":
-        words = list(mapping.keys())
-        amps = [mapping[w] for w in words]
-        return cls.from_pairs(group, n, np.array(words).reshape(-1, n), amps)
 
     @classmethod
     def basis_word(cls, group: AlphabetGroup, word) -> "SparseState":
@@ -124,7 +106,7 @@ class SparseState:
     @cached_property
     def words(self) -> np.ndarray:
         """Digit rows of the support, one per packed index (read-only)."""
-        words = _digits(self.packed, self.group.q, self.n)
+        words = unpack(self.packed, self.group.q, self.n)
         words.setflags(write=False)
         return words
 
@@ -147,18 +129,13 @@ class SparseState:
             raise ValueError("cannot normalize a (near-)zero state")
         return SparseState._from_packed(self.group, self.n, self.packed, self.amps / nrm)
 
-    def scaled(self, factor: complex) -> "SparseState":
-        return SparseState._from_packed(self.group, self.n, self.packed, self.amps * factor)
-
     def inner(self, other: "SparseState") -> complex:
         """<self | other>, conjugate-linear in self."""
         if self.group != other.group or self.n != other.n:
             raise ValueError("states live on different word spaces")
-        common, ia, ib = np.intersect1d(
+        _, ia, ib = np.intersect1d(
             self.packed, other.packed, assume_unique=True, return_indices=True
         )
-        if not len(common):
-            return 0.0 + 0.0j
         return complex(np.sum(np.conj(self.amps[ia]) * other.amps[ib]))
 
     def fidelity(self, other: "SparseState") -> float:
@@ -170,16 +147,6 @@ class SparseState:
         out = np.zeros(dim, dtype=complex)
         out[self.packed] = self.amps
         return out
-
-
-def _digit(packed: np.ndarray, place: int, q: int) -> np.ndarray:
-    """The digit of place value `place` in each packed index: packed // place % q.
-
-    The remainder is taken as x - q (x // q), since numpy divides by a scalar
-    several times faster than it takes a remainder.  Indices are >= 0.
-    """
-    quotient = packed // place
-    return quotient - quotient // q * q
 
 
 def apply(g: WeylElement, state: SparseState) -> SparseState:
@@ -196,7 +163,7 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
         raise ValueError("element and state act on different word spaces")
     grp = state.group
     q, p = grp.q, grp.phase_denominator
-    place = _powers(q, state.n)
+    place = places(q, state.n)
     targets = state.packed
     exponents = np.zeros(len(state), dtype=np.int64)
     for k, (a_k, b_k) in enumerate(zip(g.a, g.b)):
@@ -219,29 +186,23 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
 def _spec_tables(spec: GottesmanSpec, group_cap: int = GROUP_CAP):
     """(index rows, U-parts, V-parts, phase exponents) for the whole subgroup."""
     check_size("subgroup size", spec.size, group_cap)
-    a_rows = _digits(np.arange(spec.q**spec.r), spec.q, spec.r)
+    a_rows = unpack(np.arange(spec.size), spec.q, spec.r)
     la = (a_rows @ spec.L.T) % spec.q
     ma = (a_rows @ spec.M.T) % spec.q
     rho = spec.rho_batch(a_rows)
     return a_rows, la, ma, rho
 
 
-def codeword(
-    description: FourierDescription,
-    u,
-    closed_form_tol: float = 1e-10,
-    group_cap: int = GROUP_CAP,
-) -> SparseState:
+def codeword(description: FourierDescription, u) -> SparseState:
     """Unit eigenvector of the subgroup with character index u (maximal specs).
 
     The one-member case of `_projected_basis`.  A maximal spec has as many
-    elements as the state has amplitudes, so `group_cap` bounds both.
+    elements as the state has amplitudes, so GROUP_CAP bounds both.
     """
     spec = description.spec
     if tuple(int(v) for v in u) not in description.members:
         raise ValueError("u is not a member of the Fourier description")
-    _require_maximal(spec)
-    column = _projected_basis(spec, [u], group_cap, closed_form_tol)[:, 0]
+    column = _projected_basis(spec, [u], GROUP_CAP)[:, 0]
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
@@ -255,19 +216,13 @@ def _basis_matrix(description: FourierDescription, group_cap: int) -> np.ndarray
     share a build.
     """
     spec = description.spec
-    _require_maximal(spec)
     check_size("codeword basis entries", spec.q**spec.n * len(description), DENSE_MATRIX_CAP**2)
     basis = _projected_basis(spec, description.sorted_members(), group_cap)
     basis.setflags(write=False)
     return basis
 
 
-def _require_maximal(spec: GottesmanSpec) -> None:
-    if not spec.is_maximal():
-        raise ValueError("codeword construction requires a maximal spec")
-
-
-def _projected_basis(spec: GottesmanSpec, members, group_cap: int, closed_form_tol: float = 1e-10):
+def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
     """The codewords of `members` as the columns of a q^n x len(members) matrix.
 
     The rank-one character projection of member u is applied to standard
@@ -276,8 +231,11 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int, closed_form_t
     are computed once for every member still waiting for one, and each
     member then needs only its character column.  When the spec carries a
     product-form certificate, the closed form is evaluated as an
-    independent second path and every column must agree with it.
+    independent second path and every column must agree with it within
+    BASIS_TOL.
     """
+    if not spec.is_maximal():
+        raise ValueError("codeword construction requires a maximal spec")
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
     a_rows, la, ma, rho = _spec_tables(spec, group_cap)
@@ -288,7 +246,7 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int, closed_form_t
     for word in range(dim):
         if not pending:
             break
-        targets, exponents = _shift_phase(_digits(np.array([word]), q, n)[0], la, ma, q)
+        targets, exponents = _shift_phase(unpack([word], q, n)[0], la, ma, q)
         phases = rho + unit * exponents
         waiting = []
         for col in pending:
@@ -307,12 +265,12 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int, closed_form_t
     if pending:
         raise ValueError("projection vanished on every basis word (invalid spec?)")
     if spec.quad_upper is not None:
-        _check_closed_form(spec, members, basis, closed_form_tol)
+        _check_closed_form(spec, members, basis)
     return basis
 
 
-def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray, tol: float) -> None:
-    """Every column of `basis` must have fidelity 1 within `tol` with the
+def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray) -> None:
+    """Every column of `basis` must have fidelity 1 within BASIS_TOL with the
     closed form of its member, where that member has product-form coordinates."""
     by_delta: dict[int, list] = {}
     for col, u in enumerate(members):
@@ -324,10 +282,10 @@ def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray, tol: flo
     roots = root_table(spec.q)
     for delta, columns in by_delta.items():
         xs, zs, quad_phase = _closed_form_terms(spec, delta)
-        rows = zs @ _powers(spec.q, spec.n)
+        rows = pack(zs, spec.q)
         for col, c_vec in columns:
             amps = quad_phase * np.conj(roots[(xs @ c_vec) % spec.q]) / math.sqrt(len(xs))
-            if abs(abs(np.sum(np.conj(basis[rows, col]) * amps)) - 1.0) > tol:
+            if abs(abs(np.sum(np.conj(basis[rows, col]) * amps)) - 1.0) > BASIS_TOL:
                 raise ValueError("projection-built codeword disagrees with the closed form")
 
 
@@ -376,7 +334,7 @@ def _product_form_reduction(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray
 @lru_cache(maxsize=16)
 def sum_zero_words(n: int, q: int) -> np.ndarray:
     """All words in GF(q)^n with zero digit sum, in lexicographic order (read-only)."""
-    free = _digits(np.arange(q ** (n - 1)), q, n - 1)
+    free = unpack(np.arange(q ** (n - 1)), q, n - 1)
     last = (-free.sum(axis=1)) % q
     words = np.hstack([free, last[:, None]])
     words.setflags(write=False)
@@ -525,7 +483,8 @@ def kl_check(
         operand = dense_projection(description)
         trace = np.trace(operand).real
         suspects = np.ones(len(xs), dtype=bool)
-    digits = _digits(np.arange(q**n), q, n)
+    if suspects.any():
+        digits = unpack(np.arange(q**n), q, n)
     roots = root_table(q)
     for x, y in zip(xs[suspects], ys[suspects]):
         targets, exponents = _shift_phase(digits, x, y, q)
@@ -550,30 +509,27 @@ def dense_projection(description: FourierDescription) -> np.ndarray:
     dim = q**n
     check_size("dense dimension", dim, DENSE_MATRIX_CAP)
     coeffs = projection_coefficients(description)
-    a_rows, la, ma, rho = _spec_tables(spec)
+    _, la, ma, rho = _spec_tables(spec)  # rows in the order of the coefficients
     roots = root_table(p)
-    digits = _digits(np.arange(dim), q, n)
+    digits = unpack(np.arange(dim), q, n)
     unit = p // q
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for idx in range(a_rows.shape[0]):
-        t_a = coeffs[tuple(map(int, a_rows[idx]))]
+    for t_a, x, y, phase in zip(coeffs.values(), la, ma, rho):
         if abs(t_a) < PRUNE_TOL:
             continue
-        rows, exponents = _shift_phase(digits, la[idx], ma[idx], q)
-        out[rows, cols] += t_a * roots[(rho[idx] + unit * exponents) % p]
+        rows, exponents = _shift_phase(digits, x, y, q)
+        out[rows, cols] += t_a * roots[(phase + unit * exponents) % p]
     return out
 
 
-def orthonormality_check(
-    description: FourierDescription, tol: float = 1e-10, group_cap: int = GROUP_CAP
-) -> Report:
-    """Gram matrix of the codeword basis must be the identity within tol."""
+def orthonormality_check(description: FourierDescription, group_cap: int = GROUP_CAP) -> Report:
+    """Gram matrix of the codeword basis must be the identity within BASIS_TOL."""
     members = description.sorted_members()
     basis = _basis_matrix(description, group_cap)
     gram = basis.conj().T @ basis
     deviation = np.abs(gram - np.eye(len(members)))
-    if deviation.max() > tol:
+    if deviation.max() > BASIS_TOL:
         i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
         return Report(
             False,

@@ -33,6 +33,7 @@ from .galois import error_sphere_count
 ENUMERATION_CAP = 10**7  # error pairs in one enumeration; also the q^r indices greedy walks
 GROUP_CAP = 2**16  # elements of one subgroup table; also amplitudes of one dense state
 DENSE_MATRIX_CAP = 2**12  # side of one dense operator matrix
+SUBSET_CAP = 10**6  # row or column subsets that one alpha-good check enumerates
 
 Word = tuple[int, ...]
 

@@ -207,10 +207,3 @@ def test_encoder_output_data_rejects_entanglement():
         encoder_output_data(SparseState.from_pairs(group, 4, [[0, 0, 0, 0]], [0.0]), 1)
     with pytest.raises(ValueError, match="has 8 registers, not 4"):
         encoder_output_data(nonzero_anc, 2)
-
-
-def test_circuit_json_roundtrip():
-    circuit = uniform_over_sum_zero(3, 2)
-    clone = Circuit.from_json_dict(circuit.to_json_dict())
-    assert clone == circuit
-    assert clone.to_json() == circuit.to_json()

@@ -433,3 +433,40 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         assert "argument --d: invalid int value: 'x'" in capsys.readouterr().err
     assert main(["table"]) == 0
     assert built == []
+
+
+def test_greedy_enumerates_the_error_sphere_twice(capsys, tmp_path, monkeypatch):
+    # greedy_construct reads purity and the forbidden set from one enumeration,
+    # and the verify_distance of its result makes the other
+    from nonstab import gottesman
+
+    calls = []
+    pairs = gottesman.bounded_pair_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pairs(*args, **kwargs)
+
+    path, _ = family_bundle(capsys, tmp_path, "--name", "laflamme", "--n", "15")
+    monkeypatch.setattr(gottesman, "bounded_pair_arrays", counted)
+    code, out = run(capsys, "greedy", "--in", str(path), "--d", "3")
+    assert code == 0 and json.loads(out)["params"]["K"] > 1
+    assert calls == [(2, 15, 2), (2, 15, 2)]
+
+
+def test_cli_output_matches_the_golden_bytes():
+    # every operation recorded in perfbench/golden.json, replayed in process as
+    # the benchmark replays it: exit status and stdout bytes must be equal
+    import importlib.util
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    golden = workloads.load_golden()
+    ops = []
+    for workload in (workloads.OracleCode15(), workloads.Construct()):
+        ops += workload.pass_ops(workload.build(1), golden, 1, 0)
+    assert sorted(label for label, _ in ops) == sorted(golden)
+    assert {label: op() for label, op in ops} == dict.fromkeys(golden)

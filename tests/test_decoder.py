@@ -114,7 +114,7 @@ def test_decode_identity_and_phase_only_error():
     b = stabilizer_description()
     phi = codeword(b, (0,) * 7)
     assert decode(phi, b, 1).fidelity(phi) == pytest.approx(1.0, abs=1e-12)
-    phased = phi.scaled(1j)
+    phased = SparseState(phi.group, phi.n, phi.packed, phi.amps * 1j)
     out = decode(phased, b, 1)
     assert out.fidelity(phi) == pytest.approx(1.0, abs=1e-12)
 

@@ -21,7 +21,7 @@ from nonstab.families import (
     unit_vector,
 )
 from nonstab.fourier_code import code_dimension, greedy_construct, verify_distance
-from nonstab.galois import gaussian_binomial
+from nonstab.galois import gaussian_binomial, unpack
 from nonstab.gottesman import forbidden_set, purity_radius, validate
 from nonstab.oracle import kl_check
 
@@ -78,7 +78,7 @@ def test_forbidden_set_matches_closed_form_parts():
 def test_difference_set_avoids_forbidden_parts():
     for n in (5, 7):
         spec, b = distance2_family(n, 2)
-        diffs = b.differences() - {(0,) * n}
+        diffs = set(map(tuple, unpack(b.difference_keys(), 2, n).tolist())) - {(0,) * n}
         for part in closed_form_forbidden_parts(n):
             assert not (diffs & part)
 

@@ -17,6 +17,7 @@ from nonstab.fourier_code import (
     verify_distance,
     weight_lex_indices,
 )
+from nonstab.galois import unpack
 from nonstab.gottesman import (
     GottesmanSpec,
     forbidden_set,
@@ -202,7 +203,8 @@ def test_pure_path_equivalence():
             continue
         description = random_description(rng, spec)
         fd = forbidden_set(spec, d)
-        pure_path = not (description.differences() & fd.members)
+        differences = set(map(tuple, unpack(description.difference_keys(), spec.q, spec.r).tolist()))
+        pure_path = not (differences & fd.members)
         assert verify_distance(description, d).passed == pure_path
 
 

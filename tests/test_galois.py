@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 from nonstab.galois import (
     PrimeField,
+    _digit,
     error_sphere_count,
     gaussian_binomial,
     is_prime,
     linear_solve,
+    pack,
+    places,
+    unique_keys,
+    unpack,
 )
 
 
@@ -198,3 +203,48 @@ def test_rref_matches_the_row_loop(case):
     assert r.dtype == t.dtype == np.int64
     assert np.array_equal(r, r_ref) and np.array_equal(t, t_ref)
     assert np.array_equal((t @ field.reduce(matrix)) % field.p, r)
+
+
+# (q, width) on both sides of q^width = 2^63, where keys turn from int64 to Python ints
+CODEC_SHAPES = (
+    [(2, w) for w in (1, 2, 7, 62, 63, 64, 65)]
+    + [(3, w) for w in (1, 4, 39, 40, 41)]
+    + [(5, w) for w in (1, 3, 27, 28)]
+)
+
+
+@st.composite
+def digit_rows(draw):
+    """(q, width, rows, values): digit rows and the integers they write in base q."""
+    q, width = draw(st.sampled_from(CODEC_SHAPES))
+    edges = st.sampled_from([0, 1, q - 1, q**width - 1, q ** (width - 1), 2**63 - 1, 2**63])
+    value = (st.integers(0, q**width - 1) | edges).filter(lambda v: v < q**width)
+    values = draw(st.lists(value, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        values.append(values[0])  # a repeated row
+    rows = [[v // q ** (width - 1 - k) % q for k in range(width)] for v in values]
+    return q, width, np.array(rows, dtype=np.int64), values
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(digit_rows())
+def test_packed_digit_codec(case):
+    q, width, rows, values = case
+    keys = pack(rows, q)
+    assert keys.dtype == (object if q**width > 2**63 else np.int64)
+    assert [int(k) for k in keys] == values
+    digits = unpack(keys, q, width)
+    assert digits.dtype == np.int64 and np.array_equal(digits, rows)
+    order = sorted(range(len(rows)), key=lambda i: (keys[i], i))
+    assert order == sorted(range(len(rows)), key=lambda i: (rows[i].tolist(), i))
+    place = places(q, width)
+    for k in range(width):
+        assert _digit(keys, place[k], q).tolist() == digits[:, k].tolist()
+    assert unique_keys(keys).tolist() == sorted(set(keys.tolist()))
+
+
+def test_place_table_is_shared_and_read_only():
+    for q, width in CODEC_SHAPES:
+        table = places(q, width)
+        assert table is places(q, width) and not table.flags.writeable
+        assert table.dtype == (object if q**width > 2**63 else np.int64)

@@ -226,7 +226,7 @@ def test_spec_json_roundtrip():
     assert np.array_equal(clone.M, spec.M)
     assert np.array_equal(clone.D, spec.D)
     assert np.array_equal(clone.quad_upper, spec.quad_upper)
-    assert clone.to_json() == spec.to_json()
+    assert clone.to_json_dict() == spec.to_json_dict()
 
 
 def test_spec_shape_validation():

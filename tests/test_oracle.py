@@ -21,6 +21,7 @@ from nonstab.fourier_code import (
     greedy_construct,
     verify_distance,
 )
+from nonstab.galois import unpack
 from nonstab.gottesman import (
     GottesmanSpec,
     bounded_pair_arrays,
@@ -34,7 +35,6 @@ from nonstab.oracle import (
     PRUNE_TOL,
     SparseState,
     _basis_matrix,
-    _digits,
     _gram_witness,
     _reduced_screen,
     _shift_phase,
@@ -67,7 +67,7 @@ def random_state(rng, group, n, support=4):
 
 
 def test_sparse_state_basics():
-    s = SparseState.from_dict(Z2, 2, {(0, 0): 0.6, (1, 1): 0.8})
+    s = SparseState.from_pairs(Z2, 2, [(0, 0), (1, 1)], [0.6, 0.8])
     assert s.norm() == pytest.approx(1.0)
     assert len(s) == 2
     # merging and pruning
@@ -274,7 +274,7 @@ def test_packed_index_refuses_int64_overflow():
 @functools.lru_cache(maxsize=8)
 def word_digits(q, n):
     """Digit rows of all q^n words, built once per (q, n)."""
-    return _digits(np.arange(q**n), q, n)
+    return unpack(np.arange(q**n), q, n)
 
 
 def weyl_times(operand, x, y, q):
@@ -413,7 +413,7 @@ def test_reduced_screen_clears_only_passing_errors(case):
 
 
 def subgroup_tables(spec):
-    a_rows = _digits(np.arange(spec.q**spec.n), spec.q, spec.n)
+    a_rows = unpack(np.arange(spec.q**spec.n), spec.q, spec.n)
     la, ma = (a_rows @ spec.L.T) % spec.q, (a_rows @ spec.M.T) % spec.q
     return a_rows, la, ma, spec.rho_batch(a_rows)
 
@@ -486,7 +486,7 @@ def maximal_member_sets(draw):
         )
         assert spec.is_maximal() and validate(spec) == []
     indices = draw(st.lists(st.integers(0, q**n - 1), min_size=1, max_size=6, unique=True))
-    rows = _digits(np.array(indices, dtype=np.int64), q, n)
+    rows = unpack(indices, q, n)
     return FourierDescription(spec, frozenset(tuple(int(v) for v in row) for row in rows))
 
 
@@ -515,3 +515,27 @@ def test_reduced_screen_clears_every_error_of_a_passing_code():
         xs, ys = bounded_pair_arrays(spec.q, spec.n, d - 1)
         basis = _basis_matrix(description, GROUP_CAP)
         assert _reduced_screen(basis, spec.q, d - 1, (xs != 0) | (ys != 0), TOL).all()
+
+
+def test_kl_check_builds_the_word_table_only_for_suspects(monkeypatch):
+    from nonstab import oracle
+
+    sizes = []
+    unpack_ = oracle.unpack
+
+    def counted(keys, q, width):
+        sizes.append(len(keys))
+        return unpack_(keys, q, width)
+
+    monkeypatch.setattr(oracle, "unpack", counted)
+    # code15 at d = 3: the screen clears all 990 errors, so no table is built
+    description = code_15_8_3()
+    _basis_matrix(description, GROUP_CAP)
+    sizes.clear()
+    assert kl_check(description, 3).passed and sizes == []
+    # d2 (5, 2) at d = 3: K = 6 exceeds the Singleton bound, so nothing is
+    # screened and the 2^5 x 5 table is built once
+    _, description = distance2_family(5, 2)
+    _basis_matrix(description, GROUP_CAP)
+    sizes.clear()
+    assert not kl_check(description, 3).passed and sizes == [32]

@@ -20,12 +20,10 @@ from nonstab.circuits import (
     simulate,
 )
 from nonstab.families import maximal_form_spec
-from nonstab.galois import linear_solve
+from nonstab.galois import _digit, linear_solve, places
 from nonstab.oracle import (
     PRUNE_TOL,
     SparseState,
-    _digit,
-    _powers,
     apply,
     closed_form_codeword,
     message_coordinates,
@@ -176,7 +174,7 @@ def merged_apply(g, state):
     """`apply` as it was: the digit-wise targets merged by `_canonical`."""
     grp = state.group
     q, p = grp.q, grp.phase_denominator
-    place = _powers(q, state.n)
+    place = places(q, state.n)
     targets = state.packed
     exponents = np.zeros(len(state), dtype=np.int64)
     for k, (a_k, b_k) in enumerate(zip(g.a, g.b)):
