@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import _digit, is_prime, places
+from .galois import _digit, _remainder, is_prime, places
 from .gottesman import GottesmanSpec
 from .oracle import SparseState, _canonical
-from .weyl import prime_group
+from .weyl import prime_group, root_table
 
 GATE_ARITY = {
     "inverter": 1,
@@ -87,32 +87,39 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
     """Apply the circuit's gates in order; exact and norm-preserving.
 
     Gates read their operand digits from the packed word indices and write
-    a changed digit back by adding (new - old) times its place value.
+    a changed digit back by adding (new - old) times its place value.  The
+    digits of every register read so far are kept, entry by entry with the
+    support: a gate that writes a register keeps the new digit it computed,
+    and a Fourier gate, which changes the support, drops them all.
     """
     group = prime_group(circuit.q)
     if state.group != group or state.n != circuit.registers:
         raise ValueError("input state does not match the circuit's registers")
     q = circuit.q
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    roots = root_table(q)
     place = places(q, circuit.registers)
     packed, amps = state.packed, state.amps
+    known: dict = {}  # register -> its digit in each entry of `packed`
     for gate in circuit.gates:
         ops = gate.operands
-        digits = [_digit(packed, place[r], q) for r in ops]
+        for r in ops:
+            if r not in known:
+                known[r] = _digit(packed, place[r], q)
+        digits = [known[r] for r in ops]
         if gate.kind == "inverter":
             (old,) = digits
-            packed = packed + ((-old) % q - old) * place[ops[0]]
+            new = _remainder(-old, q)
         elif gate.kind == "c-u":
             src, old = digits
-            packed = packed + ((old + src) % q - old) * place[ops[1]]
+            new = _remainder(old + src, q)
         elif gate.kind == "c-v":
-            amps = amps * roots[(digits[0] * digits[1]) % q]
+            amps = amps * roots[_remainder(digits[0] * digits[1], q)]
         elif gate.kind == "cc-u":
             a, b, old = digits
-            packed = packed + ((old + a * b) % q - old) * place[ops[2]]
+            new = _remainder(old + a * b, q)
         elif gate.kind == "cc-v":
             a, b, c = digits
-            amps = amps * roots[(c + a * b) % q]
+            amps = amps * roots[_remainder(c + a * b, q)]
         elif gate.kind == "prepare-zero":
             if np.any(digits[0]):
                 raise ValueError(f"prepare-zero on register {ops[0]}: digit not |0>")
@@ -120,8 +127,12 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
             old = np.repeat(digits[0], q)
             new = np.tile(np.arange(q, dtype=np.int64), len(packed))
             packed = np.repeat(packed, q) + (new - old) * place[ops[0]]
-            amps = np.repeat(amps, q) * roots[(old * new) % q] / np.sqrt(q)
+            amps = np.repeat(amps, q) * roots[_remainder(old * new, q)] / np.sqrt(q)
             packed, amps = _canonical(packed, amps)
+            known.clear()
+        if gate.kind in ("inverter", "c-u", "cc-u"):  # they write their last operand
+            packed = packed + (new - old) * place[ops[-1]]
+            known[ops[-1]] = new
     return SparseState._from_packed(group, circuit.registers, packed, amps)
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import _digit, error_sphere_count, pack, places, unique_keys, unpack
+from .galois import _digit, _remainder, error_sphere_count, pack, places, unique_keys, unpack
 from .gottesman import (
     GottesmanSpec,
     _forbidden_keys,
@@ -210,9 +210,10 @@ def greedy_construct(
     One enumeration of the error sphere gives both: the spec is d-pure
     when no pair has a zero syndrome shift, and X is the set of shifts of
     the pairs outside the image.  The walk runs on packed keys over a
-    boolean alive-array of all q^r indices, which `cap` bounds before
-    anything is built: each pick u clears the keys of u - X for the whole
-    forbidden array X at once.
+    boolean alive-array of all q^r indices in walk order, which `cap`
+    bounds before anything is built: each pick u clears the keys of u - X
+    for the whole forbidden array X at once, and `argmax` over the rest of
+    the array finds the next alive key.
     """
     q, r = spec.q, spec.r
     check_size("character space", spec.size, cap)
@@ -232,14 +233,19 @@ def greedy_construct(
         keys = pack(rows, q)
         if len(unique_keys(keys)) != spec.size:
             raise ValueError("order must enumerate all of GF(q)^r")
+    position = np.empty(spec.size, dtype=np.int64)  # of each key in the walk
+    position[keys] = np.arange(spec.size)
     alive = np.ones(spec.size, dtype=bool)
     picked = []
-    for u in keys.tolist():
-        if not alive[u]:
-            continue
+    at = 0
+    while True:
+        u = int(keys[at])
         picked.append(u)
-        alive[u] = False
-        alive[pack((unpack([u], q, r) - forbidden_rows) % q, q)] = False
+        alive[at] = False
+        alive[position[pack(_remainder(unpack([u], q, r) - forbidden_rows, q), q)]] = False
+        at += int(np.argmax(alive[at:]))  # a dead position only when none is left
+        if not alive[at]:
+            break
     rows = unpack(np.array(picked, dtype=np.int64), q, r)
     return FourierDescription(spec, frozenset(map(tuple, rows.tolist())))
 

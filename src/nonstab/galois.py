@@ -196,16 +196,53 @@ def unpack(keys, q: int, width: int) -> np.ndarray:
     return digits.astype(np.int64, copy=False)
 
 
-def _digit(keys: np.ndarray, place, q: int) -> np.ndarray:
-    """The digit of place value `place` in each key: keys // place % q.
+def _remainder(x, q: int):
+    """x mod q for an integer array x, as x - (x // q) q: equal to x % q for every sign.
 
-    The remainder is taken as x - q (x // q), since numpy divides by a scalar
-    several times faster than it takes a remainder.  Keys are >= 0.  Private,
-    so that `perfbench/tracing.py`, which wraps every public function here,
-    does not time each digit read of `apply` and `simulate`.
+    numpy divides an int64 array by a scalar several times faster than it
+    takes a remainder, and `//` is floor division, so the two agree on
+    negative entries too.  Private, so that `perfbench/tracing.py`, which
+    wraps every public function here, does not time each call from `apply`
+    and `simulate`.
     """
-    quotient = keys // place
-    return quotient - quotient // q * q
+    out = np.floor_divide(x, q)
+    out *= q
+    return np.subtract(x, out, out=out)
+
+
+PRODUCT_ROWS = 1024  # rows of `a` that `_exact_product` multiplies at once
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for int64 matrices, formed as float64 BLAS products where that is exact.
+
+    numpy multiplies int64 matrices without BLAS, several times slower.  Every
+    term and every partial sum of an entry is an integer of modulus at most
+    max|a| max|b| times the inner size.  Below 2^53 each of them is a float64
+    exactly, whatever order BLAS sums in, so the cast back gives the int64
+    product bit for bit; on tables of digits that bound is far below 2^53.
+    Beyond it the int64 product is formed instead.  The rows of `a` go
+    through in blocks of PRODUCT_ROWS, so that the float copies stay small
+    next to the int64 result and peak memory stays that of `a @ b`.
+    """
+    if _modulus(a) * _modulus(b) * a.shape[1] >= 2**53:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]), dtype=np.int64)
+    b = b.astype(np.float64)
+    for start in range(0, len(a), PRODUCT_ROWS):
+        block = slice(start, start + PRODUCT_ROWS)
+        out[block] = a[block].astype(np.float64) @ b
+    return out
+
+
+def _modulus(a: np.ndarray) -> int:
+    """max |a| over the entries of an integer array, 0 when it is empty."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _digit(keys: np.ndarray, place, q: int) -> np.ndarray:
+    """The digit of place value `place` in each key: keys // place mod q."""
+    return _remainder(keys // place, q)
 
 
 def unique_keys(keys) -> np.ndarray:

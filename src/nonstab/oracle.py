@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fourier_code import FourierDescription, Report, projection_coefficients
-from .galois import _digit, pack, places, unpack
+from .galois import _exact_product, _remainder, pack, unpack
 from .gottesman import GottesmanSpec, bounded_pair_arrays
 from .weyl import (
     DENSE_MATRIX_CAP,
@@ -149,33 +149,61 @@ class SparseState:
         return out
 
 
+CHUNK_VALUES = 256  # `apply` reads the digits of a key in chunks of at most this many values
+
+
+@lru_cache(maxsize=None)
+def _chunk_digits(q: int) -> np.ndarray:
+    """Digit rows of every value of a full chunk, the most digits c with
+    q^c <= CHUNK_VALUES (at least one), in key order (read-only)."""
+    width = 1
+    while q ** (width + 1) <= CHUNK_VALUES:
+        width += 1
+    digits = unpack(np.arange(q**width), q, width)
+    digits.setflags(write=False)
+    return digits
+
+
 def apply(g: WeylElement, state: SparseState) -> SparseState:
     """Monomial action of w^phase U_a V_b: shift by a, multiply by <b, x>.
 
-    Only the digits in the support of (a, b) are read from the packed
-    indices: a shifted digit adds (new - old) times its place value to the
-    index, and the phase exponent b . x sums over the same digits.  The
-    element permutes words, so no two targets meet: one argsort orders
-    them, and adding 0.0 turns -0.0 into +0.0 as the merge of `_canonical`
-    does, so that the amplitude bits are the same.
+    The packed indices are read one chunk of digits at a time, and only in
+    the chunks where (a, b) is nonzero: one division reads the chunk value,
+    and two tables over the chunk's values, built from the cached digit rows
+    of `_chunk_digits`, give the change of the index under the shift and the
+    chunk's part of the phase exponent b . x.  The element permutes words,
+    so no two targets meet: one argsort orders them (a stable one, which is
+    the same permutation on unique keys and is faster on the long ascending
+    runs that a shift leaves), and adding 0.0 turns -0.0 into +0.0 as the
+    merge of `_canonical` does, so that the amplitude bits are the same.
     """
     if g.group != state.group or g.n != state.n:
         raise ValueError("element and state act on different word spaces")
     grp = state.group
-    q, p = grp.q, grp.phase_denominator
-    place = places(q, state.n)
+    q, p, n = grp.q, grp.phase_denominator, state.n
+    table = _chunk_digits(q)
+    width = table.shape[1]
     targets = state.packed
     exponents = np.zeros(len(state), dtype=np.int64)
-    for k, (a_k, b_k) in enumerate(zip(g.a, g.b)):
-        if a_k or b_k:
-            digit = _digit(state.packed, place[k], q)
-            if a_k:
-                targets = targets + ((digit + a_k) % q - digit) * place[k]
-            if b_k:
-                exponents += b_k * digit
-    phases = root_table(p)[(g.phase + 2 * exponents) % p]  # <b, x> = w^(2 b.x)
-    order = np.argsort(targets)
-    return SparseState(grp, state.n, *_pruned(targets[order], (state.amps * phases)[order] + 0.0))
+    for hi in range(n, 0, -width):  # the chunk of digits lo .. hi-1
+        lo = max(0, hi - width)
+        a_c, b_c = g.a[lo:hi], g.b[lo:hi]
+        if not (any(a_c) or any(b_c)):
+            continue
+        digits = table[: q ** (hi - lo), width - (hi - lo) :]  # of each chunk value
+        place = q ** (n - hi)
+        # the chunk value: no division for the last chunk, no remainder for the first
+        value = state.packed // place if place > 1 else state.packed
+        if lo:
+            value = _remainder(value, len(digits))
+        if any(a_c):
+            moved = pack(_remainder(digits + a_c, q), q)
+            targets = targets + ((moved - np.arange(len(moved))) * place)[value]
+        if any(b_c):
+            exponents += (digits @ np.array(b_c, dtype=np.int64) * 2)[value]  # <b, x> = w^(2 b.x)
+    phases = root_table(p)[_remainder(exponents + g.phase, p)]
+    order = np.argsort(targets, kind="stable")
+    return SparseState(grp, n, *_pruned(targets[order], (state.amps * phases)[order] + 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +215,8 @@ def _spec_tables(spec: GottesmanSpec, group_cap: int = GROUP_CAP):
     """(index rows, U-parts, V-parts, phase exponents) for the whole subgroup."""
     check_size("subgroup size", spec.size, group_cap)
     a_rows = unpack(np.arange(spec.size), spec.q, spec.r)
-    la = (a_rows @ spec.L.T) % spec.q
-    ma = (a_rows @ spec.M.T) % spec.q
+    la = _remainder(_exact_product(a_rows, spec.L.T), spec.q)
+    ma = _remainder(_exact_product(a_rows, spec.M.T), spec.q)
     rho = spec.rho_batch(a_rows)
     return a_rows, la, ma, rho
 
@@ -345,7 +373,7 @@ def _closed_form_terms(spec: GottesmanSpec, delta: int):
     """(sum-zero words x, words z = x + delta, w^(z^T Q z)) of the closed form."""
     xs = sum_zero_words(spec.n, spec.q)
     zs = (xs + delta) % spec.q
-    quad = ((zs @ spec.quad_upper) * zs).sum(axis=1) % spec.q
+    quad = (_exact_product(zs, spec.quad_upper) * zs).sum(axis=1) % spec.q
     return xs, zs, root_table(spec.q)[quad]
 
 

@@ -470,3 +470,20 @@ def test_cli_output_matches_the_golden_bytes():
         ops += workload.pass_ops(workload.build(1), golden, 1, 0)
     assert sorted(label for label, _ in ops) == sorted(golden)
     assert {label: op() for label, op in ops} == dict.fromkeys(golden)
+
+
+def test_encode_and_decode_sim_match_the_pinned_bytes(capsys, tmp_path):
+    # tests/sim_golden.json holds the exit status and stdout of encode-sim and
+    # decode-sim on code15 and d2 n=7 q=3, captured in process before the
+    # chunked Weyl action: two messages each, errors of weight 0 and 1 and one
+    # weight-2 error that code15 cannot correct.  Nothing rewrites the file.
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).resolve().parent / "sim_golden.json").read_text())
+    paths = {}
+    for label, argv in pins["bundles"].items():
+        paths[label] = tmp_path / f"{len(paths)}.json"
+        paths[label].write_text(run(capsys, "family", *argv)[1])
+    for case in pins["cases"]:
+        got = run(capsys, *case["argv"], "--in", str(paths[case["bundle"]]))
+        assert got == (case["exit"], case["stdout"]), case["argv"]

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonstab.galois import (
+    PRODUCT_ROWS,
     PrimeField,
     _digit,
+    _exact_product,
+    _remainder,
     error_sphere_count,
     gaussian_binomial,
     is_prime,
@@ -248,3 +251,27 @@ def test_place_table_is_shared_and_read_only():
         table = places(q, width)
         assert table is places(q, width) and not table.flags.writeable
         assert table.dtype == (object if q**width > 2**63 else np.int64)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.booleans(),
+       st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-20, 20), min_size=1, max_size=40))
+def test_remainder_equals_the_modulo_operator(q, double, values):
+    # x - (x // q) q is x % q for every sign, since // floors
+    modulus = 2 * q if double else q
+    x = np.array(values, dtype=np.int64)
+    out = _remainder(x, modulus)
+    assert out.dtype == np.int64 and out.tolist() == (x % modulus).tolist()
+    assert x.tolist() == values  # the input is left alone
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([1, 5, PRODUCT_ROWS, 3 * PRODUCT_ROWS + 3]), st.integers(4, 16),
+       st.sampled_from([2, 5, 2**20, 2**28]), st.integers(0, 2**32 - 1))
+def test_exact_product_equals_the_int64_product(rows, inner, bound, seed):
+    # float64 blocks while the partial sums stay below 2^53, int64 beyond
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-bound + 1, bound, (rows, inner))
+    b = rng.integers(-bound + 1, bound, (inner, 8))
+    out = _exact_product(a, b)
+    assert out.dtype == np.int64 and np.array_equal(out, a @ b)

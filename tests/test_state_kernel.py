@@ -19,7 +19,7 @@ from nonstab.circuits import (
     message_state,
     simulate,
 )
-from nonstab.families import maximal_form_spec
+from nonstab.families import code_15_8_3, maximal_form_spec
 from nonstab.galois import _digit, linear_solve, places
 from nonstab.oracle import (
     PRUNE_TOL,
@@ -32,6 +32,9 @@ from nonstab.oracle import (
 from nonstab.weyl import WeylElement, prime_group, root_table
 
 QS = (2, 3, 5)
+# the most digits drawn for each q: keys then span two chunks of `apply`
+# (8 digits of 2, 5 of 3, 3 of 5 in a chunk)
+MAX_DIGITS = {2: 12, 3: 8, 5: 6}
 
 
 def reference_state(q, n, words, amps):
@@ -116,7 +119,7 @@ def outcome(fn, *args):
 def states(draw, q=None, n=None):
     """A state from 1 to 12 random rows; rows may repeat and amplitudes cancel."""
     q = draw(st.sampled_from(QS)) if q is None else q
-    n = draw(st.integers(1, 5)) if n is None else n
+    n = draw(st.integers(1, MAX_DIGITS[q])) if n is None else n
     rows = draw(st.integers(1, 12))
     digit = st.just(0) | st.integers(0, q - 1)  # zero-heavy, so prepare-zero often passes
     words = draw(st.lists(st.lists(digit, min_size=n, max_size=n),
@@ -140,20 +143,47 @@ def apply_cases(draw):
     return draw(elements(state.group.q, n)), state
 
 
-@st.composite
-def circuit_cases(draw):
-    q = draw(st.sampled_from(QS))
-    registers = draw(st.integers(1, 5))
-    # prepare-zero once, every other kind twice: most circuits run to the end
+def random_gates(draw, registers, count):
+    """`count` random gates; prepare-zero once, every other kind twice in the draw,
+    so that most circuits run to the end."""
     kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= registers]
     kinds += [kind for kind in kinds if kind != "prepare-zero"]
     gates = []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(count):
         kind = draw(st.sampled_from(kinds))
         ops = draw(st.permutations(range(registers)))[: GATE_ARITY[kind]]
         gates.append(Gate(kind, tuple(ops)))
+    return gates
+
+
+@st.composite
+def circuit_cases(draw):
+    q = draw(st.sampled_from(QS))
+    registers = draw(st.integers(1, MAX_DIGITS[q]))
+    gates = random_gates(draw, registers, draw(st.integers(0, 24)))
     n = registers if draw(st.integers(0, 9)) else registers + 1  # sometimes mismatched
     return Circuit(q, registers, tuple(gates)), draw(states(q=q, n=n))
+
+
+@st.composite
+def rewrite_cases(draw):
+    """Circuits that write a register twice between reads of it, with a Fourier
+    gate in the middle, so that a stale or misaligned digit of a register
+    changes the result."""
+    q = draw(st.sampled_from(QS))
+    registers = draw(st.integers(3, MAX_DIGITS[q]))
+    target, src, other = draw(st.permutations(range(registers)))[:3]
+    writes = st.sampled_from([Gate("inverter", (target,)), Gate("c-u", (src, target)),
+                              Gate("cc-u", (src, other, target))])
+    reads = st.sampled_from([Gate("c-v", (target, src)), Gate("cc-v", (src, other, target)),
+                             Gate("c-u", (target, other))])
+    middle = [draw(reads), draw(writes), draw(writes), draw(reads),
+              Gate("fourier", (draw(st.sampled_from([target, src, other])),)),
+              draw(writes), draw(reads), draw(writes), draw(writes), draw(reads)]
+    head = random_gates(draw, registers, draw(st.integers(0, 7)))
+    tail = random_gates(draw, registers, draw(st.integers(0, 7)))
+    gates = head + middle + tail
+    return Circuit(q, registers, tuple(gates)), draw(states(q=q, n=registers))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -166,6 +196,13 @@ def test_apply_matches_word_matrix_reference(case):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(circuit_cases())
 def test_simulate_matches_word_matrix_reference(case):
+    circuit, state = case
+    assert outcome(simulate, circuit, state) == outcome(reference_simulate, circuit, state)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(rewrite_cases())
+def test_simulate_keeps_register_digits_fresh(case):
     circuit, state = case
     assert outcome(simulate, circuit, state) == outcome(reference_simulate, circuit, state)
 
@@ -257,3 +294,22 @@ def test_sum_zero_words_is_built_once_and_read_only():
     words = sum_zero_words(4, 3)
     assert sum_zero_words(4, 3) is words and not words.flags.writeable
     assert words.shape == (27, 4) and not (words.sum(axis=1) % 3).any()
+
+
+def test_code15_encoder_and_generators_match_word_matrix_reference():
+    # the codec round trip's state-vector work at full size: the 60-register
+    # encoder, and the 15 generators that measure the syndrome of its output
+    description = code_15_8_3()
+    spec = description.spec
+    circuit = build_encoder(spec)
+    eye = np.eye(spec.r, dtype=np.int64)
+    for u in description.sorted_members()[::7]:
+        message = message_state(spec, *message_coordinates(spec, u))
+        assert outcome(simulate, circuit, message) == outcome(reference_simulate, circuit, message)
+        data = encoder_output_data(simulate(circuit, message), spec.n)
+        digit = tuple(int(k == 4) for k in range(spec.n))
+        error = WeylElement(spec.group, 0, digit, digit)
+        for state in (data, apply(error, data)):  # clean, and after a weight-1 error
+            for i in range(spec.r):
+                g = spec.element(eye[i])
+                assert outcome(apply, g, state) == outcome(reference_apply, g, state)
