@@ -128,16 +128,6 @@ def distance2_family(n: int, q: int) -> tuple[GottesmanSpec, FourierDescription]
     return spec, description
 
 
-def indicator_vector(subset, n: int) -> tuple:
-    """The 0/1 vector with ones at the 1-based positions in `subset`."""
-    v = np.zeros(n, dtype=np.int64)
-    for label in subset:
-        if not 1 <= label <= n:
-            raise ValueError(f"label {label} outside 1..{n}")
-        v[label - 1] = 1
-    return tuple(v)
-
-
 def code_15_8_3() -> FourierDescription:
     """The ((15, 8, 3)) code from eight subsets of {1..15} with pairwise
     symmetric differences of size 7 or 8."""
@@ -212,19 +202,28 @@ def family_to_b(family: SetFamily, n: int) -> FourierDescription:
 
     Requires the universe to fit in {1..n} and every pairwise symmetric
     difference size to avoid the weights of the distance-3 forbidden set;
-    the first offending pair is reported otherwise.
+    the first offending pair, in `itertools.combinations` order, is reported
+    otherwise.  With I the 0/1 indicator matrix of the members, the sizes
+    are |s_i| + |s_j| - 2 (I I^T)_ij, all from one integer product.
     """
     if family.universe > n:
         raise ValueError(f"universe {family.universe} does not embed in 1..{n}")
     spec = laflamme_spec(n)
-    banned = forbidden_set(spec, 3).weights()
-    for s1, s2 in itertools.combinations(family.members, 2):
-        if len(s1 ^ s2) in banned:
-            raise ValueError(
-                f"symmetric difference of {sorted(s1)} and {sorted(s2)} has "
-                f"banned size {len(s1 ^ s2)}"
-            )
-    members = frozenset(indicator_vector(s, n) for s in family.members)
+    banned = np.array(sorted(forbidden_set(spec, 3).weights()), dtype=np.int64)
+    indicators = np.zeros((len(family), n), dtype=np.int64)
+    for row, s in zip(indicators, family.members):
+        row[[label - 1 for label in s]] = 1
+    sizes = indicators.sum(axis=1)
+    differences = sizes[:, None] + sizes[None, :] - 2 * (indicators @ indicators.T)
+    offending = np.argwhere(np.triu(np.isin(differences, banned), 1))
+    if len(offending):
+        i, j = offending[0]  # argwhere is row-major: combinations order
+        s1, s2 = family.members[i], family.members[j]
+        raise ValueError(
+            f"symmetric difference of {sorted(s1)} and {sorted(s2)} has "
+            f"banned size {differences[i, j]}"
+        )
+    members = frozenset(map(tuple, indicators.tolist()))
     assert len(members) == len(family)
     return FourierDescription(spec, members)
 

@@ -245,6 +245,91 @@ def _digit(keys: np.ndarray, place, q: int) -> np.ndarray:
     return _remainder(keys // place, q)
 
 
+# ----------------------------------------------------------------------
+# Chunks of key digits.  A chunk is the most digits c with q^c <=
+# CHUNK_VALUES (at least one), so that a table over a chunk's values stays
+# small; a key of `width` digits is cut into chunks from its least
+# significant digit, so only the leading chunk may be narrower.
+# ----------------------------------------------------------------------
+
+CHUNK_VALUES = 256  # values that one chunk of key digits spans at most
+
+
+@lru_cache(maxsize=None)
+def _chunk_digits(q: int) -> np.ndarray:
+    """Digit rows of every value of a full chunk, in key order (read-only)."""
+    width = 1
+    while q ** (width + 1) <= CHUNK_VALUES:
+        width += 1
+    digits = unpack(np.arange(q**width), q, width)
+    digits.setflags(write=False)
+    return digits
+
+
+@lru_cache(maxsize=None)
+def _chunk_layout(q: int, width: int) -> tuple:
+    """(place value, number of values) of each chunk of a `width`-digit key,
+    leading chunk first."""
+    chunk = _chunk_digits(q).shape[1]
+    layout = [(q ** (width - hi), q ** min(chunk, hi)) for hi in range(width, 0, -chunk)]
+    return tuple(reversed(layout))
+
+
+def _chunk_values(keys, q: int, width: int) -> list:
+    """The chunk values of packed keys, one int64 array per chunk of `_chunk_layout`."""
+    keys = np.asarray(keys)
+    return [
+        np.asarray(_digit(keys, place, size), dtype=np.int64)
+        for place, size in _chunk_layout(q, width)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _difference_table(q: int) -> np.ndarray:
+    """Entry [a, b]: the chunk-local key of (a - b) mod q digitwise, over the
+    values a, b of a full chunk (uint8, read-only; q <= CHUNK_VALUES).
+
+    A narrower chunk's values index it too: their missing leading digits are
+    0 in both, and 0 - 0 adds nothing.  Built one digit at a time, Horner
+    style, so no q^c x q^c x c array is made.
+    """
+    digits = _chunk_digits(q).astype(np.int16)
+    table = np.zeros((len(digits), len(digits)), dtype=np.int16)
+    for column in digits.T:
+        table *= q
+        table += _remainder(column[:, None] - column[None, :], q)
+    table = table.astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+def _key_differences(a_chunks: list, b_chunks: list, q: int, width: int) -> np.ndarray:
+    """Packed keys of (a - b) mod q digitwise for every a against every b.
+
+    a and b are given by their chunk values (`_chunk_values`), each a scalar
+    or a 1-d array per chunk, and the keys come out with shape a.shape +
+    b.shape.  Each chunk costs one row lookup in `_difference_table` and
+    one gather along the rows (several times faster than indexing it with
+    two broadcast arrays), or one remainder when q > CHUNK_VALUES, where a
+    chunk is one digit and a table would have q^2 entries.  The keys are
+    accumulated leading chunk first, Horner style, in the dtype of
+    `places(q, width)`, so that keys beyond int64 stay exact.
+    """
+    dtype = places(q, width).dtype
+    out = np.zeros((), dtype=dtype)  # the key of every vector of width 0
+    for k, ((_, size), a, b) in enumerate(zip(_chunk_layout(q, width), a_chunks, b_chunks)):
+        if q > CHUNK_VALUES:
+            diff = _remainder(np.subtract.outer(a, b), q)
+        else:
+            diff = _difference_table(q)[a].take(b, axis=-1)
+        if k:
+            out *= size
+            out += diff
+        else:
+            out = diff.astype(dtype)
+    return out
+
+
 def unique_keys(keys) -> np.ndarray:
     """Sorted unique keys, flattened.
 

@@ -29,7 +29,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import PrimeField, pack, unique_keys, unpack
+from .galois import (
+    PRODUCT_ROWS,
+    PrimeField,
+    _exact_product,
+    _remainder,
+    pack,
+    places,
+    unique_keys,
+    unpack,
+)
 from .weyl import ENUMERATION_CAP, AlphabetGroup, WeylElement, bounded_pairs, prime_group
 
 
@@ -155,7 +164,8 @@ class GottesmanSpec:
         return int(a @ self.D @ a) % self.phase_denominator
 
     def rho_batch(self, a_rows: np.ndarray) -> np.ndarray:
-        return ((a_rows @ self.D) * a_rows).sum(axis=1) % self.phase_denominator
+        """Phase exponents a^T D a mod 2q of the rows of an int64 array."""
+        return (_exact_product(a_rows, self.D) * a_rows).sum(axis=1) % self.phase_denominator
 
     def element(self, a) -> WeylElement:
         """The group element s_a = w^rho(a) U_{La} V_{Ma}."""
@@ -322,20 +332,41 @@ def bounded_pair_arrays(q: int, n: int, w: int, cap: int = ENUMERATION_CAP):
     return bounded_pairs(q, n, w, cap)
 
 
-def _split_sphere(spec: GottesmanSpec, w: int, cap: int):
-    """The pairs (x, y) with 1 <= wt <= w and their solves of [L; M] a = [x; y].
+def _sphere(spec: GottesmanSpec, w: int, cap: int):
+    """One pass over the pairs (x, y) with 1 <= wt <= w, in canonical order.
 
-    One enumeration and one reduction of [L; M]: returns (xs, ys, in_image,
-    solutions), where row i of `solutions` solves the system for pair i
-    wherever `in_image[i]`.  Nothing is kept after the call.
+    Returns (xs, ys, in_image, members, shift_keys): the pairs, whether each
+    is (La, Ma) for some a, the solutions a of the pairs in the image (one
+    row each, in pair order), and the packed keys (`galois.pack`) of every
+    pair's syndrome shift M^T x - L^T y.
+
+    With T the transform of the reduction of [L; M] (T [L; M] in RREF), a
+    pair is in the image exactly when T [x; y] mod q vanishes below the
+    rank, and then its first entries are the pivot coordinates of the
+    solution.  Solve and shift are both linear in [x; y], so one exact
+    product [x y] [T^T | [M; -L]] gives both.  It runs over blocks of
+    PRODUCT_ROWS pairs, and each block keeps only what callers read, so no
+    N x (2n + r) image is ever held.
     """
-    xs, ys = bounded_pair_arrays(spec.q, spec.n, w, cap=cap)
+    q, n, r = spec.q, spec.n, spec.r
+    xs, ys = bounded_pair_arrays(q, n, w, cap=cap)
     _, pivots, transform = spec.field.rref(np.vstack([spec.L, spec.M]))
-    reduced = (transform @ np.hstack([xs, ys]).T) % spec.q
-    in_image = ~np.any(reduced[len(pivots) :, :], axis=0)
-    solutions = np.zeros((spec.r, xs.shape[0]), dtype=np.int64)
-    solutions[pivots, :] = reduced[: len(pivots), :]
-    return xs, ys, in_image, solutions.T
+    rank = len(pivots)
+    operator = np.hstack([transform.T, np.vstack([spec.M, -spec.L])])
+    in_image = np.empty(len(xs), dtype=bool)
+    shift_keys = np.empty(len(xs), dtype=places(q, r).dtype)
+    solved = [np.empty((0, rank), dtype=np.int64)]
+    for start in range(0, len(xs), PRODUCT_ROWS):
+        block = slice(start, start + PRODUCT_ROWS)
+        image = _remainder(_exact_product(np.hstack([xs[block], ys[block]]), operator), q)
+        inside = ~image[:, rank : 2 * n].any(axis=1)
+        in_image[block] = inside
+        solved.append(image[inside, :rank])
+        shift_keys[block] = pack(image[:, 2 * n :], q)
+    solved = np.vstack(solved)
+    members = np.zeros((len(solved), r), dtype=np.int64)
+    members[:, pivots] = solved
+    return xs, ys, in_image, members, shift_keys
 
 
 def syndrome_shifts(spec: GottesmanSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -348,13 +379,13 @@ def syndrome_shifts(spec: GottesmanSpec, xs: np.ndarray, ys: np.ndarray) -> np.n
     return (xs @ spec.M - ys @ spec.L) % spec.q
 
 
-def _forbidden_keys(spec: GottesmanSpec, shifts: np.ndarray, in_image: np.ndarray) -> np.ndarray:
-    """Sorted unique keys of the syndrome shifts of the pairs outside the image.
+def _forbidden_keys(shift_keys: np.ndarray, in_image: np.ndarray) -> np.ndarray:
+    """Sorted unique syndrome shift keys (`_sphere`) of the pairs outside the image.
 
     The pairs outside the image are closed under negation, so these are
     also the keys of L^T y - M^T x over them, the forbidden indices.
     """
-    return unique_keys(pack(shifts[~in_image], spec.q))
+    return unique_keys(shift_keys[~in_image])
 
 
 def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) -> int | None:
@@ -383,9 +414,8 @@ def forbidden_set(spec: GottesmanSpec, d: int, cap: int = ENUMERATION_CAP) -> Fo
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    xs, ys, in_image, _ = _split_sphere(spec, min(d - 1, spec.n), cap)
-    keys = _forbidden_keys(spec, syndrome_shifts(spec, xs, ys), in_image)
-    return ForbiddenSet(d, spec.q, spec.r, keys)
+    _, _, in_image, _, shift_keys = _sphere(spec, min(d - 1, spec.n), cap)
+    return ForbiddenSet(d, spec.q, spec.r, _forbidden_keys(shift_keys, in_image))
 
 
 def low_weight_members(
@@ -394,5 +424,5 @@ def low_weight_members(
     """All (a, s_a) whose element has weight in [1, w], in canonical order."""
     if w < 0:
         raise ValueError("w must be >= 0")
-    _, _, in_image, solutions = _split_sphere(spec, min(w, spec.n), cap)
-    return [(tuple(a), spec.element(a)) for a in solutions[in_image].tolist()]
+    members = _sphere(spec, min(w, spec.n), cap)[3]
+    return [(tuple(a), spec.element(a)) for a in members.tolist()]

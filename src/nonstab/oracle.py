@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fourier_code import FourierDescription, Report, projection_coefficients
-from .galois import _exact_product, _remainder, pack, unpack
+from .galois import _chunk_digits, _exact_product, _remainder, pack, unpack
 from .gottesman import GottesmanSpec, bounded_pair_arrays
 from .weyl import (
     DENSE_MATRIX_CAP,
@@ -147,21 +147,6 @@ class SparseState:
         out = np.zeros(dim, dtype=complex)
         out[self.packed] = self.amps
         return out
-
-
-CHUNK_VALUES = 256  # `apply` reads the digits of a key in chunks of at most this many values
-
-
-@lru_cache(maxsize=None)
-def _chunk_digits(q: int) -> np.ndarray:
-    """Digit rows of every value of a full chunk, the most digits c with
-    q^c <= CHUNK_VALUES (at least one), in key order (read-only)."""
-    width = 1
-    while q ** (width + 1) <= CHUNK_VALUES:
-        width += 1
-    digits = unpack(np.arange(q**width), q, width)
-    digits.setflags(write=False)
-    return digits
 
 
 def apply(g: WeylElement, state: SparseState) -> SparseState:

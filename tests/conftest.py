@@ -3,9 +3,15 @@
 import itertools
 
 import numpy as np
+from hypothesis import settings
 
 from nonstab.families import maximal_form_spec
 from nonstab.gottesman import GottesmanSpec, synthesize_phase_matrix, validate
+
+# One profile for every property: the same examples on every run, no
+# per-example deadline, and no example database written to the tree.
+settings.register_profile("nonstab", derandomize=True, deadline=None, database=None)
+settings.load_profile("nonstab")
 
 
 def random_maximal_spec(rng, n, q=2):

@@ -95,6 +95,18 @@ def test_greedy_refuses_a_character_space_beyond_max_sphere(capsys, tmp_path):
     assert code == 2 and captured.err == "error: character space 128 exceeds cap 127\n"
 
 
+def test_verify_refuses_a_difference_set_beyond_max_sphere(capsys, tmp_path):
+    # subspace33 has K = 155, so B - B takes 155^2 = 24,025 pairs; its d = 3
+    # sphere (4,852 pairs) fits the cap, the difference pairs do not
+    path, _ = family_bundle(capsys, tmp_path, "--name", "subspace33")
+    code = main(["verify", "--in", str(path), "--max-sphere", "24024"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: difference pairs 24025 exceeds cap 24024\n"
+    code, out = run(capsys, "verify", "--in", str(path), "--max-sphere", "24025")
+    assert code == 0 and json.loads(out)["pass"]
+
+
 def test_encode_sim_command(capsys, tmp_path):
     path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "2")
     code, out = run(capsys, "encode-sim", "--in", str(path), "--message", "0,0,0,0,1")

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonstab.families import (
     LAFLAMME_15_8_3_SETS,
@@ -162,6 +164,40 @@ def test_family_to_b_rejects_banned_difference():
     too_big = SetFamily(40, (frozenset({40}),))
     with pytest.raises(ValueError, match="does not embed"):
         family_to_b(too_big, 33)
+
+
+def reference_family_to_b(family, n):
+    """The first banned pair by the pairwise loop, or None when there is none."""
+    banned = forbidden_set(laflamme_spec(n), 3).weights()
+    for s1, s2 in itertools.combinations(family.members, 2):
+        if len(s1 ^ s2) in banned:
+            return (f"symmetric difference of {sorted(s1)} and {sorted(s2)} has "
+                    f"banned size {len(s1 ^ s2)}")
+    return None
+
+
+@st.composite
+def set_families(draw):
+    """Distinct random subsets of {1..n} for a Laflamme length n."""
+    n = draw(st.sampled_from([7, 9, 15]))
+    subsets = st.frozensets(st.integers(1, n), max_size=n)
+    members = draw(st.lists(subsets, min_size=1, max_size=12, unique=True))
+    return n, SetFamily(n, tuple(members))
+
+
+@settings(max_examples=80)
+@given(set_families())
+def test_family_to_b_reports_the_first_banned_pair_of_the_loop(case):
+    n, family = case
+    want = reference_family_to_b(family, n)
+    if want is None:
+        got = family_to_b(family, n)
+        indicators = {tuple(int(label in s) for label in range(1, n + 1)) for s in family.members}
+        assert got.members == indicators
+    else:
+        with pytest.raises(ValueError) as exc:
+            family_to_b(family, n)
+        assert str(exc.value) == want
 
 
 def test_puncture_155_family():

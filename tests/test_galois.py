@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonstab.galois import (
+    CHUNK_VALUES,
     PRODUCT_ROWS,
     PrimeField,
+    _chunk_digits,
+    _chunk_values,
+    _difference_table,
     _digit,
     _exact_product,
+    _key_differences,
     _remainder,
     error_sphere_count,
     gaussian_binomial,
@@ -196,7 +201,7 @@ def field_matrices(draw):
     return PrimeField(p), matrix
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(field_matrices())
 def test_rref_matches_the_row_loop(case):
     field, matrix = case
@@ -229,7 +234,7 @@ def digit_rows(draw):
     return q, width, np.array(rows, dtype=np.int64), values
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@settings(max_examples=120)
 @given(digit_rows())
 def test_packed_digit_codec(case):
     q, width, rows, values = case
@@ -253,7 +258,7 @@ def test_place_table_is_shared_and_read_only():
         assert table.dtype == (object if q**width > 2**63 else np.int64)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@settings(max_examples=120)
 @given(st.sampled_from([2, 3, 5, 7]), st.booleans(),
        st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-20, 20), min_size=1, max_size=40))
 def test_remainder_equals_the_modulo_operator(q, double, values):
@@ -265,7 +270,7 @@ def test_remainder_equals_the_modulo_operator(q, double, values):
     assert x.tolist() == values  # the input is left alone
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(st.sampled_from([1, 5, PRODUCT_ROWS, 3 * PRODUCT_ROWS + 3]), st.integers(4, 16),
        st.sampled_from([2, 5, 2**20, 2**28]), st.integers(0, 2**32 - 1))
 def test_exact_product_equals_the_int64_product(rows, inner, bound, seed):
@@ -275,3 +280,54 @@ def test_exact_product_equals_the_int64_product(rows, inner, bound, seed):
     b = rng.integers(-bound + 1, bound, (inner, 8))
     out = _exact_product(a, b)
     assert out.dtype == np.int64 and np.array_equal(out, a @ b)
+
+
+def test_the_hypothesis_profile_is_loaded():
+    # tests/conftest.py registers one profile for every property
+    assert settings.default.derandomize and settings.default.database is None
+    assert settings.default.deadline is None
+
+
+def _widths(q):
+    """Key widths of 1 digit, exactly one chunk, several chunks and beyond int64."""
+    chunk = _chunk_digits(q).shape[1]
+    beyond = next(w for w in range(1, 80) if q**w > 2**63)
+    return (1, chunk, 2 * chunk + 1, 3 * chunk, beyond, beyond + chunk - 1)
+
+
+@st.composite
+def difference_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 257]))
+    width = draw(st.sampled_from(_widths(q)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, q, (draw(st.integers(1, 6)), width))
+    b = rng.integers(0, q, (draw(st.integers(1, 6)), width))
+    if draw(st.booleans()):  # the extreme digits, where a borrow would show
+        a[0], b[-1] = 0, q - 1
+    return q, width, a, b
+
+
+@settings(max_examples=150)
+@given(difference_cases())
+def test_chunked_key_difference_equals_the_digitwise_difference(case):
+    q, width, a, b = case
+    ka, kb = _chunk_values(pack(a, q), q, width), _chunk_values(pack(b, q), q, width)
+    # every a against every b, as difference_keys does
+    out = _key_differences(ka, kb, q, width)
+    want = pack((a[:, None, :] - b[None, :, :]) % q, q)
+    assert out.dtype == want.dtype == (object if q**width > 2**63 else np.int64)
+    assert out.tolist() == want.tolist()
+    # one vector against many, as the greedy walk does
+    first = [int(c[0]) for c in ka]
+    assert _key_differences(first, kb, q, width).tolist() == want[0].tolist()
+
+
+def test_difference_table_is_small_shared_and_read_only():
+    for q in (2, 3, 5, 7, 11, 251):
+        table = _difference_table(q)
+        digits = _chunk_digits(q)
+        assert table is _difference_table(q) and not table.flags.writeable
+        assert table.dtype == np.uint8 and table.shape == (len(digits),) * 2
+        assert len(digits) <= CHUNK_VALUES < q * len(digits)
+        want = pack((digits[:, None, :] - digits[None, :, :]) % q, q)
+        assert np.array_equal(table, want)

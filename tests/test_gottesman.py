@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonstab.families import distance2_family, laflamme_spec
+from nonstab.galois import PRODUCT_ROWS, error_sphere_count, pack
 from nonstab.gottesman import (
     GottesmanSpec,
+    _sphere,
+    bounded_pair_arrays,
     character_exponent,
     forbidden_set,
     low_weight_members,
     purity_radius,
     synthesize_phase_matrix,
+    syndrome_shifts,
     validate,
 )
 from nonstab.weyl import WeylElement, compose, dense_matrix, gamma, phase_value
@@ -306,7 +310,7 @@ def validation_cases(draw):
     return GottesmanSpec(q=q, L=l_mat, M=m_mat, D=d_mat)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(validation_cases())
 def test_validate_matches_the_exhaustive_reference(spec):
     assert validate(spec) == reference_validate(spec)
@@ -333,3 +337,60 @@ def test_validate_reports_every_noncommuting_pair_in_order():
         "generators 0 and 2 do not commute",
     ]
     assert violations == reference_validate(spec)
+
+
+def reference_sphere(spec, w):
+    """The sphere pass as separate int64 products: one solve, one shift."""
+    q = spec.q
+    xs, ys = bounded_pair_arrays(q, spec.n, w)
+    _, pivots, transform = spec.field.rref(np.vstack([spec.L, spec.M]))
+    reduced = (transform @ np.hstack([xs, ys]).T) % q
+    in_image = ~np.any(reduced[len(pivots) :, :], axis=0)
+    solutions = np.zeros((spec.r, len(xs)), dtype=np.int64)
+    solutions[pivots, :] = reduced[: len(pivots), :]
+    shifts = (xs @ spec.M - ys @ spec.L) % q
+    return in_image, solutions.T[in_image], pack(shifts, q)
+
+
+@st.composite
+def sphere_cases(draw):
+    """A random valid spec, maximal or not, and a radius of at most ~20,000 pairs."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, {2: 12, 3: 8, 5: 6}[q]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        spec = random_nonmaximal_spec(rng, n, draw(st.integers(1, n - 1)), q=q)
+    else:
+        spec = random_maximal_spec(rng, n, q=q)
+    radii = [w for w in range(n + 1) if error_sphere_count(n, q, w) <= 20_000]
+    return spec, draw(st.sampled_from(radii))
+
+
+@settings(max_examples=60)
+@given(sphere_cases())
+def test_sphere_pass_equals_the_separate_products(case):
+    spec, w = case
+    xs, ys, in_image, members, shift_keys = _sphere(spec, w, 10**7)
+    want_in_image, want_members, want_keys = reference_sphere(spec, w)
+    assert np.array_equal(xs, bounded_pair_arrays(spec.q, spec.n, w)[0])
+    assert np.array_equal(in_image, want_in_image)
+    assert members.dtype == np.int64 and np.array_equal(members, want_members)
+    assert shift_keys.dtype == want_keys.dtype and np.array_equal(shift_keys, want_keys)
+    assert np.array_equal(shift_keys, pack(syndrome_shifts(spec, xs, ys), spec.q))
+
+
+def test_sphere_pass_spans_several_blocks():
+    # 7 digits over GF(3) at radius 3 are 19,320 pairs, 19 product blocks; the
+    # weight-one-member spec has a pair in the image
+    rng = np.random.default_rng(7)
+    for spec, w in ((random_maximal_spec(rng, 7, q=3), 3), (weight_one_member_spec(), 2)):
+        got = _sphere(spec, w, 10**7)[2:]
+        for have, want in zip(got, reference_sphere(spec, w)):
+            assert np.array_equal(have, want)
+    assert len(bounded_pair_arrays(3, 7, 3)[0]) > 10 * PRODUCT_ROWS
+    # keys beyond int64 come out as exact Python ints, as `pack` gives them
+    spec, _ = distance2_family(65, 2)
+    got = _sphere(spec, 1, 10**7)
+    want = reference_sphere(spec, 1)
+    assert got[4].dtype == object and got[4].tolist() == want[2].tolist()
+    assert np.array_equal(got[2], want[0])

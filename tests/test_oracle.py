@@ -340,7 +340,7 @@ def maximal_descriptions(draw):
     return description, d
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(maximal_descriptions())
 def test_kl_check_matches_per_error_reference(case):
     description, d = case
@@ -402,7 +402,7 @@ def perturbed_bases(draw):
     return basis, q, m, xs, ys, description.sorted_members()
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(perturbed_bases())
 def test_reduced_screen_clears_only_passing_errors(case):
     basis, q, m, xs, ys, members = case
@@ -490,7 +490,7 @@ def maximal_member_sets(draw):
     return FourierDescription(spec, frozenset(tuple(int(v) for v in row) for row in rows))
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@settings(max_examples=50)
 @given(maximal_member_sets())
 def test_projected_basis_is_bit_equal_to_the_per_member_projection(description):
     assert_basis_matches_reference(description)

@@ -186,21 +186,21 @@ def rewrite_cases(draw):
     return Circuit(q, registers, tuple(gates)), draw(states(q=q, n=registers))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150)
 @given(apply_cases())
 def test_apply_matches_word_matrix_reference(case):
     g, state = case
     assert outcome(apply, g, state) == outcome(reference_apply, g, state)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150)
 @given(circuit_cases())
 def test_simulate_matches_word_matrix_reference(case):
     circuit, state = case
     assert outcome(simulate, circuit, state) == outcome(reference_simulate, circuit, state)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=100)
 @given(rewrite_cases())
 def test_simulate_keeps_register_digits_fresh(case):
     circuit, state = case
@@ -235,7 +235,7 @@ def matched_apply_cases(draw):
     return draw(elements(state.group.q, state.n)), state
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150)
 @given(matched_apply_cases())
 def test_apply_sort_matches_canonical_merge(case):
     # a Weyl element permutes words, so sorting the targets is the whole merge
@@ -262,7 +262,7 @@ def product_form_cases(draw):
     return maximal_form_spec(q, n, upper), sorted(members)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 @given(product_form_cases())
 def test_encoder_matches_closed_form(case):
     spec, members = case
@@ -274,7 +274,7 @@ def test_encoder_matches_closed_form(case):
         assert data.fidelity(closed_form_codeword(spec, u)) >= 1 - 1e-9
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 @given(product_form_cases())
 def test_message_coordinates_match_a_fresh_solve(case):
     # the system is reduced once per spec; each message only changes the rhs

@@ -227,7 +227,7 @@ def reference_bounded_pairs(q, n, w):
                 yield tuple(a), tuple(b)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 7), st.integers(0, 3), st.booleans())
 def test_bounded_enumeration_matches_itertools_reference(q, n, w, refuse):
     w = min(w, n)
