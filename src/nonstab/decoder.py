@@ -43,19 +43,24 @@ def measure_syndrome(state: SparseState, spec: GottesmanSpec) -> Syndrome:
     The state must be a nonzero common eigenvector of every generator;
     inconsistent amplitude ratios (beyond EIGENVALUE_TOL) signal an error outside the
     correctable set and raise DecodingError, as does the zero state.
+    s_{e_i} = w^(D[i, i]) U_{L e_i} V_{M e_i} is read off the spec's
+    columns.  The ratio on the first word is the candidate eigenvalue
+    lambda, and every amplitude must then satisfy
+    |g(w) - lambda phi(w)| <= EIGENVALUE_TOL |phi(w)|, the ratio test
+    without a division over the support.
     """
     if not len(state):
         raise DecodingError("the zero state has no syndrome")
     p = spec.phase_denominator
     exponents = []
-    eye = np.eye(spec.r, dtype=np.int64)
+    bound = EIGENVALUE_TOL * np.abs(state.amps)
     for i in range(spec.r):
-        moved = apply(spec.element(eye[i]), state)
+        generator = WeylElement(spec.group, int(spec.D[i, i]), spec.L[:, i], spec.M[:, i])
+        moved = apply(generator, state)
         if len(moved) != len(state) or np.any(moved.packed != state.packed):
             raise DecodingError(f"state is not an eigenvector of generator {i}")
-        ratios = moved.amps / state.amps
-        ratio = ratios[0]
-        if np.abs(ratios - ratio).max() > EIGENVALUE_TOL:
+        ratio = moved.amps[0] / state.amps[0]
+        if np.any(np.abs(moved.amps - ratio * state.amps) > bound):
             raise DecodingError(f"inconsistent eigenvalue for generator {i}")
         exponent = int(round(np.angle(ratio) * p / (2 * np.pi))) % p
         if abs(ratio - np.exp(2j * np.pi * exponent / p)) > EIGENVALUE_TOL:

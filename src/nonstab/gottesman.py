@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -284,8 +284,7 @@ def validate(spec: GottesmanSpec) -> list[str]:
     if not np.array_equal(g, g.T):
         violations.append("L^T M is not symmetric")
 
-    stacked = np.vstack([spec.L, spec.M])
-    if f.rank(stacked) != r:
+    if len(_image_reduction(spec)[0]) != r:
         violations.append("a -> (La, Ma) is not injective (scalar elements present)")
 
     eyes = np.eye(r, dtype=np.int64)
@@ -332,6 +331,22 @@ def bounded_pair_arrays(q: int, n: int, w: int, cap: int = ENUMERATION_CAP):
     return bounded_pairs(q, n, w, cap)
 
 
+@lru_cache(maxsize=1)
+def _image_reduction(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(pivot columns, T) of the row reduction T [L; M] = R over GF(q), read-only.
+
+    `validate` reads the rank and `_sphere` the transform.  Only the last
+    spec's reduction is kept: it is shared along one call chain, such as
+    the validation and the error sphere of one `verify`, and never read
+    for another spec.
+    """
+    _, pivots, transform = spec.field.rref(np.vstack([spec.L, spec.M]))
+    pivots = np.array(pivots, dtype=np.int64)
+    pivots.setflags(write=False)
+    transform.setflags(write=False)
+    return pivots, transform
+
+
 def _sphere(spec: GottesmanSpec, w: int, cap: int):
     """One pass over the pairs (x, y) with 1 <= wt <= w, in canonical order.
 
@@ -350,7 +365,7 @@ def _sphere(spec: GottesmanSpec, w: int, cap: int):
     """
     q, n, r = spec.q, spec.n, spec.r
     xs, ys = bounded_pair_arrays(q, n, w, cap=cap)
-    _, pivots, transform = spec.field.rref(np.vstack([spec.L, spec.M]))
+    pivots, transform = _image_reduction(spec)
     rank = len(pivots)
     operator = np.hstack([transform.T, np.vstack([spec.M, -spec.L])])
     in_image = np.empty(len(xs), dtype=bool)

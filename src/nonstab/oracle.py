@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier_code import FourierDescription, Report, projection_coefficients
+from .fourier_code import FourierDescription, Report, code_dimension, projection_coefficients
 from .galois import _chunk_digits, _exact_product, _remainder, pack, unpack
 from .gottesman import GottesmanSpec, bounded_pair_arrays
 from .weyl import (
@@ -31,6 +31,7 @@ from .weyl import (
 )
 
 PRUNE_TOL = 1e-14
+VANISHING = 1e-8  # norm below which a projected basis word counts as zero
 BASIS_TOL = 1e-10  # codeword basis against the closed form, and its orthonormality
 
 
@@ -215,40 +216,48 @@ def codeword(description: FourierDescription, u) -> SparseState:
     spec = description.spec
     if tuple(int(v) for v in u) not in description.members:
         raise ValueError("u is not a member of the Fourier description")
+    if not spec.is_maximal():
+        raise ValueError("codeword construction requires a maximal spec")
     column = _projected_basis(spec, [u], GROUP_CAP)[:, 0]
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
 @lru_cache(maxsize=1)
 def _basis_matrix(description: FourierDescription, group_cap: int) -> np.ndarray:
-    """The codeword basis as a read-only q^n x K matrix, one column per sorted member.
+    """The code-space basis of `_projected_basis` as a read-only matrix.
 
-    Its size is checked against DENSE_MATRIX_CAP^2 entries, the budget of a
-    dense projection, before anything is built.  Only the last result is
-    kept, so that `kl_check` and `orthonormality_check` on one description
-    share a build.
+    Its size, q^n rows by the code dimension in columns, is checked against
+    DENSE_MATRIX_CAP^2 entries, the budget of a dense projection, before
+    anything is built.  Only the last result is kept, so that `kl_check` and
+    `orthonormality_check` on one description share a build.
     """
     spec = description.spec
-    check_size("codeword basis entries", spec.q**spec.n * len(description), DENSE_MATRIX_CAP**2)
+    check_size("codeword basis entries", spec.q**spec.n * code_dimension(description), DENSE_MATRIX_CAP**2)
     basis = _projected_basis(spec, description.sorted_members(), group_cap)
     basis.setflags(write=False)
     return basis
 
 
 def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
-    """The codewords of `members` as the columns of a q^n x len(members) matrix.
+    """An orthonormal basis of the code space of `members`, as the columns of a matrix.
 
-    The rank-one character projection of member u is applied to standard
-    basis words in lexicographic order until its image is nonzero; that
-    image, normalized, is u's codeword.  The targets and phases of a word
-    are computed once for every member still waiting for one, and each
-    member then needs only its character column.  When the spec carries a
-    product-form certificate, the closed form is evaluated as an
+    Each column is P_u e_w, normalized, for a member u and a standard basis
+    word w: the least word of a coset w + X(S) of the shifts X(S) = {La} on
+    which the character projection P_u is nonzero.  A maximal spec has one
+    such coset per member, so its columns are its codewords, one per member
+    in the order given; a non-maximal one (`_coset_basis`) has a column for
+    every such coset.
+
+    For a maximal spec, P_u is applied to standard basis words in
+    lexicographic order until its image is nonzero.  The targets and phases
+    of a word are computed once for every member still waiting for one, and
+    each member then needs only its character column.  When the spec
+    carries a product-form certificate, the closed form is evaluated as an
     independent second path and every column must agree with it within
     BASIS_TOL.
     """
     if not spec.is_maximal():
-        raise ValueError("codeword construction requires a maximal spec")
+        return _coset_basis(spec, members, group_cap)
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
     a_rows, la, ma, rho = _spec_tables(spec, group_cap)
@@ -268,7 +277,7 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
             np.add.at(image, targets, roots[(phases - chi) % p])
             image /= spec.size
             norm = np.linalg.norm(image)
-            if norm > 1e-8:
+            if norm > VANISHING:
                 support = np.nonzero(np.abs(image) > PRUNE_TOL)[0]
                 support, amps = _pruned(support, image[support] / norm)
                 basis[support, col] = amps
@@ -279,6 +288,53 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
         raise ValueError("projection vanished on every basis word (invalid spec?)")
     if spec.quad_upper is not None:
         _check_closed_form(spec, members, basis)
+    return basis
+
+
+def _coset_basis(spec: GottesmanSpec, members, group_cap: int):
+    """`_projected_basis` of a non-maximal spec: a column per member u and per
+    coset of X(S) on which P_u is nonzero, member by member, cosets in order.
+
+    With R the reduced row echelon form of L^T, whose k nonzero rows span
+    X(S), subtracting multiples of R's rows can zero a word's digits at the
+    pivots of R without touching an earlier digit.  So the least word of
+    each coset is its one word with zeros at the pivots, and the words of a
+    coset are that word plus the combinations of R's rows, in lexicographic
+    order of the coefficients, which are the pivot digits of the shift.
+
+    s_a e_w = w^rho(a) <Ma, w> e_(w + La), so the amplitude of P_u e_w at
+    w + x is the sum over the elements with La = x of
+    w^rho(a) <Ma, w> conj(chi_u(s_a)) / #S: grouping the elements by shift
+    makes these sums, for every member and every least word, one batched
+    matrix product.  P_u s_a = chi_u(s_a) P_u, so P_u maps the words of one
+    coset to multiples of one vector, supported on the coset: columns of
+    different cosets have disjoint supports, and columns of different
+    members are orthogonal, since P_u P_v = 0.
+    """
+    q, n, p = spec.q, spec.n, spec.phase_denominator
+    unit = p // q
+    a_rows, la, ma, rho = _spec_tables(spec, group_cap)
+    reduced, pivots, _ = spec.field.rref(spec.L.T)
+    k = len(pivots)
+    free = [i for i in range(n) if i not in pivots]
+    least = np.zeros((q ** (n - k), n), dtype=np.int64)
+    least[:, free] = unpack(np.arange(q ** (n - k)), q, n - k)
+    shifts = _remainder(unpack(np.arange(q**k), q, k) @ reduced[:k], q)
+    words = pack(_remainder(least[:, None, :] + shifts, q), q)  # coset by coset
+    by_shift = np.argsort(pack(la[:, pivots], q), kind="stable").reshape(q**k, -1)
+    roots = root_table(p)
+    exponents = _remainder(rho + unit * _exact_product(least, ma.T), p)
+    terms = roots[exponents][:, by_shift].transpose(1, 0, 2)  # shift, least word, element
+    chi = _exact_product(np.array(members, dtype=np.int64), a_rows.T)
+    conj_chi = roots[_remainder(-unit * chi, p)][:, by_shift].transpose(1, 2, 0)
+    images = np.matmul(terms, conj_chi) / spec.size  # shift, least word, member
+    norms = np.linalg.norm(images, axis=0)
+    nonzero = norms > VANISHING  # least word, member
+    if not nonzero.any(axis=0).all():
+        raise ValueError("projection vanished on every basis word (invalid spec?)")
+    member, coset = np.nonzero(nonzero.T)
+    basis = np.zeros((q**n, len(member)), dtype=complex)
+    basis[words[coset].T, np.arange(len(member))] = images[:, coset, member] / norms[coset, member]
     return basis
 
 
@@ -407,7 +463,8 @@ def _gram_witness(basis, moved, members, tol):
 def _projection_witness(projection, moved, trace, tol):
     """The deviation of P g P from phi(g) P, if beyond tol."""
     pgp = projection @ moved
-    deviation = np.abs(pgp - np.trace(pgp) / trace * projection).max()
+    pgp -= np.trace(pgp) / trace * projection  # in place: one dense matrix fewer
+    deviation = np.abs(pgp).max()
     return {"value": float(deviation)} if deviation > tol else None
 
 
@@ -463,6 +520,26 @@ def _reduced_screen(basis, q, m, supports, tol):
     return cleared
 
 
+def _weyl_times(digits, x, y, operand, q):
+    """U_x V_y @ operand on the dense word space, whose digit rows are `digits`."""
+    targets, exponents = _shift_phase(digits, x, y, q)
+    moved = np.zeros_like(operand)
+    moved[targets] = root_table(q)[exponents][:, None] * operand
+    return moved
+
+
+def _scalar_prefix(basis, digits, xs, ys, q, tol) -> int:
+    """How many of the errors, in order, have a Gram G = V^H E V within tol
+    of c I, c = tr G / K', with K' the number of columns of V."""
+    adjoint = basis.conj().T
+    identity = np.eye(basis.shape[1])
+    for count, (x, y) in enumerate(zip(xs, ys)):
+        gram = adjoint @ _weyl_times(digits, x, y, basis, q)
+        if np.abs(gram - np.trace(gram) / len(gram) * identity).max() > tol:
+            return count
+    return len(xs)
+
+
 def kl_check(
     description: FourierDescription,
     d: int,
@@ -472,37 +549,68 @@ def kl_check(
 ) -> Report:
     """Direct check that every error of weight < d is detected.
 
-    For each error g and the codeword basis {phi_u}, the matrix of
-    <phi_u| g |phi_v> must be a constant multiple of the identity within
-    `tol`.  Maximal specs use the explicit codeword basis: `_reduced_screen`
-    clears the errors on the clean (d-1)-subsets of digits, and the rest are
-    checked one at a time, in canonical order, under `tol`.  Non-maximal
-    specs check P g P = phi(g) P on the dense projection, error by error.
+    For each error E and the orthonormal basis V of the code space of
+    `_projected_basis`, the Gram V^H E V must be a constant multiple c I of
+    the identity.  `_reduced_screen` first clears the errors on the clean
+    (d-1)-subsets of digits, and the rest are checked one at a time, in
+    canonical order.
+
+    For a maximal spec the columns of V are the codewords, and
+    `_gram_witness` checks each Gram under `tol`.  For a non-maximal spec
+    the test and its witness stay those of P E P = phi(E) P on the dense
+    projection P = V V^H, within `tol`.  The screen runs at tol / K', with
+    K' the number of columns of V, so that it leaves every Gram it clears
+    within tol / K' of c I; an error passes when its Gram is within
+    tol / (2 K') of c I, c = tr(V^H E V) / K'.  At the first error whose
+    Gram does not, V is released, the dense projection is built, and that
+    error and the ones after it are checked on it by the arithmetic of
+    `_projection_witness`, so that verdicts and witnesses are bit for bit
+    those of that check alone, and V and the dense matrices are never held
+    at once.  The first such error is, but for rounding at the bound, a
+    failure, so the check then returns at once.
+
+    Why the bounds hold: tr(P E P) = tr(V^H E V) and tr P = K', so
+    phi(E) = c, and P E P - c P = V X V^H with X = V^H E V - c I.  Its
+    entry (i, j) is the sum over k, l of V_ik X_kl conj(V_jl), of modulus
+    at most max|X| (sum_k |V_ik|) (sum_l |V_jl|) <= max|X| K' |V_i| |V_j|
+    by Cauchy-Schwarz, where the rows V_i of V have norm at most 1, being
+    the square roots of the diagonal of the projection.  A Gram within
+    tol / K' of c I thus keeps P E P within tol of c P.  The rounding of
+    the two paths, of the order of q^n units of 2^-53, is far inside tol.
+
     `cap` bounds the error enumeration and `group_cap` the subgroup tables;
-    both are checked, like the dense-matrix cap of the projection and the
-    entry cap of the codeword basis, before any state is built.
+    both are checked, like the dense-matrix cap of a non-maximal spec's
+    projection and the entry cap of the basis, before any state is built.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     spec = description.spec
     q, n = spec.q, spec.n
     m = min(d - 1, n)
     xs, ys = bounded_pair_arrays(q, n, m, cap=cap)
     check_size("subgroup size", spec.size, group_cap)
+    members = description.sorted_members()
     maximal = spec.is_maximal()
     if maximal:
-        members = description.sorted_members()
         operand = _basis_matrix(description, group_cap)
-        suspects = ~_reduced_screen(operand, q, m, (xs != 0) | (ys != 0), tol)
+        screen_tol = tol
     else:
-        operand = dense_projection(description)
-        trace = np.trace(operand).real
-        suspects = np.ones(len(xs), dtype=bool)
-    if suspects.any():
+        # not cached, so that it can be released before the dense projection is built
+        check_size("dense dimension", q**n, DENSE_MATRIX_CAP)
+        operand = _projected_basis(spec, members, group_cap)
+        screen_tol = tol / operand.shape[1]
+    suspects = np.flatnonzero(~_reduced_screen(operand, q, m, (xs != 0) | (ys != 0), screen_tol))
+    if suspects.size:
         digits = unpack(np.arange(q**n), q, n)
-    roots = root_table(q)
+    if not maximal and suspects.size:
+        scalar = _scalar_prefix(operand, digits, xs[suspects], ys[suspects], q, screen_tol / 2)
+        suspects = suspects[scalar:]
+        operand = None
+        if suspects.size:
+            operand = dense_projection(description)
+            trace = np.trace(operand).real
     for x, y in zip(xs[suspects], ys[suspects]):
-        targets, exponents = _shift_phase(digits, x, y, q)
-        moved = np.zeros_like(operand)
-        moved[targets] = roots[exponents][:, None] * operand  # g @ operand
+        moved = _weyl_times(digits, x, y, operand, q)
         if maximal:
             found = _gram_witness(operand, moved, members, tol)
         else:
@@ -537,7 +645,9 @@ def dense_projection(description: FourierDescription) -> np.ndarray:
 
 
 def orthonormality_check(description: FourierDescription, group_cap: int = GROUP_CAP) -> Report:
-    """Gram matrix of the codeword basis must be the identity within BASIS_TOL."""
+    """Gram matrix of the codeword basis must be the identity within BASIS_TOL (maximal specs)."""
+    if not description.spec.is_maximal():
+        raise ValueError("codeword construction requires a maximal spec")
     members = description.sorted_members()
     basis = _basis_matrix(description, group_cap)
     gram = basis.conj().T @ basis

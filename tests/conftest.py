@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import settings
 
 from nonstab.families import maximal_form_spec
+from nonstab.galois import PrimeField
 from nonstab.gottesman import GottesmanSpec, synthesize_phase_matrix, validate
 
 # One profile for every property: the same examples on every run, no
@@ -32,6 +33,27 @@ def random_nonmaximal_spec(rng, n, r, q=2):
     l_mat[:r, :] = np.eye(r, dtype=np.int64)
     d_mat = synthesize_phase_matrix(q, l_mat, m_mat)
     spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=d_mat)
+    assert validate(spec) == []
+    return spec
+
+
+def random_stabilizer_spec(rng, n, r, q=2):
+    """A random valid spec with r generators on n digits, L of any rank.
+
+    Each generator (x, z) = (L e_i, M e_i) is drawn from the vectors that
+    commute with those already drawn, x . z' - z . x' = 0 mod q, and kept
+    when it is independent of them.
+    """
+    field = PrimeField(q)
+    rows = np.zeros((0, 2 * n), dtype=np.int64)
+    while len(rows) < r:
+        twisted = np.hstack([rows[:, n:], -rows[:, :n]]) % q
+        free = np.array(field.kernel(twisted) if len(rows) else np.eye(2 * n, dtype=np.int64))
+        grown = np.vstack([rows, rng.integers(0, q, size=len(free)) @ free % q])
+        if field.rank(grown) == len(grown):
+            rows = grown
+    l_mat, m_mat = rows[:, :n].T.copy(), rows[:, n:].T.copy()
+    spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=synthesize_phase_matrix(q, l_mat, m_mat))
     assert validate(spec) == []
     return spec
 

@@ -67,6 +67,27 @@ def test_syndrome_rejects_non_eigenvector():
         measure_syndrome(junk, spec)
 
 
+def test_syndrome_rejects_an_inconsistent_eigenvalue():
+    # one amplitude of a codeword negated: the support is still mapped onto
+    # itself, but the ratio on that word differs from the first word's
+    b = stabilizer_description()
+    phi = codeword(b, (0,) * 7)
+    amps = phi.amps.copy()
+    amps[1] = -amps[1]
+    with pytest.raises(DecodingError, match="inconsistent eigenvalue"):
+        measure_syndrome(SparseState(phi.group, phi.n, phi.packed, amps), b.spec)
+
+
+def test_syndrome_generators_are_the_spec_elements():
+    # measure_syndrome reads s_{e_i} = w^D[i, i] U_{L e_i} V_{M e_i} off the columns
+    from nonstab.families import distance2_spec
+
+    for spec in (laflamme_spec(7), distance2_spec(5, 3), distance2_spec(5, 5)):
+        for i, e_i in enumerate(np.eye(spec.r, dtype=np.int64)):
+            direct = WeylElement(spec.group, int(spec.D[i, i]), spec.L[:, i], spec.M[:, i])
+            assert direct == spec.element(e_i)
+
+
 def test_zero_state_is_not_decodable():
     b = stabilizer_description()
     empty = SparseState.from_pairs(prime_group(2), 7, [[0] * 7], [0.0])

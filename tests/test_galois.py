@@ -331,3 +331,16 @@ def test_difference_table_is_small_shared_and_read_only():
         assert len(digits) <= CHUNK_VALUES < q * len(digits)
         want = pack((digits[:, None, :] - digits[None, :, :]) % q, q)
         assert np.array_equal(table, want)
+
+
+@settings(max_examples=120)
+@given(st.lists(st.integers(0, 40), max_size=60), st.integers(1, 3), st.integers(-3, 2**40))
+def test_unique_keys_marks_dense_keys_and_sorts_the_rest(values, columns, extra):
+    # dense keys (max < count) are marked, the rest sorted: one answer either way
+    rows = len(values) // columns
+    keys = np.array(values[: rows * columns] + [extra], dtype=np.int64)
+    for shaped in (keys[:-1].reshape(rows, columns), keys):
+        got = unique_keys(shaped)
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(set(shaped.ravel().tolist()))
+    assert unique_keys(keys.astype(object)).tolist() == sorted(set(keys.tolist()))

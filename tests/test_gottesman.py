@@ -394,3 +394,28 @@ def test_sphere_pass_spans_several_blocks():
     want = reference_sphere(spec, 1)
     assert got[4].dtype == object and got[4].tolist() == want[2].tolist()
     assert np.array_equal(got[2], want[0])
+
+
+def test_validate_and_the_error_sphere_share_one_reduction(monkeypatch):
+    # [L; M] is reduced once per spec: validate reads its rank and the
+    # error sphere of verify_distance its transform; another spec reduces anew
+    from nonstab import gottesman
+    from nonstab.fourier_code import verify_distance
+    from nonstab.galois import PrimeField
+
+    reductions = []
+    rref = PrimeField.rref
+
+    def counted_rref(self, a):
+        reductions.append(np.asarray(a).shape)
+        return rref(self, a)
+
+    monkeypatch.setattr(PrimeField, "rref", counted_rref)
+    gottesman._image_reduction.cache_clear()
+    spec, description = distance2_family(5, 3)
+    other = laflamme_spec(7)
+    assert validate(spec) == []
+    assert verify_distance(description, 2).passed
+    assert reductions == [(10, 5)]
+    assert validate(other) == [] and reductions == [(10, 5), (14, 7)]
+    assert validate(spec) == [] and reductions == [(10, 5), (14, 7), (10, 5)]

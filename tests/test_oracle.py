@@ -8,9 +8,10 @@ from conftest import (
     random_description,
     random_maximal_spec,
     random_nonmaximal_spec,
+    random_stabilizer_spec,
 )
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from nonstab.families import code_15_8_3, distance2_family, maximal_form_spec
@@ -32,6 +33,7 @@ from nonstab.gottesman import (
     validate,
 )
 from nonstab.oracle import (
+    BASIS_TOL,
     PRUNE_TOL,
     SparseState,
     _basis_matrix,
@@ -539,3 +541,171 @@ def test_kl_check_builds_the_word_table_only_for_suspects(monkeypatch):
     _basis_matrix(description, GROUP_CAP)
     sizes.clear()
     assert not kl_check(description, 3).passed and sizes == [32]
+
+
+def reference_nonmaximal_kl_check(description, d, tol=1e-9):
+    """kl_check on a non-maximal spec as the dense per-error loop: P E P
+    against phi(E) P on the dense projection, one error at a time, in
+    canonical order."""
+    spec = description.spec
+    q, n = spec.q, spec.n
+    xs, ys = bounded_pair_arrays(q, n, min(d - 1, n))
+    projection = dense_projection(description)
+    trace = np.trace(projection).real
+    for x, y in zip(xs, ys):
+        moved, _ = weyl_times(projection, x, y, q)
+        pgp = projection @ moved
+        deviation = np.abs(pgp - np.trace(pgp) / trace * projection).max()
+        if deviation > tol:
+            witness = {"error": {"x": x.tolist(), "y": y.tolist()}, "value": float(deviation)}
+            return Report(False, witness=witness)
+    return Report(True, counts={"errors": int(xs.shape[0])})
+
+
+NONMAXIMAL_DIGITS = {2: (3, 7), 3: (2, 4), 5: (2, 3)}
+
+
+@st.composite
+def nonmaximal_descriptions(draw):
+    """(description, d) over a random spec with r < n and L of any rank: a
+    random description, the single member 0, or the greedy code where the
+    spec is d-pure.  Small draws give many digits and r = n - 1, where
+    more codes pass."""
+    q = draw(st.sampled_from(sorted(NONMAXIMAL_DIGITS)))
+    d = draw(st.sampled_from([2, 3]))
+    low, high = NONMAXIMAL_DIGITS[q]
+    n = high - draw(st.integers(0, high - low))
+    r = n - 1 - draw(st.integers(0, n - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = random_stabilizer_spec(rng, n, r, q)
+    kind = draw(st.sampled_from(["random", "zero", "greedy"]))
+    if kind == "greedy" and purity_radius(spec, d) is None:
+        return greedy_construct(spec, d), d
+    if kind == "random":
+        return random_description(rng, spec), d
+    return FourierDescription(spec, frozenset({(0,) * r})), d
+
+
+def outcome(report):
+    return report.passed, report.counts, report.witness
+
+
+@settings(max_examples=80)
+@given(nonmaximal_descriptions())
+def test_nonmaximal_kl_check_matches_the_dense_per_error_loop(case):
+    description, d = case
+    got = kl_check(description, d)
+    event(f"passed={got.passed}")
+    assert outcome(got) == outcome(reference_nonmaximal_kl_check(description, d))
+
+
+def stabilizer_code(q, x_rows, z_rows):
+    """The description {0} over the stabilizer group whose generators have
+    the given U-parts (x) and V-parts (z), entries taken mod q."""
+    l_mat, m_mat = np.array(x_rows).T % q, np.array(z_rows).T % q
+    spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=synthesize_phase_matrix(q, l_mat, m_mat))
+    assert validate(spec) == []
+    return FourierDescription(spec, frozenset({(0,) * spec.r}))
+
+
+def code_4_2_2(q):
+    """[[4,2,2]]_q: X X X X and Z Z^-1 Z Z^-1."""
+    return stabilizer_code(q, [(1, 1, 1, 1), (0, 0, 0, 0)], [(0, 0, 0, 0), (1, -1, 1, -1)])
+
+
+def code_5_1_3(q):
+    """[[5,1,3]]_q: the cyclic shifts of X Z Z^-1 X^-1 I."""
+    shifts = range(4)
+    return stabilizer_code(
+        q,
+        [np.roll((1, 0, 0, -1, 0), k) for k in shifts],
+        [np.roll((0, 1, -1, 0, 0), k) for k in shifts],
+    )
+
+
+@pytest.mark.parametrize(
+    "code, q, d, errors",
+    [
+        (code_4_2_2, 2, 2, 12),
+        (code_4_2_2, 3, 2, 32),
+        (code_5_1_3, 2, 2, 15),
+        (code_5_1_3, 2, 3, 105),
+        (code_5_1_3, 3, 2, 40),
+        (code_5_1_3, 3, 3, 680),
+    ],
+)
+def test_stabilizer_codes_pass_on_the_screen_alone(monkeypatch, code, q, d, errors):
+    from nonstab import oracle
+
+    description = code(q)
+    expected = reference_nonmaximal_kl_check(description, d)
+    assert expected.passed and expected.counts == {"errors": errors}
+    built = []
+    monkeypatch.setattr(oracle, "dense_projection", built.append)
+    assert outcome(kl_check(description, d)) == outcome(expected)
+    assert built == []  # every error cleared by the reduced matrices
+
+
+def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
+    from nonstab import oracle
+
+    # with the screen and the Gram test both turned away, every error is
+    # checked on the dense projection, which is built once
+    monkeypatch.setattr(
+        oracle, "_reduced_screen", lambda b, q, m, supports, tol: np.zeros(len(supports), bool)
+    )
+    monkeypatch.setattr(oracle, "_scalar_prefix", lambda basis, digits, xs, ys, q, tol: 0)
+    builds = []
+    dense = oracle.dense_projection
+    monkeypatch.setattr(oracle, "dense_projection", lambda b: builds.append(b) or dense(b))
+    rng = np.random.default_rng(1)
+    failing = random_description(rng, random_nonmaximal_spec(rng, 5, 2))
+    for description, d in ((code_5_1_3(2), 3), (code_4_2_2(3), 2), (failing, 2)):
+        builds.clear()
+        expected = reference_nonmaximal_kl_check(description, d)
+        assert outcome(kl_check(description, d)) == outcome(expected)
+        assert len(builds) == 1
+    assert not expected.passed
+
+
+@settings(max_examples=40)
+@given(nonmaximal_descriptions())
+def test_code_space_basis_of_a_nonmaximal_spec(case):
+    description, _ = case
+    _basis_matrix.cache_clear()
+    basis = _basis_matrix(description, GROUP_CAP)
+    assert basis.shape[1] == code_dimension(description)
+    gram = basis.conj().T @ basis
+    assert np.abs(gram - np.eye(len(gram))).max() <= BASIS_TOL
+    np.testing.assert_allclose(
+        basis @ basis.conj().T, dense_projection(description), rtol=0, atol=1e-10
+    )
+
+
+def test_nonmaximal_kl_check_peak_memory():
+    import tracemalloc
+
+    # q = 2, n = 8, r = 3 and a description whose first error fails: the
+    # dense projection is built and that error confirmed on it.  The dense
+    # per-error loop peaked at 5,272,135 bytes here.
+    rng = np.random.default_rng(1)
+    description = random_description(rng, random_nonmaximal_spec(rng, 8, 3))
+    expected = reference_nonmaximal_kl_check(description, 2)
+    assert not expected.passed
+    kl_check(description, 2)  # cached tables built outside the trace
+    _basis_matrix.cache_clear()  # but the basis inside it, as on a first call
+    tracemalloc.start()
+    try:
+        report = kl_check(description, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome(report) == outcome(expected)
+    assert peak <= 5_272_135
+
+
+def test_kl_check_refuses_distance_below_one():
+    _, b = distance2_family(5, 2)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=r"^d must be >= 1$"):
+            kl_check(b, d)
