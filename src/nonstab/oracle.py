@@ -41,8 +41,8 @@ def _shift_phase(words: np.ndarray, x: np.ndarray, y: np.ndarray, q: int):
     Rows broadcast, so one word may meet many (x, y) or many words one (x, y).
     """
     moved = words + x
-    moved %= q  # in place: the word rows are the largest array here
-    return pack(moved, q), np.einsum("...i,...i->...", words, y) % q
+    moved %= q  # in place, not `_remainder`: the word rows are the largest array here
+    return pack(moved, q), _remainder(np.einsum("...i,...i->...", words, y), q)
 
 
 def _canonical(packed: np.ndarray, amps: np.ndarray):
@@ -249,18 +249,21 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
     every such coset.
 
     For a maximal spec, P_u is applied to standard basis words in
-    lexicographic order until its image is nonzero.  The targets and phases
-    of a word are computed once for every member still waiting for one, and
-    each member then needs only its character column.  When the spec
-    carries a product-form certificate, the closed form is evaluated as an
-    independent second path and every column must agree with it within
-    BASIS_TOL.
+    lexicographic order until its image is nonzero.  The characters of every
+    member are one integer product before the first word, and the targets
+    and phases of a word are computed once for every member still waiting
+    for one, so each member then needs only its row of characters.  When
+    the spec carries a product-form certificate, the closed form is
+    evaluated as an independent second path and every column must agree
+    with it within BASIS_TOL.
     """
     if not spec.is_maximal():
         return _coset_basis(spec, members, group_cap)
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
     a_rows, la, ma, rho = _spec_tables(spec, group_cap)
+    chis = _remainder(_exact_product(np.array(members, dtype=np.int64), a_rows.T), q)
+    del a_rows  # released: the word loop reads only the characters
     roots = root_table(p)
     dim = q**n
     basis = np.zeros((dim, len(members)), dtype=complex)
@@ -272,9 +275,8 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
         phases = rho + unit * exponents
         waiting = []
         for col in pending:
-            chi = unit * ((a_rows @ np.array(members[col], dtype=np.int64)) % q)
             image = np.zeros(dim, dtype=complex)
-            np.add.at(image, targets, roots[(phases - chi) % p])
+            np.add.at(image, targets, roots[_remainder(phases - unit * chis[col], p)])
             image /= spec.size
             norm = np.linalg.norm(image)
             if norm > VANISHING:
@@ -352,8 +354,10 @@ def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray) -> None:
     for delta, columns in by_delta.items():
         xs, zs, quad_phase = _closed_form_terms(spec, delta)
         rows = pack(zs, spec.q)
-        for col, c_vec in columns:
-            amps = quad_phase * np.conj(roots[(xs @ c_vec) % spec.q]) / math.sqrt(len(xs))
+        cols, c_vecs = zip(*columns)
+        lins = _remainder(_exact_product(xs, np.column_stack(c_vecs)), spec.q)
+        for col, lin in zip(cols, lins.T):
+            amps = quad_phase * np.conj(roots[lin]) / math.sqrt(len(xs))
             if abs(abs(np.sum(np.conj(basis[rows, col]) * amps)) - 1.0) > BASIS_TOL:
                 raise ValueError("projection-built codeword disagrees with the closed form")
 
@@ -475,13 +479,24 @@ def _reduced_screen(basis, q, m, supports, tol):
     the basis becomes A_T with q^(n-m) rows and q^m K columns, and
     R_T = A_T^H A_T has entries R_T[(a, u), (b, v)] = sum over the words w
     off T of conj(phi_u(a, w)) phi_v(b, w).  It is formed as one real
-    product Z_T^T Z_T of the float view Z_T of A_T, which interleaves the
-    real and imaginary parts of each column, so that BLAS runs a symmetric
-    rank-k update; Re R_T and Im R_T are read from its 2 x 2 blocks as
-    re.re + im.im and re.im - im.re.  T is clean when every block
-    R_T[:, u, :, v] is within eps = tol / (2 q^m) of delta_uv R_T[:, 0, :, 0].
-    An error is cleared when its support, a row of `supports`, lies in a
-    clean T.
+    product Z_T^T Z_T, so that BLAS runs a symmetric rank-k update, of a
+    float view Z_T of A_T with `width` floats per column.  T is clean when
+    every block R_T[:, u, :, v] is within eps = tol / (2 q^m) of
+    delta_uv R_T[:, 0, :, 0].  An error is cleared when its support, a row
+    of `supports`, lies in a clean T.
+
+    With sigma = |Im V|_F, a basis with 6 sigma < eps is real but for
+    rounding (code15's amplitudes are +-2^-7 with imaginary parts below
+    1e-18), and Z_T = Re A_T, one float per column: a quarter of the flops
+    of the interleaved view and half of its copy.  T is then clean at
+    eps - 6 sigma.  Why that is safe: write a column of A_T as
+    c_i = r_i + i s_i, with |c_i| <= 1 and |s_i| <= sigma.  Then
+    |c_i^H c_j - r_i . r_j| <= sigma^2 + 2 sigma <= 3 sigma, so each entry
+    R_T[(a, u), (b, v)] - delta_uv R_T[(a, 0), (b, 0)] of the clean test
+    moves by at most 6 sigma between Re A_T and A_T, and a pass at
+    eps - 6 sigma is a pass at eps.  Otherwise Z_T interleaves the real and
+    imaginary parts of each column, two floats, and Re R_T and Im R_T are
+    read from its 2 x 2 blocks as re.re + im.im and re.im - im.re.
 
     Why eps is safe: an error E supported on T acts as E_T on T's digits,
     and E_T is monomial, with q^m entries of unit modulus at (a, pi(a)).  So
@@ -490,10 +505,11 @@ def _reduced_screen(basis, q, m, supports, tol):
     the same sum over R_T[:, 0, :, 0].  The other tol / 2 covers rounding,
     so a cleared error passes `_gram_witness` at `tol`.  The real product
     sums the very products that the complex one does, only grouped
-    differently, so each entry of R_T differs from A_T^H A_T by rounding
-    alone: at most about q^(n-m) units of 2^-53 times the sum of the
-    moduli of its terms, which is at most 1 for unit columns.  Under the
-    group cap that is below 1e-11, far inside tol / 2.
+    differently, so each entry of R_T differs from A_T^H A_T (or, on the
+    real path, from Re A_T^T Re A_T) by rounding alone: at most about
+    q^(n-m) units of 2^-53 times the sum of the moduli of its terms, which
+    is at most 1 for unit columns.  Under the group cap that is below
+    1e-11, far inside tol / 2.
 
     A code that passes has K <= q^(n - 2m), the quantum Singleton bound.
     Beyond it nothing is screened, and R_T, with q^(2m) K^2 entries, is
@@ -506,16 +522,23 @@ def _reduced_screen(basis, q, m, supports, tol):
         return cleared
     side = q**m
     columns = side * kk
-    tensor = basis.view(np.float64).reshape((q,) * n + (2 * kk,))
+    eps = tol / (2 * side)
+    sigma = np.linalg.norm(basis.imag)
+    if 6 * sigma < eps:  # a real basis but for rounding: Z_T = Re A_T
+        width, eps = 1, eps - 6 * sigma
+        floats = basis.real
+    else:
+        width, floats = 2, basis.view(np.float64)
+    tensor = floats.reshape((q,) * n + (width * kk,))
     identity = np.eye(kk)[:, None, :]
     for subset in itertools.combinations(range(n), m):
         rest = [k for k in range(n) if k not in subset]
-        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, 2 * columns)
-        blocks = (z_t.T @ z_t).reshape(columns, 2, columns, 2)
-        real = blocks[:, 0, :, 0] + blocks[:, 1, :, 1]
-        imag = blocks[:, 0, :, 1] - blocks[:, 1, :, 0]
+        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, width * columns)
+        blocks = (z_t.T @ z_t).reshape(columns, width, columns, width)
+        real = np.trace(blocks, axis1=1, axis2=3)
+        imag = blocks[:, 0, :, -1] - blocks[:, -1, :, 0]  # zero when width is 1
         reduced = (real + 1j * imag).reshape(side, kk, side, kk)
-        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= tol / (2 * side):
+        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= eps:
             cleared |= ~supports[:, rest].any(axis=1)
     return cleared
 

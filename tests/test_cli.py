@@ -484,18 +484,36 @@ def test_cli_output_matches_the_golden_bytes():
     assert {label: op() for label, op in ops} == dict.fromkeys(golden)
 
 
+def replay_pins(capsys, tmp_path, name):
+    """Replay every case of a pin file in tests/: exit status and stdout bytes
+    must be equal.  A bundle is the argv of `family` or a bundle document."""
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).resolve().parent / name).read_text())
+    paths = {}
+    for label, bundle in pins["bundles"].items():
+        paths[label] = tmp_path / f"{len(paths)}.json"
+        text = json.dumps(bundle) if isinstance(bundle, dict) else run(capsys, "family", *bundle)[1]
+        paths[label].write_text(text)
+    for case in pins["cases"]:
+        got = run(capsys, *case["argv"], "--in", str(paths[case["bundle"]]))
+        assert got == (case["exit"], case["stdout"]), (case["bundle"], case["argv"])
+
+
 def test_encode_and_decode_sim_match_the_pinned_bytes(capsys, tmp_path):
     # tests/sim_golden.json holds the exit status and stdout of encode-sim and
     # decode-sim on code15 and d2 n=7 q=3, captured in process before the
     # chunked Weyl action: two messages each, errors of weight 0 and 1 and one
     # weight-2 error that code15 cannot correct.  Nothing rewrites the file.
-    from pathlib import Path
+    replay_pins(capsys, tmp_path, "sim_golden.json")
 
-    pins = json.loads((Path(__file__).resolve().parent / "sim_golden.json").read_text())
-    paths = {}
-    for label, argv in pins["bundles"].items():
-        paths[label] = tmp_path / f"{len(paths)}.json"
-        paths[label].write_text(run(capsys, "family", *argv)[1])
-    for case in pins["cases"]:
-        got = run(capsys, *case["argv"], "--in", str(paths[case["bundle"]]))
-        assert got == (case["exit"], case["stdout"]), case["argv"]
+
+def test_failing_oracle_runs_match_the_pinned_bytes(capsys, tmp_path):
+    # tests/oracle_golden.json holds the exit status and stdout of failing
+    # `oracle` runs, witness floats included, captured in process before the
+    # screen learned to drop the imaginary part of a real basis: code15 at
+    # d = 4 and 5, d2 n=5 q=2 at d = 3 (K above the Singleton bound, nothing
+    # screened), d2 n=7 q=3 at d = 3, and two random non-maximal bundles
+    # (seeds 1 and 2 of `random_nonmaximal_spec` and `random_description`).
+    # Nothing rewrites the file.
+    replay_pins(capsys, tmp_path, "oracle_golden.json")

@@ -38,8 +38,10 @@ from nonstab.oracle import (
     SparseState,
     _basis_matrix,
     _gram_witness,
+    _projected_basis,
     _reduced_screen,
     _shift_phase,
+    _spec_tables,
     apply,
     closed_form_codeword,
     codeword,
@@ -383,6 +385,8 @@ def perturbed_bases(draw):
     <phi_u| E |phi_v> moves by about delta, drawn around TOL, and the
     entries of R_T on the m-subsets T around E's support by about
     delta / q^m.  With u = v the diagonal of that Gram spreads instead.
+    delta is real or imaginary: an imaginary one on a q = 2 basis, which is
+    real but for rounding, puts the violation in the imaginary part alone.
     """
     q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
     n = draw(st.integers(*DIGITS_FOR_Q[q]))
@@ -398,7 +402,7 @@ def perturbed_bases(draw):
     basis = codeword_matrix(description)
     u, v = draw(st.integers(0, kk - 1)), draw(st.integers(0, kk - 1))
     e = draw(st.integers(0, len(xs) - 1))
-    delta = TOL * draw(st.floats(0.25, 4.0))
+    delta = TOL * draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, 1j]))
     _, adjoint = weyl_times(basis, xs[e], ys[e], q)
     basis[:, v] += delta * adjoint[:, u]
     return basis, q, m, xs, ys, description.sorted_members()
@@ -504,6 +508,153 @@ def test_projected_basis_advances_past_vanishing_words():
     for description in (distance2_family(5, 3)[1], distance2_family(5, 5)[1]):
         words = assert_basis_matches_reference(description)
         assert min(words) == 0 and max(words) > 0
+
+
+def per_word_projected_basis(spec, members):
+    """The basis of a maximal spec as the word loop built it before the
+    characters were one product: a character column per member and per
+    word, and remainders taken with %."""
+    q, n, p = spec.q, spec.n, spec.phase_denominator
+    unit = p // q
+    a_rows, la, ma, rho = _spec_tables(spec)
+    roots = root_table(p)
+    dim = q**n
+    basis = np.zeros((dim, len(members)), dtype=complex)
+    pending = list(range(len(members)))
+    for word in range(dim):
+        if not pending:
+            break
+        digits = unpack([word], q, n)[0]
+        targets = ((digits + la) % q) @ (q ** np.arange(n - 1, -1, -1))
+        phases = rho + unit * ((ma @ digits) % q)
+        waiting = []
+        for col in pending:
+            chi = unit * ((a_rows @ np.array(members[col], dtype=np.int64)) % q)
+            image = np.zeros(dim, dtype=complex)
+            np.add.at(image, targets, roots[(phases - chi) % p])
+            image /= spec.size
+            norm = np.linalg.norm(image)
+            if norm > 1e-8:
+                support = np.nonzero(np.abs(image) > PRUNE_TOL)[0]
+                amps = image[support] / norm
+                keep = np.abs(amps) > PRUNE_TOL
+                basis[support[keep], col] = amps[keep]
+            else:
+                waiting.append(col)
+        pending = waiting
+    return basis
+
+
+def crosscheck_maximal_descriptions():
+    """Random and greedy descriptions on the maximal shapes (q, n) that the
+    crosscheck benchmark draws, three specs per shape."""
+    rng = np.random.default_rng(1)
+    for q, n in ((2, 6), (2, 7), (3, 4), (3, 5), (5, 3), (5, 4)):
+        for _ in range(3):
+            spec = random_maximal_spec(rng, n, q)
+            yield random_description(rng, spec)
+            if purity_radius(spec, 2) is None:
+                yield greedy_construct(spec, 2)
+
+
+def test_projected_basis_is_bit_equal_to_the_per_word_loop():
+    descriptions = [code_15_8_3(), distance2_family(7, 3)[1], *crosscheck_maximal_descriptions()]
+    for description in descriptions:
+        members = description.sorted_members()
+        got = _projected_basis(description.spec, members, GROUP_CAP)
+        expected = per_word_projected_basis(description.spec, members)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def complex_reduced_screen(basis, q, m, supports, tol):
+    """`_reduced_screen` as it ran on every basis before the real path: R_T
+    from the interleaved float view of A_T, clean within tol / (2 q^m)."""
+    n, kk = supports.shape[1], basis.shape[1]
+    cleared = np.full(len(supports), kk == 1)
+    if kk == 1 or 2 * m > n or kk > q ** (n - 2 * m):
+        return cleared
+    side = q**m
+    columns = side * kk
+    tensor = basis.view(np.float64).reshape((q,) * n + (2 * kk,))
+    identity = np.eye(kk)[:, None, :]
+    for subset in itertools.combinations(range(n), m):
+        rest = [k for k in range(n) if k not in subset]
+        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, 2 * columns)
+        blocks = (z_t.T @ z_t).reshape(columns, 2, columns, 2)
+        real = blocks[:, 0, :, 0] + blocks[:, 1, :, 1]
+        imag = blocks[:, 0, :, 1] - blocks[:, 1, :, 0]
+        reduced = (real + 1j * imag).reshape(side, kk, side, kk)
+        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= tol / (2 * side):
+            cleared |= ~supports[:, rest].any(axis=1)
+    return cleared
+
+
+def error_supports(q, n, m):
+    xs, ys = bounded_pair_arrays(q, n, m)
+    return xs, ys, (xs != 0) | (ys != 0)
+
+
+def test_code15_screen_takes_the_real_path(monkeypatch):
+    from nonstab import oracle
+
+    description = code_15_8_3()
+    basis = _basis_matrix(description, GROUP_CAP)
+    sigma = np.linalg.norm(basis.imag)
+    # all 990 errors of weight <= 2, and 13,059 of the 13,275 of weight <= 3
+    for d, cleared in ((3, 990), (4, 13_059)):
+        m = d - 1
+        assert 6 * sigma < TOL / (2 * 2**m)  # the switch to the real path
+        _, _, supports = error_supports(2, 15, m)
+        mask = _reduced_screen(basis, 2, m, supports, TOL)
+        assert mask.sum() == cleared
+        assert np.array_equal(mask, complex_reduced_screen(basis, 2, m, supports, TOL))
+    # at d = 3 the screen clears all 990 errors, so no error is applied
+    applied = []
+    monkeypatch.setattr(oracle, "_weyl_times", lambda *args: applied.append(args))
+    assert kl_check(description, 3).passed and applied == []
+
+
+def corrupted_greedy_code():
+    """A greedy q = 2, n = 7 code of distance 3 with one member added at a
+    forbidden difference: real but for rounding, and its screen at d = 3
+    clears 126 of the 210 errors."""
+    spec = random_maximal_spec(np.random.default_rng(3), 7, 2)
+    code = greedy_construct(spec, 3)
+    bad = (np.array(code.sorted_members()[0]) + sorted(forbidden_set(spec, 3).members)[0]) % 2
+    return code, FourierDescription(spec, code.members | {tuple(int(v) for v in bad)})
+
+
+def test_a_global_phase_takes_the_complex_path_to_the_same_mask():
+    for description, d in ((code_15_8_3(), 3), (corrupted_greedy_code()[1], 3)):
+        spec = description.spec
+        basis = _basis_matrix(description, GROUP_CAP)
+        _, _, supports = error_supports(spec.q, spec.n, d - 1)
+        turned = basis * np.exp(0.7j)
+        assert 6 * np.linalg.norm(turned.imag) > TOL / (2 * spec.q ** (d - 1))
+        mask = _reduced_screen(basis, spec.q, d - 1, supports, TOL)
+        assert np.array_equal(_reduced_screen(turned, spec.q, d - 1, supports, TOL), mask)
+    assert 0 < mask.sum() == 126 < len(mask)
+
+
+def test_an_imaginary_violation_is_not_cleared():
+    # a real code that passes at d = 3, with column 1 given i delta E^dagger
+    # phi_0 for one error E: <phi_0| E |phi_1> moves by i delta, beyond TOL,
+    # and the imaginary part is far above the switch to the real path
+    code, _ = corrupted_greedy_code()
+    members = code.sorted_members()
+    assert kl_check(code, 3).passed and len(members) == 2
+    xs, ys, supports = error_supports(2, 7, 2)
+    for e in (0, 17, len(xs) - 1):
+        basis = np.array(_basis_matrix(code, GROUP_CAP))
+        _, adjoint = weyl_times(basis, xs[e], ys[e], 2)
+        basis[:, 1] += 2j * TOL * adjoint[:, 0]
+        assert 6 * np.linalg.norm(basis.imag) > TOL / (2 * 2**2)
+        cleared = _reduced_screen(basis, 2, 2, supports, TOL)
+        violated = [
+            i for i, (x, y) in enumerate(zip(xs, ys))
+            if _gram_witness(basis, weyl_times(basis, x, y, 2)[0], members, TOL) is not None
+        ]
+        assert e in violated and not cleared[violated].any()
 
 
 def test_reduced_screen_clears_every_error_of_a_passing_code():
