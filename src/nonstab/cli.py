@@ -88,7 +88,10 @@ def _emit(doc: dict) -> None:
 
 
 def _read_bundle(path: str | None, check_distance: bool = False) -> CodeBundle:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    try:
+        text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    except OSError as exc:
+        raise ValueError(f"cannot read bundle {path}: {exc.strerror}") from None
     try:
         bundle = CodeBundle.from_json_dict(json.loads(text))
     except KeyError as exc:
@@ -133,6 +136,8 @@ def make_family(name: str, args) -> CodeBundle:
             return CodeBundle(families.family_to_b(family, 31), 3, "subspace31")
         return CodeBundle(families.family_to_b(family, 33), 3, "subspace33")
     if name == "alpha-good":
+        if args.attempts < 0:
+            raise SystemExit2(f"--attempts must be >= 0, got {args.attempts}")
         if args.seed is None:
             raise SystemExit2("--seed is required for the randomized alpha-good search")
         found = families.search_alpha_good(args.n, Fraction(args.alpha), args.attempts, args.seed)

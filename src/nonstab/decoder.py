@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier_code import FourierDescription
-from .gottesman import GottesmanSpec, bounded_pair_arrays, syndrome_shifts
+from .galois import _remainder, pack, unpack
+from .gottesman import GottesmanSpec, _sphere
 from .oracle import SparseState, apply
-from .weyl import WeylElement, inverse
+from .weyl import ENUMERATION_CAP, WeylElement, inverse
 
 EIGENVALUE_TOL = 1e-9
 
@@ -77,10 +78,13 @@ def search_error(
 ) -> tuple[WeylElement, tuple]:
     """Find (g, u) with wt(g) <= t matching the syndrome's group equations.
 
-    The identity is tried first; candidate errors are then enumerated in
-    canonical weight order.  The matching character index u is unique, so
-    the first hit is returned.  Raises DecodingError when no candidate of
-    weight <= t solves the equations.
+    The identity is tried first.  The eigenvalue of s_i on g|phi_u> is
+    gamma(s_i, g) chi_u(s_i), so with v read off the syndrome an error
+    (x, y) forces u = v - (M^T x - L^T y): the shift keys of the error
+    sphere (`gottesman._sphere`) give every candidate's u, in canonical
+    weight order, and one membership test against the members' keys finds
+    the first hit.  The matching u is unique.  Raises DecodingError when no
+    candidate of weight <= t solves the equations.
     """
     spec = description.spec
     q, p = spec.q, spec.phase_denominator
@@ -92,22 +96,16 @@ def search_error(
         if stats is not None:
             stats["candidates"] = 1
         return WeylElement.identity(spec.group, spec.n), tuple(map(int, v))
-    checked = 1
-    xs, ys = bounded_pair_arrays(q, spec.n, min(t, spec.n))
-    # the eigenvalue of s_i on g|phi_u> is gamma(s_i, g) chi_u(s_i), so the
-    # candidate error (x, y) forces u = v - (M^T x - L^T y)
-    candidates = (v - syndrome_shifts(spec, xs, ys)) % q
-    for idx in range(xs.shape[0]):
-        checked += 1
-        u = tuple(map(int, candidates[idx]))
-        if u in description.members:
-            if stats is not None:
-                stats["candidates"] = checked
-            g = WeylElement(spec.group, 0, tuple(xs[idx]), tuple(ys[idx]))
-            return g, u
+    xs, ys, _, _, shift_keys = _sphere(spec, min(t, spec.n), ENUMERATION_CAP)
+    candidates = _remainder(v - unpack(shift_keys, q, spec.r), q)
+    hits = np.flatnonzero(np.isin(pack(candidates, q), pack(description.member_array, q)))
     if stats is not None:
-        stats["candidates"] = checked
-    raise DecodingError(f"no error of weight <= {t} matches the syndrome")
+        stats["candidates"] = 1 + (int(hits[0]) + 1 if hits.size else len(xs))
+    if not hits.size:
+        raise DecodingError(f"no error of weight <= {t} matches the syndrome")
+    idx = hits[0]
+    g = WeylElement(spec.group, 0, tuple(xs[idx]), tuple(ys[idx]))
+    return g, tuple(map(int, candidates[idx]))
 
 
 def decode(state: SparseState, description: FourierDescription, t: int) -> SparseState:

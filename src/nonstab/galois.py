@@ -60,11 +60,13 @@ class PrimeField:
     # in scan order) so reduced forms and kernel bases are reproducible.
     # ------------------------------------------------------------------
     def rref(self, a) -> tuple[np.ndarray, list[int], np.ndarray]:
-        """Return (R, pivot_columns, T) with T @ a = R (mod p) and R in RREF."""
+        """Return (R, pivot_columns, T) with T @ a = R (mod p) and R in RREF.
+
+        The row operations run on [a | I], so that R and T are reduced together.
+        """
         a = self.reduce(a)
         rows, cols = a.shape
-        r = a.copy()
-        t = np.eye(rows, dtype=np.int64)
+        r = np.hstack([a, np.eye(rows, dtype=np.int64)])
         pivots: list[int] = []
         row = 0
         for col in range(cols):
@@ -76,18 +78,14 @@ class PrimeField:
             piv = row + int(sub[0])
             if piv != row:
                 r[[row, piv]] = r[[piv, row]]
-                t[[row, piv]] = t[[piv, row]]
-            inv = self.inv_scalar(r[row, col])
-            r[row] = (r[row] * inv) % self.p
-            t[row] = (t[row] * inv) % self.p
+            r[row] = (r[row] * self.inv_scalar(r[row, col])) % self.p
             # clear the column in every other row with one outer product
             f = r[:, col].copy()
             f[row] = 0
             r = (r - np.outer(f, r[row])) % self.p
-            t = (t - np.outer(f, t[row])) % self.p
             pivots.append(col)
             row += 1
-        return r, pivots, t
+        return r[:, :cols], pivots, r[:, cols:]
 
     def rank(self, a) -> int:
         return len(self.rref(a)[1])

@@ -384,16 +384,6 @@ def _sphere(spec: GottesmanSpec, w: int, cap: int):
     return xs, ys, in_image, members, shift_keys
 
 
-def syndrome_shifts(spec: GottesmanSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """M^T x - L^T y mod q for each error pair (x, y), one row per pair.
-
-    The error U_x V_y moves the syndrome of the codeword with character
-    index u to u + M^T x - L^T y; a zero shift means that the error commutes
-    with every element of S.
-    """
-    return (xs @ spec.M - ys @ spec.L) % spec.q
-
-
 def _forbidden_keys(shift_keys: np.ndarray, in_image: np.ndarray) -> np.ndarray:
     """Sorted unique syndrome shift keys (`_sphere`) of the pairs outside the image.
 
@@ -412,8 +402,8 @@ def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) 
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    xs, ys = bounded_pair_arrays(spec.q, spec.n, min(cutoff - 1, spec.n), cap=cap)
-    central = ~np.any(syndrome_shifts(spec, xs, ys), axis=1)
+    xs, ys, _, _, shift_keys = _sphere(spec, min(cutoff - 1, spec.n), cap)
+    central = shift_keys == 0
     if not central.any():
         return None
     weights = np.sum((xs != 0) | (ys != 0), axis=1)

@@ -35,16 +35,6 @@ VANISHING = 1e-8  # norm below which a projected basis word counts as zero
 BASIS_TOL = 1e-10  # codeword basis against the closed form, and its orthonormality
 
 
-def _shift_phase(words: np.ndarray, x: np.ndarray, y: np.ndarray, q: int):
-    """U_x V_y on basis words: packed indices of w + x and exponents y . w mod q.
-
-    Rows broadcast, so one word may meet many (x, y) or many words one (x, y).
-    """
-    moved = words + x
-    moved %= q  # in place, not `_remainder`: the word rows are the largest array here
-    return pack(moved, q), _remainder(np.einsum("...i,...i->...", words, y), q)
-
-
 def _canonical(packed: np.ndarray, amps: np.ndarray):
     """Sorted unique packed indices with their merged amplitudes, near-zeros pruned.
 
@@ -150,46 +140,57 @@ class SparseState:
         return out
 
 
-def apply(g: WeylElement, state: SparseState) -> SparseState:
-    """Monomial action of w^phase U_a V_b: shift by a, multiply by <b, x>.
+def _weyl_action(keys: np.ndarray, a, b, q: int, n: int):
+    """U_a V_b on packed words x of n digits: the keys of x + a, and the
+    exponents b . x, unreduced (each caller reduces them against its root table).
 
-    The packed indices are read one chunk of digits at a time, and only in
-    the chunks where (a, b) is nonzero: one division reads the chunk value,
-    and two tables over the chunk's values, built from the cached digit rows
-    of `_chunk_digits`, give the change of the index under the shift and the
-    chunk's part of the phase exponent b . x.  The element permutes words,
-    so no two targets meet: one argsort orders them (a stable one, which is
-    the same permutation on unique keys and is faster on the long ascending
-    runs that a shift leaves), and adding 0.0 turns -0.0 into +0.0 as the
-    merge of `_canonical` does, so that the amplitude bits are the same.
+    The keys are read one chunk of digits at a time, and only in the chunks
+    where (a, b) is nonzero: one division reads the chunk value, and two
+    tables over the chunk's values, built from the cached digit rows of
+    `_chunk_digits`, give the change of the key under the shift and the
+    chunk's part of b . x.
     """
-    if g.group != state.group or g.n != state.n:
-        raise ValueError("element and state act on different word spaces")
-    grp = state.group
-    q, p, n = grp.q, grp.phase_denominator, state.n
     table = _chunk_digits(q)
     width = table.shape[1]
-    targets = state.packed
-    exponents = np.zeros(len(state), dtype=np.int64)
+    targets = keys
+    exponents = np.zeros(len(keys), dtype=np.int64)
     for hi in range(n, 0, -width):  # the chunk of digits lo .. hi-1
         lo = max(0, hi - width)
-        a_c, b_c = g.a[lo:hi], g.b[lo:hi]
+        a_c, b_c = a[lo:hi], b[lo:hi]
         if not (any(a_c) or any(b_c)):
             continue
         digits = table[: q ** (hi - lo), width - (hi - lo) :]  # of each chunk value
         place = q ** (n - hi)
         # the chunk value: no division for the last chunk, no remainder for the first
-        value = state.packed // place if place > 1 else state.packed
+        value = keys // place if place > 1 else keys
         if lo:
             value = _remainder(value, len(digits))
         if any(a_c):
             moved = pack(_remainder(digits + a_c, q), q)
             targets = targets + ((moved - np.arange(len(moved))) * place)[value]
         if any(b_c):
-            exponents += (digits @ np.array(b_c, dtype=np.int64) * 2)[value]  # <b, x> = w^(2 b.x)
-    phases = root_table(p)[_remainder(exponents + g.phase, p)]
+            exponents += (digits @ np.asarray(b_c, dtype=np.int64))[value]
+    return targets, exponents
+
+
+def apply(g: WeylElement, state: SparseState) -> SparseState:
+    """Monomial action of w^phase U_a V_b: shift by a, multiply by <b, x>.
+
+    `_weyl_action` gives the targets and b . x, and <b, x> = w^(2 b . x).
+    The element permutes words, so no two targets meet: one argsort orders
+    them (a stable one, which is the same permutation on unique keys and is
+    faster on the long ascending runs that a shift leaves), and adding 0.0
+    turns -0.0 into +0.0 as the merge of `_canonical` does, so that the
+    amplitude bits are the same.
+    """
+    if g.group != state.group or g.n != state.n:
+        raise ValueError("element and state act on different word spaces")
+    grp = state.group
+    p = grp.phase_denominator
+    targets, exponents = _weyl_action(state.packed, g.a, g.b, grp.q, state.n)
+    phases = root_table(p)[_remainder(2 * exponents + g.phase, p)]
     order = np.argsort(targets, kind="stable")
-    return SparseState(grp, n, *_pruned(targets[order], (state.amps * phases)[order] + 0.0))
+    return SparseState(grp, state.n, *_pruned(targets[order], (state.amps * phases)[order] + 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -263,16 +264,21 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
     unit = p // q
     a_rows, la, ma, rho = _spec_tables(spec, group_cap)
     chis = _remainder(_exact_product(np.array(members, dtype=np.int64), a_rows.T), q)
-    del a_rows  # released: the word loop reads only the characters
+    la, ma = pack(la, q), pack(ma, q)
+    del a_rows  # released: the word loop reads only the characters and the keys
     roots = root_table(p)
     dim = q**n
+    zero = np.zeros(n, dtype=np.int64)
     basis = np.zeros((dim, len(members)), dtype=complex)
     pending = list(range(len(members)))
     for word in range(dim):
         if not pending:
             break
-        targets, exponents = _shift_phase(unpack([word], q, n)[0], la, ma, q)
-        phases = rho + unit * exponents
+        # s_a e_w = w^rho(a) <Ma, w> e_(w + La): U_w shifts the keys of La
+        # to the targets, and V_w phases the keys of Ma
+        w = unpack([word], q, n)[0]
+        targets = _weyl_action(la, w, zero, q, n)[0]
+        phases = rho + unit * _weyl_action(ma, zero, w, q, n)[1]
         waiting = []
         for col in pending:
             image = np.zeros(dim, dtype=complex)
@@ -543,21 +549,21 @@ def _reduced_screen(basis, q, m, supports, tol):
     return cleared
 
 
-def _weyl_times(digits, x, y, operand, q):
-    """U_x V_y @ operand on the dense word space, whose digit rows are `digits`."""
-    targets, exponents = _shift_phase(digits, x, y, q)
+def _weyl_times(x, y, operand, q):
+    """U_x V_y @ operand on the dense word space."""
+    targets, exponents = _weyl_action(np.arange(len(operand)), x, y, q, len(x))
     moved = np.zeros_like(operand)
-    moved[targets] = root_table(q)[exponents][:, None] * operand
+    moved[targets] = root_table(q)[_remainder(exponents, q)][:, None] * operand
     return moved
 
 
-def _scalar_prefix(basis, digits, xs, ys, q, tol) -> int:
+def _scalar_prefix(basis, xs, ys, q, tol) -> int:
     """How many of the errors, in order, have a Gram G = V^H E V within tol
     of c I, c = tr G / K', with K' the number of columns of V."""
     adjoint = basis.conj().T
     identity = np.eye(basis.shape[1])
     for count, (x, y) in enumerate(zip(xs, ys)):
-        gram = adjoint @ _weyl_times(digits, x, y, basis, q)
+        gram = adjoint @ _weyl_times(x, y, basis, q)
         if np.abs(gram - np.trace(gram) / len(gram) * identity).max() > tol:
             return count
     return len(xs)
@@ -623,17 +629,15 @@ def kl_check(
         operand = _projected_basis(spec, members, group_cap)
         screen_tol = tol / operand.shape[1]
     suspects = np.flatnonzero(~_reduced_screen(operand, q, m, (xs != 0) | (ys != 0), screen_tol))
-    if suspects.size:
-        digits = unpack(np.arange(q**n), q, n)
     if not maximal and suspects.size:
-        scalar = _scalar_prefix(operand, digits, xs[suspects], ys[suspects], q, screen_tol / 2)
+        scalar = _scalar_prefix(operand, xs[suspects], ys[suspects], q, screen_tol / 2)
         suspects = suspects[scalar:]
         operand = None
         if suspects.size:
             operand = dense_projection(description)
             trace = np.trace(operand).real
     for x, y in zip(xs[suspects], ys[suspects]):
-        moved = _weyl_times(digits, x, y, operand, q)
+        moved = _weyl_times(x, y, operand, q)
         if maximal:
             found = _gram_witness(operand, moved, members, tol)
         else:
@@ -655,14 +659,13 @@ def dense_projection(description: FourierDescription) -> np.ndarray:
     coeffs = projection_coefficients(description)
     _, la, ma, rho = _spec_tables(spec)  # rows in the order of the coefficients
     roots = root_table(p)
-    digits = unpack(np.arange(dim), q, n)
     unit = p // q
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
     for t_a, x, y, phase in zip(coeffs.values(), la, ma, rho):
         if abs(t_a) < PRUNE_TOL:
             continue
-        rows, exponents = _shift_phase(digits, x, y, q)
+        rows, exponents = _weyl_action(cols, x, y, q, n)
         out[rows, cols] += t_a * roots[(phase + unit * exponents) % p]
     return out
 

@@ -1,13 +1,16 @@
-"""Shared generators for randomized cross-validation sweeps."""
+"""Shared generators for randomized cross-validation sweeps, and digit-row
+references for the packed-word kernels."""
 
+import functools
 import itertools
 
 import numpy as np
 from hypothesis import settings
 
 from nonstab.families import maximal_form_spec
-from nonstab.galois import PrimeField
+from nonstab.galois import PrimeField, pack, unpack
 from nonstab.gottesman import GottesmanSpec, synthesize_phase_matrix, validate
+from nonstab.weyl import root_table
 
 # One profile for every property: the same examples on every run, no
 # per-example deadline, and no example database written to the tree.
@@ -116,3 +119,25 @@ def brute_force_forbidden(spec, d):
             )
             out.add(u)
     return out
+
+
+def shift_phase(words, x, y, q):
+    """U_x V_y on digit rows w: the packed keys of w + x and the exponents
+    y . w mod q, the reference for `oracle._weyl_action`.  Rows broadcast,
+    so one word may meet many (x, y) or many words one (x, y)."""
+    return pack((words + x) % q, q), np.einsum("...i,...i->...", words, y) % q
+
+
+@functools.lru_cache(maxsize=8)
+def word_digits(q, n):
+    """Digit rows of all q^n words, built once per (q, n)."""
+    return unpack(np.arange(q**n), q, n)
+
+
+def weyl_times(operand, x, y, q):
+    """U_x V_y @ operand, and U_x V_y^dagger @ operand, on the dense word space."""
+    targets, exponents = shift_phase(word_digits(q, len(x)), x, y, q)
+    phases = root_table(q)[exponents][:, None]
+    moved = np.zeros_like(operand)
+    moved[targets] = phases * operand
+    return moved, np.conj(phases) * operand[targets]

@@ -163,6 +163,29 @@ def test_alpha_good_family(capsys, tmp_path):
     assert code == 2  # --seed is required
 
 
+def test_alpha_good_refuses_negative_attempts(capsys):
+    for attempts in ("-1", "-3"):
+        code = main(["family", "--name", "alpha-good", "--n", "12", "--seed", "7",
+                     "--attempts", attempts])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --attempts must be >= 0, got {attempts}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["oracle"], ["greedy", "--d", "3"], ["encode-sim", "--message", "0"],
+     ["decode-sim", "--u", "0"]],
+)
+def test_unreadable_bundle_exits_2(capsys, tmp_path, argv):
+    for path, reason in ((tmp_path / "missing.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        code = main([*argv, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cannot read bundle {path}: {reason}\n"
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "table"])
@@ -517,3 +540,13 @@ def test_failing_oracle_runs_match_the_pinned_bytes(capsys, tmp_path):
     # (seeds 1 and 2 of `random_nonmaximal_spec` and `random_description`).
     # Nothing rewrites the file.
     replay_pins(capsys, tmp_path, "oracle_golden.json")
+
+
+def test_decode_sim_searches_match_the_pinned_bytes(capsys, tmp_path):
+    # tests/decode_golden.json holds the exit status and stdout of decode-sim
+    # runs captured in process before the error search read the error
+    # sphere's shift keys: code15 at --t 2 with errors of weight 0, 1 and 2,
+    # --t 0 with and without a weight-1 error (no candidate matches), and
+    # d2 n=7 q=3 with weight-2 errors at --t 0, 1 and 2.  Nothing rewrites
+    # the file.
+    replay_pins(capsys, tmp_path, "decode_golden.json")

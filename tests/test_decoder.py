@@ -1,11 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from nonstab.decoder import DecodingError, Syndrome, decode, measure_syndrome, search_error
-from nonstab.families import distance2_family, laflamme_spec
+from nonstab.families import code_15_8_3, distance2_family, laflamme_spec
 from nonstab.fourier_code import FourierDescription, greedy_construct, verify_distance
 from nonstab.galois import error_sphere_count
-from nonstab.gottesman import character_exponent
+from nonstab.gottesman import bounded_pair_arrays, character_exponent
 from nonstab.oracle import SparseState, apply, codeword
 from nonstab.weyl import WeylElement, enumerate_bounded, prime_group
 
@@ -214,3 +218,74 @@ def test_decoder_on_distance2_code_detect_only():
     g = WeylElement(spec.group, 0, (1, 0, 0, 0, 0), (0, 0, 0, 0, 0))
     with pytest.raises(DecodingError):
         decode(apply(g, phi), b, 0)
+
+
+def reference_search_error(syndrome, description, t, stats):
+    """The error search as a loop over the candidates in canonical order."""
+    spec = description.spec
+    q, p = spec.q, spec.phase_denominator
+    unit = p // q
+    if any(e % unit for e in syndrome.exponents):
+        raise DecodingError("syndrome exponents are not characters of the subgroup")
+    v = np.array([e // unit for e in syndrome.exponents], dtype=np.int64) % q
+    if tuple(map(int, v)) in description.members:
+        stats["candidates"] = 1
+        return WeylElement.identity(spec.group, spec.n), tuple(map(int, v))
+    checked = 1
+    xs, ys = bounded_pair_arrays(q, spec.n, min(t, spec.n))
+    candidates = (v - (xs @ spec.M - ys @ spec.L)) % q
+    for idx in range(xs.shape[0]):
+        checked += 1
+        u = tuple(map(int, candidates[idx]))
+        if u in description.members:
+            stats["candidates"] = checked
+            return WeylElement(spec.group, 0, tuple(xs[idx]), tuple(ys[idx])), u
+    stats["candidates"] = checked
+    raise DecodingError(f"no error of weight <= {t} matches the syndrome")
+
+
+@functools.cache
+def search_codes():
+    return {"code15": code_15_8_3(), "d2 n=7 q=3": distance2_family(7, 3)[1]}
+
+
+@st.composite
+def search_cases(draw):
+    """(syndrome, description, t): the syndrome of a member under an error of
+    weight <= 3, of a random character index (which mostly matches nothing),
+    or exponents that are not characters."""
+    description = search_codes()[draw(st.sampled_from(sorted(search_codes())))]
+    spec = description.spec
+    q, n, unit = spec.q, spec.n, spec.phase_denominator // spec.q
+    kind = draw(st.sampled_from(["error"] * 3 + ["random", "odd"]))
+    if kind == "random":
+        v = np.array(draw(st.lists(st.integers(0, q - 1), min_size=spec.r, max_size=spec.r)))
+    else:
+        nonzero = [(a, b) for a in range(q) for b in range(q) if a or b]
+        x, y = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+            x[i], y[i] = draw(st.sampled_from(nonzero))
+        u = np.array(draw(st.sampled_from(description.sorted_members())))
+        v = (u + x @ spec.M - y @ spec.L) % q
+    exponents = [unit * int(e) for e in v]
+    if kind == "odd":
+        exponents[draw(st.integers(0, spec.r - 1))] += 1
+    return Syndrome(tuple(exponents), spec.phase_denominator), description, draw(st.integers(0, 2))
+
+
+def search_outcome(search, syndrome, description, t):
+    stats = {}
+    try:
+        g, u = search(syndrome, description, t, stats=stats)
+    except DecodingError as exc:
+        return "DecodingError", str(exc), stats
+    return (g.phase, g.a, g.b), u, stats
+
+
+@settings(max_examples=150)
+@given(search_cases())
+def test_search_error_matches_the_candidate_loop(case):
+    syndrome, description, t = case
+    got = search_outcome(search_error, syndrome, description, t)
+    event(f"t={t} {'no match' if got[0] == 'DecodingError' else 'found'}")
+    assert got == search_outcome(reference_search_error, syndrome, description, t)

@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import numpy as np
@@ -9,6 +8,8 @@ from conftest import (
     random_maximal_spec,
     random_nonmaximal_spec,
     random_stabilizer_spec,
+    shift_phase,
+    weyl_times,
 )
 
 from hypothesis import assume, event, given, settings
@@ -40,7 +41,6 @@ from nonstab.oracle import (
     _gram_witness,
     _projected_basis,
     _reduced_screen,
-    _shift_phase,
     _spec_tables,
     apply,
     closed_form_codeword,
@@ -275,21 +275,6 @@ def test_packed_index_refuses_int64_overflow():
         SparseState.basis_word(Z2, (0,) * 64)
 
 
-@functools.lru_cache(maxsize=8)
-def word_digits(q, n):
-    """Digit rows of all q^n words, built once per (q, n)."""
-    return unpack(np.arange(q**n), q, n)
-
-
-def weyl_times(operand, x, y, q):
-    """U_x V_y @ operand, and U_x V_y^dagger @ operand, on the dense word space."""
-    targets, exponents = _shift_phase(word_digits(q, len(x)), x, y, q)
-    phases = root_table(q)[exponents][:, None]
-    moved = np.zeros_like(operand)
-    moved[targets] = phases * operand
-    return moved, np.conj(phases) * operand[targets]
-
-
 def codeword_matrix(description):
     members = description.sorted_members()
     spec = description.spec
@@ -433,7 +418,7 @@ def reference_projection(spec, tables, u):
     chi = (unit * ((a_rows @ np.array(u, dtype=np.int64)) % q)) % p
     roots = root_table(p)
     for word, w_tuple in enumerate(itertools.product(range(q), repeat=n)):
-        targets, exponents = _shift_phase(np.array(w_tuple, dtype=np.int64), la, ma, q)
+        targets, exponents = shift_phase(np.array(w_tuple, dtype=np.int64), la, ma, q)
         dense = np.zeros(q**n, dtype=complex)
         np.add.at(dense, targets, roots[(rho + unit * exponents - chi) % p])
         dense /= spec.size
@@ -670,7 +655,7 @@ def test_reduced_screen_clears_every_error_of_a_passing_code():
         assert _reduced_screen(basis, spec.q, d - 1, (xs != 0) | (ys != 0), TOL).all()
 
 
-def test_kl_check_builds_the_word_table_only_for_suspects(monkeypatch):
+def test_kl_check_never_unpacks_the_words(monkeypatch):
     from nonstab import oracle
 
     sizes = []
@@ -681,17 +666,17 @@ def test_kl_check_builds_the_word_table_only_for_suspects(monkeypatch):
         return unpack_(keys, q, width)
 
     monkeypatch.setattr(oracle, "unpack", counted)
-    # code15 at d = 3: the screen clears all 990 errors, so no table is built
+    # code15 at d = 3: the screen clears all 990 errors
     description = code_15_8_3()
     _basis_matrix(description, GROUP_CAP)
     sizes.clear()
     assert kl_check(description, 3).passed and sizes == []
     # d2 (5, 2) at d = 3: K = 6 exceeds the Singleton bound, so nothing is
-    # screened and the 2^5 x 5 table is built once
+    # screened and every error is applied to the packed words 0 .. 2^5 - 1
     _, description = distance2_family(5, 2)
     _basis_matrix(description, GROUP_CAP)
     sizes.clear()
-    assert not kl_check(description, 3).passed and sizes == [32]
+    assert not kl_check(description, 3).passed and sizes == []
 
 
 def reference_nonmaximal_kl_check(description, d, tol=1e-9):
@@ -805,7 +790,7 @@ def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
     monkeypatch.setattr(
         oracle, "_reduced_screen", lambda b, q, m, supports, tol: np.zeros(len(supports), bool)
     )
-    monkeypatch.setattr(oracle, "_scalar_prefix", lambda basis, digits, xs, ys, q, tol: 0)
+    monkeypatch.setattr(oracle, "_scalar_prefix", lambda basis, xs, ys, q, tol: 0)
     builds = []
     dense = oracle.dense_projection
     monkeypatch.setattr(oracle, "dense_projection", lambda b: builds.append(b) or dense(b))

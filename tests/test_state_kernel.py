@@ -7,6 +7,7 @@ and the same exceptions.
 """
 
 import numpy as np
+from conftest import shift_phase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,11 @@ from nonstab.circuits import (
     simulate,
 )
 from nonstab.families import code_15_8_3, maximal_form_spec
-from nonstab.galois import _digit, linear_solve, places
+from nonstab.galois import _chunk_digits, _digit, linear_solve, places, unpack
 from nonstab.oracle import (
     PRUNE_TOL,
     SparseState,
+    _weyl_action,
     apply,
     closed_form_codeword,
     message_coordinates,
@@ -191,6 +193,38 @@ def rewrite_cases(draw):
 def test_apply_matches_word_matrix_reference(case):
     g, state = case
     assert outcome(apply, g, state) == outcome(reference_apply, g, state)
+
+
+# keys of up to three chunks of `_weyl_action`
+WEYL_DIGITS = {2: 17, 3: 11, 5: 7}
+
+
+@st.composite
+def weyl_action_cases(draw):
+    """(keys, a, b, q, n): packed words, and an element (a, b) whose digits are
+    zero-heavy and that often leaves whole chunks of digits untouched."""
+    q = draw(st.sampled_from(QS))
+    n = draw(st.integers(1, WEYL_DIGITS[q]))
+    keys = np.array(draw(st.lists(st.integers(0, q**n - 1), max_size=20)), dtype=np.int64)
+    digit = st.just(0) | st.integers(0, q - 1)
+    a, b = (np.array(draw(st.lists(digit, min_size=n, max_size=n)), dtype=np.int64) for _ in "ab")
+    width = _chunk_digits(q).shape[1]
+    for chunk in draw(st.sets(st.integers(0, 2))):  # counted from the last digit
+        quiet = slice(max(0, n - (chunk + 1) * width), max(0, n - chunk * width))
+        a[quiet] = b[quiet] = 0
+    if draw(st.booleans()):  # as `apply` hands them over
+        a, b = tuple(a.tolist()), tuple(b.tolist())
+    return keys, a, b, q, n
+
+
+@settings(max_examples=200)
+@given(weyl_action_cases())
+def test_weyl_action_matches_the_digit_row_reference(case):
+    keys, a, b, q, n = case
+    targets, exponents = _weyl_action(keys, a, b, q, n)
+    want_targets, want_exponents = shift_phase(unpack(keys, q, n), np.array(a), np.array(b), q)
+    assert np.array_equal(targets, want_targets)
+    assert np.array_equal(exponents % q, want_exponents)
 
 
 @settings(max_examples=150)
