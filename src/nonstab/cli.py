@@ -36,7 +36,7 @@ from .fourier_code import (
 )
 from .gottesman import GottesmanSpec, json_integer, validate
 from .oracle import apply, codeword, kl_check, message_coordinates, orthonormality_check
-from .weyl import ENUMERATION_CAP, GROUP_CAP, WeylElement, check_sphere, inverse
+from .weyl import ENUMERATION_CAP, GROUP_CAP, WeylElement, budget, check_sphere, inverse
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,12 @@ def _parse_vector(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",")) if text else ()
 
 
+def _at_least(name: str, value: int, low: int = 0) -> int:
+    if value < low:
+        raise SystemExit2(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def make_family(name: str, args) -> CodeBundle:
     if name == "d2":
         if args.n < 5 or args.n % 2 == 0:
@@ -136,25 +142,26 @@ def make_family(name: str, args) -> CodeBundle:
             return CodeBundle(families.family_to_b(family, 31), 3, "subspace31")
         return CodeBundle(families.family_to_b(family, 33), 3, "subspace33")
     if name == "alpha-good":
-        if args.attempts < 0:
-            raise SystemExit2(f"--attempts must be >= 0, got {args.attempts}")
+        _at_least("--attempts", args.attempts)
         if args.seed is None:
             raise SystemExit2("--seed is required for the randomized alpha-good search")
-        found = families.search_alpha_good(args.n, Fraction(args.alpha), args.attempts, args.seed)
+        try:
+            alpha = Fraction(args.alpha)
+        except (ValueError, ZeroDivisionError):
+            raise SystemExit2(f"--alpha must be a fraction such as 1/6, got {args.alpha}") from None
+        found = families.search_alpha_good(args.n, alpha, args.attempts, args.seed)
         if found is None:
             raise NotFound(
                 f"no alpha-good matrix found in {args.attempts} attempts (seed {args.seed})"
             )
         matrix, attempt = found
         spec = families.alpha_good_spec(matrix)
-        t = int(Fraction(args.alpha) * args.n)
         zero = (0,) * spec.r
-        bundle = CodeBundle(
+        return CodeBundle(
             FourierDescription(spec, frozenset({zero})),
-            t,
+            int(alpha * args.n),
             f"alpha-good n={args.n} alpha={args.alpha} seed={args.seed} attempt={attempt}",
         )
-        return bundle
     raise SystemExit2(f"unknown family name {name!r}")
 
 
@@ -179,17 +186,11 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _distance(d: int) -> int:
-    if d < 1:
-        raise SystemExit2(f"d must be >= 1, got {d}")
-    return d
-
-
 def _checked_bundle(args) -> tuple[CodeBundle, int]:
     """The bundle and the distance to check; an oversized sphere is refused before validation."""
     bundle = _read_bundle(args.infile)
-    d = _distance(args.d if args.d is not None else bundle.claimed_distance)
-    check_sphere(bundle.spec.n, bundle.spec.q, min(d - 1, bundle.spec.n), args.max_sphere)
+    d = _at_least("d", args.d if args.d is not None else bundle.claimed_distance, 1)
+    check_sphere(bundle.spec.n, bundle.spec.q, min(d - 1, bundle.spec.n))
     violations = validate(bundle.spec)
     if violations:
         raise InvalidSpec(violations)
@@ -198,7 +199,7 @@ def _checked_bundle(args) -> tuple[CodeBundle, int]:
 
 def cmd_verify(args) -> int:
     bundle, d = _checked_bundle(args)
-    report = verify_distance(bundle.description, d, cap=args.max_sphere)
+    report = verify_distance(bundle.description, d)
     doc = report.to_json_dict()
     doc["params"] = dict(bundle.params(), d=d)
     _emit(doc)
@@ -207,11 +208,11 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     bundle, d = _checked_bundle(args)
-    kl = kl_check(bundle.description, d, cap=args.max_sphere, group_cap=args.max_group)
+    kl = kl_check(bundle.description, d)
     doc = {"kl": kl.to_json_dict(), "params": dict(bundle.params(), d=d)}
     passed = kl.passed
     if bundle.spec.is_maximal():
-        ortho = orthonormality_check(bundle.description, group_cap=args.max_group)
+        ortho = orthonormality_check(bundle.description)
         doc["orthonormality"] = ortho.to_json_dict()
         passed = passed and ortho.passed
     _emit(doc)
@@ -220,9 +221,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_greedy(args) -> int:
     bundle = _read_bundle(args.infile)
-    _distance(args.d)
-    description = greedy_construct(bundle.spec, args.d, cap=args.max_sphere)
-    report = verify_distance(description, args.d, cap=args.max_sphere)
+    _at_least("d", args.d, 1)
+    description = greedy_construct(bundle.spec, args.d)
+    report = verify_distance(description, args.d)
     if not report.passed:
         _emit({"pass": False, "witness": report.witness})
         return 1
@@ -232,8 +233,7 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_encode_sim(args) -> int:
-    if args.top < 0:
-        raise SystemExit2(f"--top must be >= 0, got {args.top}")
+    _at_least("--top", args.top)
     bundle = _read_bundle(args.infile, check_distance=True)
     u = _parse_vector(args.message)
     if u not in bundle.description.members:
@@ -262,8 +262,11 @@ def cmd_encode_sim(args) -> int:
 def cmd_decode_sim(args) -> int:
     bundle = _read_bundle(args.infile, check_distance=True)
     u = _parse_vector(args.u)
-    x = _parse_vector(args.error_x) or (0,) * bundle.spec.n
-    y = _parse_vector(args.error_y) or (0,) * bundle.spec.n
+    q, n = bundle.spec.q, bundle.spec.n
+    x, y = (_parse_vector(args.error_x) or (0,) * n), (_parse_vector(args.error_y) or (0,) * n)
+    for flag, text, word in (("--error-x", args.error_x, x), ("--error-y", args.error_y, y)):
+        if any(not 0 <= v < q for v in word):  # refused, as the bundle loader refuses them
+            raise SystemExit2(f"{flag} digits must lie in [0, {q}), got {text}")
     phi = codeword(bundle.description, u)
     g = WeylElement(bundle.spec.group, 0, x, y)
     corrupted = apply(g, phi)
@@ -302,9 +305,7 @@ TABLE_ROWS = (
 def cmd_table(args) -> int:
     sys.stdout.write("n,q,K,d,lower_bound,upper_bound,source\n")
     for name, kw in TABLE_ROWS:
-        ns = argparse.Namespace(n=kw.get("n", 0), q=kw.get("q", 2), seed=None,
-                                alpha="1/6", attempts=0)
-        bundle = make_family(name, ns)
+        bundle = make_family(name, argparse.Namespace(n=kw.get("n", 0), q=kw.get("q", 2)))
         p = bundle.params()
         t = (p["d"] - 1) // 2
         lower, upper = bounds(p["n"], p["q"], t)
@@ -370,7 +371,10 @@ def main(argv=None) -> int:
     # looked up on every call, so that a rebound cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        caps = {k: _at_least(f"--max-{k}", getattr(args, f"max_{k}"))
+                for k in ("sphere", "group") if hasattr(args, f"max_{k}")}
+        with budget(**caps):  # from the subcommand's --max-* flags, before anything runs
+            return command(args)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

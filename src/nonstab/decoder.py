@@ -21,7 +21,7 @@ from .fourier_code import FourierDescription
 from .galois import _remainder, pack, unpack
 from .gottesman import GottesmanSpec, _sphere
 from .oracle import SparseState, apply
-from .weyl import ENUMERATION_CAP, WeylElement, inverse
+from .weyl import WeylElement, inverse
 
 EIGENVALUE_TOL = 1e-9
 
@@ -96,7 +96,7 @@ def search_error(
         if stats is not None:
             stats["candidates"] = 1
         return WeylElement.identity(spec.group, spec.n), tuple(map(int, v))
-    xs, ys, _, _, shift_keys = _sphere(spec, min(t, spec.n), ENUMERATION_CAP)
+    xs, ys, _, _, shift_keys = _sphere(spec, min(t, spec.n))
     candidates = _remainder(v - unpack(shift_keys, q, spec.r), q)
     hits = np.flatnonzero(np.isin(pack(candidates, q), pack(description.member_array, q)))
     if stats is not None:

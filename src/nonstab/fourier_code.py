@@ -37,7 +37,7 @@ from .galois import (
     unpack,
 )
 from .gottesman import GottesmanSpec, _forbidden_keys, _sphere, json_matrix
-from .weyl import ENUMERATION_CAP, GROUP_CAP, check_size
+from .weyl import check_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +124,7 @@ class Report:
         return out
 
 
-def verify_distance(
-    description: FourierDescription, d: int, cap: int = ENUMERATION_CAP
-) -> Report:
+def verify_distance(description: FourierDescription, d: int) -> Report:
     """Algebraic distance check: does the code detect all errors of weight < d?
 
     Condition 1 holds for a low-weight member s_a exactly when u . a is
@@ -136,15 +134,15 @@ def verify_distance(
     2 intersects the sorted difference keys with the forbidden keys; its
     witness is the smallest common index.  The error sphere is enumerated
     and [L; M] a = [x; y] solved once, and both conditions read from that
-    one solve.  B - B takes K^2 pairs, which `cap` bounds as it bounds the
-    sphere, before anything is built.
+    one solve.  B - B takes K^2 pairs, which the budget's `sphere` bounds as
+    it bounds the sphere, before anything is built.
     """
     spec = description.spec
     q, r = spec.q, spec.r
     if d < 1:
         raise ValueError("d must be >= 1")
-    check_size("difference pairs", len(description) ** 2, cap)
-    xs, ys, in_image, members, shift_keys = _sphere(spec, min(d - 1, spec.n), cap)
+    check_size("difference pairs", len(description) ** 2, "sphere")
+    xs, ys, in_image, members, shift_keys = _sphere(spec, min(d - 1, spec.n))
     diffs = description.difference_keys()
     if len(members):
         values = (description.member_array @ members.T) % q
@@ -203,12 +201,7 @@ def weight_lex_indices(q: int, r: int) -> list:
     return list(map(tuple, unpack(_weight_lex_keys(q, r), q, r).tolist()))
 
 
-def greedy_construct(
-    spec: GottesmanSpec,
-    d: int,
-    order=None,
-    cap: int = ENUMERATION_CAP,
-) -> FourierDescription:
+def greedy_construct(spec: GottesmanSpec, d: int, order=None) -> FourierDescription:
     """Greedy packing of character indices whose differences avoid the
     forbidden set.  Requires a d-pure spec; deterministic given `order`
     (default: weight-lex with 0 first).  Picks at least floor(#S / #X)
@@ -217,18 +210,18 @@ def greedy_construct(
     One enumeration of the error sphere gives both: the spec is d-pure
     when no pair has a zero syndrome shift, and X is the set of shifts of
     the pairs outside the image.  The walk runs on packed keys over a
-    boolean alive-array of all q^r indices in walk order, which `cap`
-    bounds before anything is built: each pick u clears the keys of u - X
-    for the whole forbidden array X at once, and `argmax` over the rest of
-    the array finds the next alive key.  The chunk values of X are read
+    boolean alive-array of all q^r indices in walk order, which the budget's
+    `sphere` bounds before anything is built: each pick u clears the keys of
+    u - X for the whole forbidden array X at once, and `argmax` over the
+    rest of the array finds the next alive key.  The chunk values of X are read
     once, so u - X costs one table row lookup per chunk of digits
     (`galois._key_differences`).
     """
     q, r = spec.q, spec.r
-    check_size("character space", spec.size, cap)
+    check_size("character space", spec.size, "sphere")
     if d < 1:
         raise ValueError("d must be >= 1")
-    _, _, in_image, _, shift_keys = _sphere(spec, min(d - 1, spec.n), cap)
+    _, _, in_image, _, shift_keys = _sphere(spec, min(d - 1, spec.n))
     if not shift_keys.all():
         raise ValueError(f"spec is not {d}-pure; greedy construction needs purity")
     forbidden = _chunk_values(_forbidden_keys(shift_keys, in_image), q, r)
@@ -276,7 +269,7 @@ def bounds(n: int, q: int, t: int) -> tuple[Fraction, Fraction]:
 def projection_coefficients(description: FourierDescription) -> dict:
     """Coefficient map a -> T_{s_a} of the code projection in the group algebra."""
     spec = description.spec
-    check_size("subgroup size", spec.size, GROUP_CAP)
+    check_size("subgroup size", spec.size, "group")
     q, r, p = spec.q, spec.r, spec.phase_denominator
     unit = p // q
     a_rows = unpack(np.arange(spec.size), q, r)

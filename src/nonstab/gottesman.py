@@ -34,12 +34,13 @@ from .galois import (
     PrimeField,
     _exact_product,
     _remainder,
+    error_sphere_count,
     pack,
     places,
     unique_keys,
     unpack,
 )
-from .weyl import ENUMERATION_CAP, AlphabetGroup, WeylElement, bounded_pairs, prime_group
+from .weyl import AlphabetGroup, WeylElement, check_sphere, prime_group
 
 
 def _frozen(arr) -> np.ndarray:
@@ -326,9 +327,31 @@ def character_exponent(spec: GottesmanSpec, u, a) -> int:
 # ----------------------------------------------------------------------
 
 
-def bounded_pair_arrays(q: int, n: int, w: int, cap: int = ENUMERATION_CAP):
-    """All (x, y) pairs with 1 <= wt <= w as two arrays, in canonical order."""
-    return bounded_pairs(q, n, w, cap)
+def bounded_pair_arrays(q: int, n: int, w: int):
+    """All (x, y) word pairs with 1 <= wt(x, y) <= w, as two int64 arrays of rows.
+
+    Order is canonical: by weight, then support positions, then the
+    per-position digit pairs (x, y) != (0, 0) in lexicographic order.  Each
+    (weight, support) block is filled by indexing, once the range and the
+    budget are checked.
+    """
+    if w < 0 or w > n:
+        raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
+    check_sphere(n, q, w)
+    xs = np.zeros((error_sphere_count(n, q, w) - 1, n), dtype=np.int64)
+    ys = np.zeros_like(xs)
+    start = 0
+    for weight in range(1, w + 1):
+        supports = np.array(list(itertools.combinations(range(n), weight)), dtype=np.int64)
+        # option k in 1 .. q^2 - 1 is the digit pair (k // q, k % q); first position slowest
+        options = np.indices((q * q - 1,) * weight).reshape(weight, -1).T + 1
+        stop = start + len(supports) * len(options)
+        rows = np.arange(start, stop)[:, None]
+        columns = np.repeat(supports, len(options), axis=0)
+        xs[rows, columns] = np.tile(options // q, (len(supports), 1))
+        ys[rows, columns] = np.tile(options % q, (len(supports), 1))
+        start = stop
+    return xs, ys
 
 
 @lru_cache(maxsize=1)
@@ -347,7 +370,7 @@ def _image_reduction(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray]:
     return pivots, transform
 
 
-def _sphere(spec: GottesmanSpec, w: int, cap: int):
+def _sphere(spec: GottesmanSpec, w: int):
     """One pass over the pairs (x, y) with 1 <= wt <= w, in canonical order.
 
     Returns (xs, ys, in_image, members, shift_keys): the pairs, whether each
@@ -364,7 +387,7 @@ def _sphere(spec: GottesmanSpec, w: int, cap: int):
     N x (2n + r) image is ever held.
     """
     q, n, r = spec.q, spec.n, spec.r
-    xs, ys = bounded_pair_arrays(q, n, w, cap=cap)
+    xs, ys = bounded_pair_arrays(q, n, w)
     pivots, transform = _image_reduction(spec)
     rank = len(pivots)
     operator = np.hstack([transform.T, np.vstack([spec.M, -spec.L])])
@@ -393,7 +416,7 @@ def _forbidden_keys(shift_keys: np.ndarray, in_image: np.ndarray) -> np.ndarray:
     return unique_keys(shift_keys[~in_image])
 
 
-def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) -> int | None:
+def purity_radius(spec: GottesmanSpec, cutoff: int) -> int | None:
     """Minimum weight over nonscalar centralizer elements, if below `cutoff`.
 
     Returns the smallest w < cutoff such that some (x, y) != 0 of weight w
@@ -402,7 +425,7 @@ def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) 
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    xs, ys, _, _, shift_keys = _sphere(spec, min(cutoff - 1, spec.n), cap)
+    xs, ys, _, _, shift_keys = _sphere(spec, min(cutoff - 1, spec.n))
     central = shift_keys == 0
     if not central.any():
         return None
@@ -410,7 +433,7 @@ def purity_radius(spec: GottesmanSpec, cutoff: int, cap: int = ENUMERATION_CAP) 
     return int(weights[central].min())
 
 
-def forbidden_set(spec: GottesmanSpec, d: int, cap: int = ENUMERATION_CAP) -> ForbiddenSet:
+def forbidden_set(spec: GottesmanSpec, d: int) -> ForbiddenSet:
     """Character indices L^T y - M^T x over pairs with 0 < wt(x, y) < d.
 
     Pairs (x, y) lying in the image of a -> (La, Ma) are excluded: those
@@ -419,15 +442,13 @@ def forbidden_set(spec: GottesmanSpec, d: int, cap: int = ENUMERATION_CAP) -> Fo
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    _, _, in_image, _, shift_keys = _sphere(spec, min(d - 1, spec.n), cap)
+    _, _, in_image, _, shift_keys = _sphere(spec, min(d - 1, spec.n))
     return ForbiddenSet(d, spec.q, spec.r, _forbidden_keys(shift_keys, in_image))
 
 
-def low_weight_members(
-    spec: GottesmanSpec, w: int, cap: int = ENUMERATION_CAP
-) -> list[tuple[tuple, WeylElement]]:
+def low_weight_members(spec: GottesmanSpec, w: int) -> list[tuple[tuple, WeylElement]]:
     """All (a, s_a) whose element has weight in [1, w], in canonical order."""
     if w < 0:
         raise ValueError("w must be >= 0")
-    members = _sphere(spec, min(w, spec.n), cap)[3]
+    members = _sphere(spec, min(w, spec.n))[3]
     return [(tuple(a), spec.element(a)) for a in members.tolist()]

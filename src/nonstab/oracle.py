@@ -20,15 +20,7 @@ import numpy as np
 from .fourier_code import FourierDescription, Report, code_dimension, projection_coefficients
 from .galois import _chunk_digits, _exact_product, _remainder, pack, unpack
 from .gottesman import GottesmanSpec, bounded_pair_arrays
-from .weyl import (
-    DENSE_MATRIX_CAP,
-    ENUMERATION_CAP,
-    GROUP_CAP,
-    AlphabetGroup,
-    WeylElement,
-    check_size,
-    root_table,
-)
+from .weyl import DENSE_MATRIX_CAP, AlphabetGroup, WeylElement, check_size, root_table
 
 PRUNE_TOL = 1e-14
 VANISHING = 1e-8  # norm below which a projected basis word counts as zero
@@ -134,7 +126,7 @@ class SparseState:
 
     def to_dense(self) -> np.ndarray:
         dim = self.group.q**self.n
-        check_size("dense dimension", dim, GROUP_CAP)
+        check_size("dense dimension", dim, "group")
         out = np.zeros(dim, dtype=complex)
         out[self.packed] = self.amps
         return out
@@ -198,9 +190,9 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
 # ----------------------------------------------------------------------
 
 
-def _spec_tables(spec: GottesmanSpec, group_cap: int = GROUP_CAP):
+def _spec_tables(spec: GottesmanSpec):
     """(index rows, U-parts, V-parts, phase exponents) for the whole subgroup."""
-    check_size("subgroup size", spec.size, group_cap)
+    check_size("subgroup size", spec.size, "group")
     a_rows = unpack(np.arange(spec.size), spec.q, spec.r)
     la = _remainder(_exact_product(a_rows, spec.L.T), spec.q)
     ma = _remainder(_exact_product(a_rows, spec.M.T), spec.q)
@@ -212,34 +204,40 @@ def codeword(description: FourierDescription, u) -> SparseState:
     """Unit eigenvector of the subgroup with character index u (maximal specs).
 
     The one-member case of `_projected_basis`.  A maximal spec has as many
-    elements as the state has amplitudes, so GROUP_CAP bounds both.
+    elements as the state has amplitudes, so the budget's `group` bounds both.
     """
     spec = description.spec
     if tuple(int(v) for v in u) not in description.members:
         raise ValueError("u is not a member of the Fourier description")
     if not spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
-    column = _projected_basis(spec, [u], GROUP_CAP)[:, 0]
+    column = _projected_basis(spec, [u])[:, 0]
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
-@lru_cache(maxsize=1)
-def _basis_matrix(description: FourierDescription, group_cap: int) -> np.ndarray:
+def _basis_matrix(description: FourierDescription) -> np.ndarray:
     """The code-space basis of `_projected_basis` as a read-only matrix.
 
-    Its size, q^n rows by the code dimension in columns, is checked against
-    DENSE_MATRIX_CAP^2 entries, the budget of a dense projection, before
-    anything is built.  Only the last result is kept, so that `kl_check` and
-    `orthonormality_check` on one description share a build.
+    Its q^n x K entries are checked against DENSE_MATRIX_CAP^2, the size of
+    a dense projection, and the subgroup against the budget, before the
+    cache is read: a basis built under a larger budget is refused under a
+    smaller one.  Only the last basis is kept, for `kl_check` and
+    `orthonormality_check` on one description to share.
     """
     spec = description.spec
     check_size("codeword basis entries", spec.q**spec.n * code_dimension(description), DENSE_MATRIX_CAP**2)
-    basis = _projected_basis(spec, description.sorted_members(), group_cap)
+    check_size("subgroup size", spec.size, "group")
+    return _cached_basis(description)
+
+
+@lru_cache(maxsize=1)
+def _cached_basis(description: FourierDescription) -> np.ndarray:
+    basis = _projected_basis(description.spec, description.sorted_members())
     basis.setflags(write=False)
     return basis
 
 
-def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
+def _projected_basis(spec: GottesmanSpec, members):
     """An orthonormal basis of the code space of `members`, as the columns of a matrix.
 
     Each column is P_u e_w, normalized, for a member u and a standard basis
@@ -259,10 +257,10 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
     with it within BASIS_TOL.
     """
     if not spec.is_maximal():
-        return _coset_basis(spec, members, group_cap)
+        return _coset_basis(spec, members)
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    a_rows, la, ma, rho = _spec_tables(spec, group_cap)
+    a_rows, la, ma, rho = _spec_tables(spec)
     chis = _remainder(_exact_product(np.array(members, dtype=np.int64), a_rows.T), q)
     la, ma = pack(la, q), pack(ma, q)
     del a_rows  # released: the word loop reads only the characters and the keys
@@ -299,7 +297,7 @@ def _projected_basis(spec: GottesmanSpec, members, group_cap: int):
     return basis
 
 
-def _coset_basis(spec: GottesmanSpec, members, group_cap: int):
+def _coset_basis(spec: GottesmanSpec, members):
     """`_projected_basis` of a non-maximal spec: a column per member u and per
     coset of X(S) on which P_u is nonzero, member by member, cosets in order.
 
@@ -321,7 +319,7 @@ def _coset_basis(spec: GottesmanSpec, members, group_cap: int):
     """
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    a_rows, la, ma, rho = _spec_tables(spec, group_cap)
+    a_rows, la, ma, rho = _spec_tables(spec)
     reduced, pivots, _ = spec.field.rref(spec.L.T)
     k = len(pivots)
     free = [i for i in range(n) if i not in pivots]
@@ -569,13 +567,7 @@ def _scalar_prefix(basis, xs, ys, q, tol) -> int:
     return len(xs)
 
 
-def kl_check(
-    description: FourierDescription,
-    d: int,
-    tol: float = 1e-9,
-    cap: int = ENUMERATION_CAP,
-    group_cap: int = GROUP_CAP,
-) -> Report:
+def kl_check(description: FourierDescription, d: int, tol: float = 1e-9) -> Report:
     """Direct check that every error of weight < d is detected.
 
     For each error E and the orthonormal basis V of the code space of
@@ -607,26 +599,24 @@ def kl_check(
     tol / K' of c I thus keeps P E P within tol of c P.  The rounding of
     the two paths, of the order of q^n units of 2^-53, is far inside tol.
 
-    `cap` bounds the error enumeration and `group_cap` the subgroup tables;
-    both are checked, like the dense-matrix cap of a non-maximal spec's
-    projection and the entry cap of the basis, before any state is built.
+    Every cap, of the budget or fixed, is checked before any state is built.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     spec = description.spec
     q, n = spec.q, spec.n
     m = min(d - 1, n)
-    xs, ys = bounded_pair_arrays(q, n, m, cap=cap)
-    check_size("subgroup size", spec.size, group_cap)
+    xs, ys = bounded_pair_arrays(q, n, m)
+    check_size("subgroup size", spec.size, "group")
     members = description.sorted_members()
     maximal = spec.is_maximal()
     if maximal:
-        operand = _basis_matrix(description, group_cap)
+        operand = _basis_matrix(description)
         screen_tol = tol
     else:
         # not cached, so that it can be released before the dense projection is built
         check_size("dense dimension", q**n, DENSE_MATRIX_CAP)
-        operand = _projected_basis(spec, members, group_cap)
+        operand = _projected_basis(spec, members)
         screen_tol = tol / operand.shape[1]
     suspects = np.flatnonzero(~_reduced_screen(operand, q, m, (xs != 0) | (ys != 0), screen_tol))
     if not maximal and suspects.size:
@@ -670,12 +660,12 @@ def dense_projection(description: FourierDescription) -> np.ndarray:
     return out
 
 
-def orthonormality_check(description: FourierDescription, group_cap: int = GROUP_CAP) -> Report:
+def orthonormality_check(description: FourierDescription) -> Report:
     """Gram matrix of the codeword basis must be the identity within BASIS_TOL (maximal specs)."""
     if not description.spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
     members = description.sorted_members()
-    basis = _basis_matrix(description, group_cap)
+    basis = _basis_matrix(description)
     gram = basis.conj().T @ basis
     deviation = np.abs(gram - np.eye(len(members)))
     if deviation.max() > BASIS_TOL:

@@ -15,22 +15,25 @@ The phase denominator is 2q rather than q: subgroups containing an element
 whose square is -I (e.g. a U_1 V_1 factor over Z_2) only close up once the
 quarter phase i is available.
 
-The module also holds the package's resource caps, each defined once here.
+The module also holds the package's resource caps and the current `Budget`
+of the two that a caller sets, which `check_sphere` and `check_size` read.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .galois import error_sphere_count
 
-# Resource caps.  The first two are the defaults of the CLI's --max-sphere
-# and --max-group; callers that take a `cap` or `group_cap` may override them.
-ENUMERATION_CAP = 10**7  # error pairs in one enumeration; also the q^r indices greedy walks
+# Resource caps.  The first two are the defaults of the budget's `sphere` and
+# `group`, and of the CLI's --max-sphere and --max-group; the last two are fixed.
+ENUMERATION_CAP = 10**7  # error pairs in one enumeration; also K^2 and the q^r indices greedy walks
 GROUP_CAP = 2**16  # elements of one subgroup table; also amplitudes of one dense state
 DENSE_MATRIX_CAP = 2**12  # side of one dense operator matrix
 SUBSET_CAP = 10**6  # row or column subsets that one alpha-good check enumerates
@@ -38,15 +41,39 @@ SUBSET_CAP = 10**6  # row or column subsets that one alpha-good check enumerates
 Word = tuple[int, ...]
 
 
-def check_sphere(n: int, q: int, w: int, cap: int = ENUMERATION_CAP) -> None:
-    """Refuse an enumeration of the error sphere of radius w beyond `cap` pairs."""
+@dataclass(frozen=True)
+class Budget:
+    """The caps that a caller sets; the comments of their defaults say what they bound."""
+
+    sphere: int = ENUMERATION_CAP
+    group: int = GROUP_CAP
+
+
+_BUDGET: ContextVar[Budget] = ContextVar("budget", default=Budget())
+
+
+@contextmanager
+def budget(**caps):
+    """Replace the named fields of the budget for a block, and restore the previous one on exit."""
+    token = _BUDGET.set(replace(_BUDGET.get(), **caps))
+    try:
+        yield _BUDGET.get()
+    finally:
+        _BUDGET.reset(token)
+
+
+def check_sphere(n: int, q: int, w: int) -> None:
+    """Refuse an enumeration of the error sphere of radius w beyond the budget's `sphere`."""
     need = error_sphere_count(n, q, w)
+    cap = _BUDGET.get().sphere
     if need > cap:
         raise ValueError(f"enumeration budget exceeded: need {need} pairs, cap {cap}")
 
 
-def check_size(what: str, size: int, cap: int) -> None:
-    """Refuse to build something of `size` beyond `cap`; `what` names the size."""
+def check_size(what: str, size: int, limit: str | int) -> None:
+    """Refuse to build something of `size` beyond the budget's field `limit`
+    ("sphere" or "group"), or beyond a fixed cap; `what` names the size."""
+    cap = getattr(_BUDGET.get(), limit) if isinstance(limit, str) else limit
     if size > cap:
         raise ValueError(f"{what} {size} exceeds cap {cap}")
 
@@ -203,39 +230,3 @@ def dense_matrix(g: WeylElement) -> np.ndarray:
         row = index[grp.add(x, g.a)]
         out[row, col] = phase_value(g.phase + grp.bicharacter_exponent(g.b, x), p)
     return out
-
-
-def bounded_pairs(q: int, n: int, w: int, cap: int = ENUMERATION_CAP):
-    """All (a, b) word pairs with 1 <= wt(a, b) <= w, as two int64 arrays of rows.
-
-    Order is canonical: by weight, then support positions, then the
-    per-position digit pairs (x, y) != (0, 0) in lexicographic order.  Each
-    (weight, support) block is filled by indexing, so no pair is built in
-    Python.  The range and the cap are checked before anything is allocated.
-    """
-    if w < 0 or w > n:
-        raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
-    check_sphere(n, q, w, cap)
-    total = error_sphere_count(n, q, w) - 1
-    xs = np.zeros((total, n), dtype=np.int64)
-    ys = np.zeros((total, n), dtype=np.int64)
-    start = 0
-    for weight in range(1, w + 1):
-        supports = np.array(list(itertools.combinations(range(n), weight)), dtype=np.int64)
-        # option k in 1 .. q^2 - 1 is the digit pair (k // q, k % q); first position slowest
-        options = np.indices((q * q - 1,) * weight).reshape(weight, -1).T + 1
-        stop = start + len(supports) * len(options)
-        rows = np.arange(start, stop)[:, None]
-        columns = np.repeat(supports, len(options), axis=0)
-        xs[rows, columns] = np.tile(options // q, (len(supports), 1))
-        ys[rows, columns] = np.tile(options % q, (len(supports), 1))
-        start = stop
-    return xs, ys
-
-
-def enumerate_bounded(group: AlphabetGroup, n: int, w: int, cap: int = ENUMERATION_CAP):
-    """Yield all (a, b) word pairs with 1 <= wt(a, b) <= w, each exactly once,
-    as the rows of `bounded_pairs` in its canonical order."""
-    xs, ys = bounded_pairs(group.q, n, w, cap)
-    for a, b in zip(xs.tolist(), ys.tolist()):
-        yield tuple(a), tuple(b)

@@ -43,9 +43,9 @@ from nonstab.fourier_code import (
     verify_distance,
 )
 from nonstab.galois import gaussian_binomial
-from nonstab.gottesman import forbidden_set, purity_radius, validate
+from nonstab.gottesman import bounded_pair_arrays, forbidden_set, purity_radius, validate
 from nonstab.oracle import apply, codeword, kl_check
-from nonstab.weyl import WeylElement, enumerate_bounded, prime_group
+from nonstab.weyl import WeylElement
 
 
 def report(num, name, ok, elapsed, limit=None):
@@ -65,7 +65,7 @@ def test_accept_01_code_5_6_2():
     # independent oracle: every weight-1 error annihilates every codeword pair
     states = [codeword(b, u) for u in b.sorted_members()]
     count = 0
-    for x, y in enumerate_bounded(prime_group(2), 5, 1):
+    for x, y in zip(*bounded_pair_arrays(2, 5, 1)):
         g = WeylElement(spec.group, 0, x, y)
         for phi_u in states:
             moved = apply(g, phi_u)
@@ -184,7 +184,7 @@ def test_accept_07_decoder_sweep():
     cases = 0
     ok = True
     for phi in states.values():
-        for x, y in enumerate_bounded(prime_group(2), 15, 1):
+        for x, y in zip(*bounded_pair_arrays(2, 15, 1)):
             corrupted = apply(WeylElement(spec.group, 0, x, y), phi)
             ok &= decode(corrupted, b, 1).fidelity(phi) >= 1 - 1e-9
             cases += 1

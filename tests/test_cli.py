@@ -172,6 +172,44 @@ def test_alpha_good_refuses_negative_attempts(capsys):
         assert captured.err == f"error: --attempts must be >= 0, got {attempts}\n"
 
 
+@pytest.mark.parametrize("alpha", ["0/0", "1/0"])
+def test_alpha_good_refuses_a_malformed_alpha(capsys, alpha):
+    code = main(["family", "--name", "alpha-good", "--n", "12", "--seed", "7",
+                 "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --alpha must be a fraction such as 1/6, got {alpha}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [(["verify"], "--max-sphere", "-5"), (["greedy", "--d", "3"], "--max-sphere", "-1"),
+     (["oracle"], "--max-sphere", "-2"), (["oracle"], "--max-group", "-1")],
+)
+def test_negative_budget_flags_exit_2_before_anything_runs(capsys, tmp_path, argv, flag, value):
+    # the bundle does not exist: the flag is refused before it is read
+    code = main([*argv, "--in", str(tmp_path / "missing.json"), flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 0, got {value}\n"
+
+
+def test_decode_sim_refuses_error_digits_outside_0_to_q(capsys, tmp_path):
+    path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "3")
+    for flag, word in (("--error-x", "5,0,0,0,0"), ("--error-y", "0,-1,0,0,0"),
+                       ("--error-x", "0,0,0,0,3")):
+        code = main(["decode-sim", "--in", str(path), "--u", "0,0,0,0,0", flag, word])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {flag} digits must lie in [0, 3), got {word}\n"
+    # the digit q - 1 is in range: the run decodes (a distance-2 code at t = 1
+    # need not succeed) instead of being refused
+    code = main(["decode-sim", "--in", str(path), "--u", "0,0,0,0,0",
+                 "--error-x", "2,0,0,0,0", "--error-y", "0,2,0,0,0"])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and captured.err == "" and "pass" in json.loads(captured.out)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify"], ["oracle"], ["greedy", "--d", "3"], ["encode-sim", "--message", "0"],
@@ -376,7 +414,7 @@ def test_oracle_projects_the_basis_once(capsys, tmp_path, monkeypatch):
 
     path, _ = family_bundle(capsys, tmp_path, "--name", "code15")
     monkeypatch.setattr(oracle, "_projected_basis", counted)
-    oracle._basis_matrix.cache_clear()
+    oracle._cached_basis.cache_clear()
     code, out = run(capsys, "oracle", "--in", str(path))
     assert code == 0 and json.loads(out)["orthonormality"]["pass"]
     assert calls == [8]

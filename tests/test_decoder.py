@@ -11,7 +11,7 @@ from nonstab.fourier_code import FourierDescription, greedy_construct, verify_di
 from nonstab.galois import error_sphere_count
 from nonstab.gottesman import bounded_pair_arrays, character_exponent
 from nonstab.oracle import SparseState, apply, codeword
-from nonstab.weyl import WeylElement, enumerate_bounded, prime_group
+from nonstab.weyl import WeylElement, prime_group
 
 
 def stabilizer_description(n=7):
@@ -129,7 +129,7 @@ def test_decode_roundtrip_stabilizer_and_greedy():
     for b in descriptions:
         for u in b.sorted_members():
             phi = codeword(b, u)
-            for x, y in enumerate_bounded(prime_group(2), 7, 1):
+            for x, y in zip(*bounded_pair_arrays(2, 7, 1)):
                 g = WeylElement(spec.group, 0, x, y)
                 out = decode(apply(g, phi), b, 1)
                 assert out.fidelity(phi) >= 1 - 1e-9
@@ -167,7 +167,7 @@ def test_syndrome_collisions_are_harmless():
     b = stabilizer_description()
     phi = codeword(b, (0,) * 7)
     errors = [
-        WeylElement(spec.group, 0, x, y) for x, y in enumerate_bounded(prime_group(2), 7, 2)
+        WeylElement(spec.group, 0, x, y) for x, y in zip(*bounded_pair_arrays(2, 7, 2))
     ]
     assert len({
         tuple(((np.array(g.a) @ spec.M - np.array(g.b) @ spec.L) % 2).tolist())
@@ -205,7 +205,7 @@ def test_decode_roundtrip_gf3():
     assert len(b) >= 2 and verify_distance(b, 3).passed
     for u in b.sorted_members():
         phi = codeword(b, u)
-        for x, y in enumerate_bounded(prime_group(3), 5, 1):
+        for x, y in zip(*bounded_pair_arrays(3, 5, 1)):
             g = WeylElement(spec.group, 0, x, y)
             out = decode(apply(g, phi), b, 1)
             assert out.fidelity(phi) >= 1 - 1e-9

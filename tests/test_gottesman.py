@@ -19,7 +19,7 @@ from nonstab.gottesman import (
     synthesize_phase_matrix,
     validate,
 )
-from nonstab.weyl import WeylElement, compose, dense_matrix, gamma, phase_value
+from nonstab.weyl import WeylElement, budget, compose, dense_matrix, gamma, phase_value
 
 
 def weight_one_member_spec():
@@ -214,12 +214,13 @@ def test_low_weight_members_examples():
 
 def test_enumeration_caps_are_enforced():
     spec = laflamme_spec(15)
-    with pytest.raises(ValueError, match="budget"):
-        forbidden_set(spec, 3, cap=10)
-    with pytest.raises(ValueError, match="budget"):
-        purity_radius(spec, 3, cap=10)
-    with pytest.raises(ValueError, match="budget"):
-        low_weight_members(spec, 2, cap=10)
+    with budget(sphere=10):
+        with pytest.raises(ValueError, match="budget"):
+            forbidden_set(spec, 3)
+        with pytest.raises(ValueError, match="budget"):
+            purity_radius(spec, 3)
+        with pytest.raises(ValueError, match="budget"):
+            low_weight_members(spec, 2)
 
 
 def test_spec_json_roundtrip():
@@ -369,7 +370,7 @@ def sphere_cases(draw):
 @given(sphere_cases())
 def test_sphere_pass_equals_the_separate_products(case):
     spec, w = case
-    xs, ys, in_image, members, shift_keys = _sphere(spec, w, 10**7)
+    xs, ys, in_image, members, shift_keys = _sphere(spec, w)
     want_in_image, want_members, want_keys = reference_sphere(spec, w)
     assert np.array_equal(xs, bounded_pair_arrays(spec.q, spec.n, w)[0])
     assert np.array_equal(in_image, want_in_image)
@@ -383,13 +384,13 @@ def test_sphere_pass_spans_several_blocks():
     # weight-one-member spec has a pair in the image
     rng = np.random.default_rng(7)
     for spec, w in ((random_maximal_spec(rng, 7, q=3), 3), (weight_one_member_spec(), 2)):
-        got = _sphere(spec, w, 10**7)[2:]
+        got = _sphere(spec, w)[2:]
         for have, want in zip(got, reference_sphere(spec, w)):
             assert np.array_equal(have, want)
     assert len(bounded_pair_arrays(3, 7, 3)[0]) > 10 * PRODUCT_ROWS
     # keys beyond int64 come out as exact Python ints, as `pack` gives them
     spec, _ = distance2_family(65, 2)
-    got = _sphere(spec, 1, 10**7)
+    got = _sphere(spec, 1)
     want = reference_sphere(spec, 1)
     assert got[4].dtype == object and got[4].tolist() == want[2].tolist()
     assert np.array_equal(got[2], want[0])

@@ -38,6 +38,7 @@ from nonstab.oracle import (
     PRUNE_TOL,
     SparseState,
     _basis_matrix,
+    _cached_basis,
     _gram_witness,
     _projected_basis,
     _reduced_screen,
@@ -51,8 +52,8 @@ from nonstab.oracle import (
     orthonormality_check,
 )
 from nonstab.weyl import (
-    GROUP_CAP,
     WeylElement,
+    budget,
     compose,
     dense_matrix,
     phase_value,
@@ -258,15 +259,32 @@ def test_kl_check_refuses_oversized_projection_before_allocating():
     assert peak < 2**20
 
 
-def test_kl_check_caps_come_from_its_arguments():
+def test_kl_check_caps_come_from_the_budget():
     _, b = distance2_family(5, 2)
-    with pytest.raises(ValueError, match="enumeration budget exceeded: need 16 pairs, cap 15"):
-        kl_check(b, 2, cap=15)
-    with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 16"):
-        kl_check(b, 2, group_cap=16)
-    with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 16"):
-        orthonormality_check(b, group_cap=16)
-    assert kl_check(b, 2, cap=16, group_cap=32).passed
+    with budget(sphere=15):
+        with pytest.raises(ValueError, match="enumeration budget exceeded: need 16 pairs, cap 15"):
+            kl_check(b, 2)
+    with budget(group=16):
+        with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 16"):
+            kl_check(b, 2)
+        with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 16"):
+            orthonormality_check(b)
+    with budget(sphere=16, group=32):
+        assert kl_check(b, 2).passed
+
+
+def test_a_cached_basis_is_refused_under_a_smaller_group():
+    _, b = distance2_family(5, 2)
+    _cached_basis.cache_clear()
+    basis = _basis_matrix(b)  # built and cached under the default budget
+    with budget(group=31):
+        with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 31"):
+            _basis_matrix(b)
+        with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 31"):
+            orthonormality_check(b)
+    assert _cached_basis.cache_info().currsize == 1
+    with budget(group=32):
+        assert _basis_matrix(b) is basis
 
 
 def test_packed_index_refuses_int64_overflow():
@@ -439,8 +457,8 @@ def assert_basis_matches_reference(description):
     tables = subgroup_tables(description.spec)
     columns, words = zip(*(reference_projection(description.spec, tables, u) for u in members))
     expected = np.column_stack(columns)
-    _basis_matrix.cache_clear()
-    basis = _basis_matrix(description, GROUP_CAP)
+    _cached_basis.cache_clear()
+    basis = _basis_matrix(description)
     assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
     for column, u in zip(columns, members):
         state = codeword(description, u)
@@ -546,7 +564,7 @@ def test_projected_basis_is_bit_equal_to_the_per_word_loop():
     descriptions = [code_15_8_3(), distance2_family(7, 3)[1], *crosscheck_maximal_descriptions()]
     for description in descriptions:
         members = description.sorted_members()
-        got = _projected_basis(description.spec, members, GROUP_CAP)
+        got = _projected_basis(description.spec, members)
         expected = per_word_projected_basis(description.spec, members)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -583,7 +601,7 @@ def test_code15_screen_takes_the_real_path(monkeypatch):
     from nonstab import oracle
 
     description = code_15_8_3()
-    basis = _basis_matrix(description, GROUP_CAP)
+    basis = _basis_matrix(description)
     sigma = np.linalg.norm(basis.imag)
     # all 990 errors of weight <= 2, and 13,059 of the 13,275 of weight <= 3
     for d, cleared in ((3, 990), (4, 13_059)):
@@ -612,7 +630,7 @@ def corrupted_greedy_code():
 def test_a_global_phase_takes_the_complex_path_to_the_same_mask():
     for description, d in ((code_15_8_3(), 3), (corrupted_greedy_code()[1], 3)):
         spec = description.spec
-        basis = _basis_matrix(description, GROUP_CAP)
+        basis = _basis_matrix(description)
         _, _, supports = error_supports(spec.q, spec.n, d - 1)
         turned = basis * np.exp(0.7j)
         assert 6 * np.linalg.norm(turned.imag) > TOL / (2 * spec.q ** (d - 1))
@@ -630,7 +648,7 @@ def test_an_imaginary_violation_is_not_cleared():
     assert kl_check(code, 3).passed and len(members) == 2
     xs, ys, supports = error_supports(2, 7, 2)
     for e in (0, 17, len(xs) - 1):
-        basis = np.array(_basis_matrix(code, GROUP_CAP))
+        basis = np.array(_basis_matrix(code))
         _, adjoint = weyl_times(basis, xs[e], ys[e], 2)
         basis[:, 1] += 2j * TOL * adjoint[:, 0]
         assert 6 * np.linalg.norm(basis.imag) > TOL / (2 * 2**2)
@@ -651,7 +669,7 @@ def test_reduced_screen_clears_every_error_of_a_passing_code():
     ):
         spec = description.spec
         xs, ys = bounded_pair_arrays(spec.q, spec.n, d - 1)
-        basis = _basis_matrix(description, GROUP_CAP)
+        basis = _basis_matrix(description)
         assert _reduced_screen(basis, spec.q, d - 1, (xs != 0) | (ys != 0), TOL).all()
 
 
@@ -668,13 +686,13 @@ def test_kl_check_never_unpacks_the_words(monkeypatch):
     monkeypatch.setattr(oracle, "unpack", counted)
     # code15 at d = 3: the screen clears all 990 errors
     description = code_15_8_3()
-    _basis_matrix(description, GROUP_CAP)
+    _basis_matrix(description)
     sizes.clear()
     assert kl_check(description, 3).passed and sizes == []
     # d2 (5, 2) at d = 3: K = 6 exceeds the Singleton bound, so nothing is
     # screened and every error is applied to the packed words 0 .. 2^5 - 1
     _, description = distance2_family(5, 2)
-    _basis_matrix(description, GROUP_CAP)
+    _basis_matrix(description)
     sizes.clear()
     assert not kl_check(description, 3).passed and sizes == []
 
@@ -808,8 +826,8 @@ def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
 @given(nonmaximal_descriptions())
 def test_code_space_basis_of_a_nonmaximal_spec(case):
     description, _ = case
-    _basis_matrix.cache_clear()
-    basis = _basis_matrix(description, GROUP_CAP)
+    _cached_basis.cache_clear()
+    basis = _basis_matrix(description)
     assert basis.shape[1] == code_dimension(description)
     gram = basis.conj().T @ basis
     assert np.abs(gram - np.eye(len(gram))).max() <= BASIS_TOL
@@ -829,7 +847,7 @@ def test_nonmaximal_kl_check_peak_memory():
     expected = reference_nonmaximal_kl_check(description, 2)
     assert not expected.passed
     kl_check(description, 2)  # cached tables built outside the trace
-    _basis_matrix.cache_clear()  # but the basis inside it, as on a first call
+    _cached_basis.cache_clear()  # but the basis inside it, as on a first call
     tracemalloc.start()
     try:
         report = kl_check(description, 2)

@@ -1,19 +1,26 @@
+import importlib
+import inspect
 import itertools
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonstab
 from nonstab.galois import error_sphere_count
 from nonstab.gottesman import bounded_pair_arrays
 
 from nonstab.weyl import (
     AlphabetGroup,
+    Budget,
     WeylElement,
+    budget,
+    check_sphere,
     compose,
     dense_matrix,
-    enumerate_bounded,
     gamma,
     inverse,
     phase_value,
@@ -198,21 +205,26 @@ def test_orthogonality_of_distinct_elements():
         assert abs(np.trace(dense_matrix(g).conj().T @ dense_matrix(h))) < 1e-12
 
 
-def test_enumerate_bounded_counts():
-    assert len(list(enumerate_bounded(Z2, 5, 1))) == 15
-    assert list(enumerate_bounded(Z2, 4, 0)) == []
-    pairs = list(enumerate_bounded(Z2, 15, 2))
-    assert len(pairs) == 990
+def pair_rows(q, n, w):
+    """The rows of `bounded_pair_arrays` as (a, b) tuples, in its order."""
+    xs, ys = bounded_pair_arrays(q, n, w)
+    return list(zip(map(tuple, xs.tolist()), map(tuple, ys.tolist())))
 
 
-def test_enumerate_bounded_order_and_uniqueness():
-    pairs = list(enumerate_bounded(Z3, 3, 2))
+def test_bounded_pair_arrays_counts():
+    assert len(pair_rows(2, 5, 1)) == 15
+    assert pair_rows(2, 4, 0) == []
+    assert len(pair_rows(2, 15, 2)) == 990
+
+
+def test_bounded_pair_arrays_order_and_uniqueness():
+    pairs = pair_rows(3, 3, 2)
     assert len(pairs) == len(set(pairs))
     weights = [Z3.weight(a, b) for a, b in pairs]
     assert weights == sorted(weights)
-    assert pairs == list(enumerate_bounded(Z3, 3, 2))
-    with pytest.raises(ValueError):
-        list(enumerate_bounded(Z2, 40, 12, cap=1000))
+    assert pairs == pair_rows(3, 3, 2)
+    with budget(sphere=1000), pytest.raises(ValueError):
+        bounded_pair_arrays(2, 40, 12)
 
 
 def reference_bounded_pairs(q, n, w):
@@ -234,16 +246,14 @@ def test_bounded_enumeration_matches_itertools_reference(q, n, w, refuse):
     need = error_sphere_count(n, q, w)
     if refuse:
         # one pair short of the sphere: refused before anything is built
-        with pytest.raises(ValueError, match="budget"):
-            bounded_pair_arrays(q, n, w, cap=need - 1)
-        with pytest.raises(ValueError, match="budget"):
-            next(enumerate_bounded(prime_group(q), n, w, cap=need - 1))
+        with budget(sphere=need - 1), pytest.raises(ValueError, match="budget"):
+            bounded_pair_arrays(q, n, w)
         return
     if need > 50_000:
         return  # the reference is pure Python; the refusal branch still covers this shape
     expected = list(reference_bounded_pairs(q, n, w))
-    assert list(enumerate_bounded(prime_group(q), n, w, cap=need)) == expected
-    xs, ys = bounded_pair_arrays(q, n, w, cap=need)
+    with budget(sphere=need):
+        xs, ys = bounded_pair_arrays(q, n, w)
     assert xs.dtype == ys.dtype == np.int64
     assert xs.shape == ys.shape == (len(expected), n)
     assert list(zip(map(tuple, xs.tolist()), map(tuple, ys.tolist()))) == expected
@@ -253,3 +263,56 @@ def test_bounded_enumeration_refuses_a_radius_outside_0_to_n():
     for w in (-1, 4):
         with pytest.raises(ValueError, match="need 0 <= w <= n"):
             bounded_pair_arrays(2, 3, w)
+
+
+def test_budget_restores_the_previous_budget_after_an_exception():
+    assert Budget() == Budget(sphere=10**7, group=2**16)
+    with budget(sphere=16) as outer:
+        assert outer == Budget(sphere=16)
+        with pytest.raises(ValueError, match="need 16 pairs, cap 15"):
+            with budget(sphere=15, group=4) as inner:
+                assert inner == Budget(sphere=15, group=4)
+                check_sphere(5, 2, 1)
+        check_sphere(5, 2, 1)  # 16 pairs fit the outer budget again
+        with budget(group=4) as inner:
+            assert inner == Budget(sphere=16, group=4)  # unnamed fields are kept
+    with budget() as current:
+        assert current == Budget()
+
+
+def library_functions():
+    """Every function and method defined in a module of nonstab, unwrapped."""
+    for info in pkgutil.iter_modules(nonstab.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the CLI
+        module = importlib.import_module(f"nonstab.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                for attr in ("__func__", "fget", "func"):  # methods and properties
+                    member = getattr(member, attr, member)
+                member = inspect.unwrap(member)
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_no_signature_takes_a_cap():
+    functions = list(library_functions())
+    names = {f"{fn.__module__}.{fn.__qualname__}" for fn in functions}
+    assert {"nonstab.oracle.kl_check", "nonstab.oracle.SparseState.to_dense",
+            "nonstab.oracle._basis_matrix", "nonstab.weyl.check_size"} <= names
+    taking_caps = [
+        f"{fn.__module__}.{fn.__qualname__}({name})"
+        for fn in functions
+        for name in inspect.signature(fn).parameters
+        if name in ("cap", "group_cap")
+    ]
+    assert taking_caps == []
+    # the default caps are named only where the budget and the CLI flags are defined
+    naming_defaults = sorted(
+        path.stem
+        for path in Path(nonstab.__file__).parent.glob("*.py")
+        if any(cap in path.read_text() for cap in ("ENUMERATION_CAP", "GROUP_CAP"))
+    )
+    assert naming_defaults == ["cli", "weyl"]
