@@ -79,10 +79,6 @@ class Circuit:
         object.__setattr__(self, "gates", gates)
 
 
-def zero_state(circuit: Circuit) -> SparseState:
-    return SparseState.basis_word(prime_group(circuit.q), (0,) * circuit.registers)
-
-
 def simulate(circuit: Circuit, state: SparseState) -> SparseState:
     """Apply the circuit's gates in order; exact and norm-preserving.
 
@@ -134,17 +130,6 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
             packed = packed + (new - old) * place[ops[-1]]
             known[ops[-1]] = new
     return SparseState._from_packed(group, circuit.registers, packed, amps)
-
-
-def uniform_over_sum_zero(n: int, q: int) -> Circuit:
-    """Circuit taking |0^n> to the uniform superposition over the sum-zero code."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    gates = [Gate("fourier", (i,)) for i in range(n - 1)]
-    gates += [Gate("c-u", (i, n - 1)) for i in range(n - 1)]
-    if n > 1:
-        gates.append(Gate("inverter", (n - 1,)))
-    return Circuit(q, n, tuple(gates))
 
 
 def _accumulate(matrix: np.ndarray, src: int, dst: int, q: int, negate: bool) -> list:

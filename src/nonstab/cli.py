@@ -36,7 +36,7 @@ from .fourier_code import (
 )
 from .gottesman import GottesmanSpec, json_integer, validate
 from .oracle import apply, codeword, kl_check, message_coordinates, orthonormality_check
-from .weyl import ENUMERATION_CAP, GROUP_CAP, WeylElement, budget, check_sphere, inverse
+from .weyl import ENUMERATION_CAP, GROUP_CAP, WeylElement, budget, check_size, check_sphere, inverse
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,14 @@ def make_family(name: str, args) -> CodeBundle:
             raise SystemExit2(
                 f"family d2 is documented for odd n >= 5 only, got n={args.n}"
             )
+        # refused before it is built: validate tables the n^2 basis pairs of
+        # the spec, and verify the K^2 differences of B
+        check_size("cocycle pairs", args.n**2, "group")
+        check_size("difference pairs", (1 + args.n * (args.q - 1)) ** 2, "sphere")
         spec, description = families.distance2_family(args.n, args.q)
         return CodeBundle(description, 2, f"d2 n={args.n} q={args.q}")
     if name == "laflamme":
+        check_size("cocycle pairs", args.n**2, "group")
         spec = families.laflamme_spec(args.n)
         zero = (0,) * spec.r
         return CodeBundle(
@@ -149,6 +154,7 @@ def make_family(name: str, args) -> CodeBundle:
             alpha = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError):
             raise SystemExit2(f"--alpha must be a fraction such as 1/6, got {args.alpha}") from None
+        check_size("cocycle pairs", (2 * args.n) ** 2, "group")  # the spec has 2n digits
         found = families.search_alpha_good(args.n, alpha, args.attempts, args.seed)
         if found is None:
             raise NotFound(

@@ -158,11 +158,6 @@ class SetFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def symmetric_difference_sizes(self) -> set:
-        return {
-            len(s1 ^ s2) for s1, s2 in itertools.combinations(self.members, 2)
-        }
-
 
 def subspace_family(m: int, r: int, q: int) -> SetFamily:
     """All r-dimensional subspaces of GF(q)^m as point sets.

@@ -196,11 +196,6 @@ def _weight_lex_keys(q: int, r: int) -> np.ndarray:
     return np.argsort(weights, kind="stable")
 
 
-def weight_lex_indices(q: int, r: int) -> list:
-    """All of GF(q)^r ordered by weight, then lexicographically; 0 first."""
-    return list(map(tuple, unpack(_weight_lex_keys(q, r), q, r).tolist()))
-
-
 def greedy_construct(spec: GottesmanSpec, d: int, order=None) -> FourierDescription:
     """Greedy packing of character indices whose differences avoid the
     forbidden set.  Requires a d-pure spec; deterministic given `order`

@@ -97,9 +97,6 @@ class SparseState:
         for row, amp in zip(self.words, self.amps):
             yield tuple(int(v) for v in row), complex(amp)
 
-    def to_dict(self) -> dict:
-        return dict(self.items())
-
     def __len__(self) -> int:
         return len(self.amps)
 
@@ -123,13 +120,6 @@ class SparseState:
 
     def fidelity(self, other: "SparseState") -> float:
         return abs(self.inner(other))
-
-    def to_dense(self) -> np.ndarray:
-        dim = self.group.q**self.n
-        check_size("dense dimension", dim, "group")
-        out = np.zeros(dim, dtype=complex)
-        out[self.packed] = self.amps
-        return out
 
 
 def _weyl_action(keys: np.ndarray, a, b, q: int, n: int):
@@ -211,7 +201,7 @@ def codeword(description: FourierDescription, u) -> SparseState:
         raise ValueError("u is not a member of the Fourier description")
     if not spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
-    column = _projected_basis(spec, [u])[:, 0]
+    column = _projected_basis(spec, [u])[0][:, 0]
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
@@ -227,25 +217,27 @@ def _basis_matrix(description: FourierDescription) -> np.ndarray:
     spec = description.spec
     check_size("codeword basis entries", spec.q**spec.n * code_dimension(description), DENSE_MATRIX_CAP**2)
     check_size("subgroup size", spec.size, "group")
-    return _cached_basis(description)
+    return _cached_basis(description)[0]
 
 
 @lru_cache(maxsize=1)
-def _cached_basis(description: FourierDescription) -> np.ndarray:
-    basis = _projected_basis(description.spec, description.sorted_members())
+def _cached_basis(description: FourierDescription) -> tuple[np.ndarray, np.ndarray]:
+    basis, least = _projected_basis(description.spec, description.sorted_members())
     basis.setflags(write=False)
-    return basis
+    least.setflags(write=False)
+    return basis, least
 
 
 def _projected_basis(spec: GottesmanSpec, members):
-    """An orthonormal basis of the code space of `members`, as the columns of a matrix.
+    """An orthonormal basis of the code space of `members`, as the columns of
+    a matrix, and the digit rows of the words w of its columns.
 
     Each column is P_u e_w, normalized, for a member u and a standard basis
     word w: the least word of a coset w + X(S) of the shifts X(S) = {La} on
-    which the character projection P_u is nonzero.  A maximal spec has one
-    such coset per member, so its columns are its codewords, one per member
-    in the order given; a non-maximal one (`_coset_basis`) has a column for
-    every such coset.
+    which the character projection P_u is nonzero, and on which the column
+    lies.  A maximal spec has one such coset per member, so its columns are
+    its codewords, one per member in the order given; a non-maximal one
+    (`_coset_basis`) has a column for every such coset.
 
     For a maximal spec, P_u is applied to standard basis words in
     lexicographic order until its image is nonzero.  The characters of every
@@ -268,6 +260,7 @@ def _projected_basis(spec: GottesmanSpec, members):
     dim = q**n
     zero = np.zeros(n, dtype=np.int64)
     basis = np.zeros((dim, len(members)), dtype=complex)
+    least = np.zeros((len(members), n), dtype=np.int64)
     pending = list(range(len(members)))
     for word in range(dim):
         if not pending:
@@ -286,7 +279,7 @@ def _projected_basis(spec: GottesmanSpec, members):
             if norm > VANISHING:
                 support = np.nonzero(np.abs(image) > PRUNE_TOL)[0]
                 support, amps = _pruned(support, image[support] / norm)
-                basis[support, col] = amps
+                basis[support, col], least[col] = amps, w
             else:
                 waiting.append(col)
         pending = waiting
@@ -294,7 +287,7 @@ def _projected_basis(spec: GottesmanSpec, members):
         raise ValueError("projection vanished on every basis word (invalid spec?)")
     if spec.quad_upper is not None:
         _check_closed_form(spec, members, basis)
-    return basis
+    return basis, least
 
 
 def _coset_basis(spec: GottesmanSpec, members):
@@ -320,12 +313,12 @@ def _coset_basis(spec: GottesmanSpec, members):
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
     a_rows, la, ma, rho = _spec_tables(spec)
-    reduced, pivots, _ = spec.field.rref(spec.L.T)
+    reduced, pivots = _shift_echelon(spec)
     k = len(pivots)
     free = [i for i in range(n) if i not in pivots]
     least = np.zeros((q ** (n - k), n), dtype=np.int64)
     least[:, free] = unpack(np.arange(q ** (n - k)), q, n - k)
-    shifts = _remainder(unpack(np.arange(q**k), q, k) @ reduced[:k], q)
+    shifts = _remainder(unpack(np.arange(q**k), q, k) @ reduced, q)
     words = pack(_remainder(least[:, None, :] + shifts, q), q)  # coset by coset
     by_shift = np.argsort(pack(la[:, pivots], q), kind="stable").reshape(q**k, -1)
     roots = root_table(p)
@@ -341,7 +334,16 @@ def _coset_basis(spec: GottesmanSpec, members):
     member, coset = np.nonzero(nonzero.T)
     basis = np.zeros((q**n, len(member)), dtype=complex)
     basis[words[coset].T, np.arange(len(member))] = images[:, coset, member] / norms[coset, member]
-    return basis
+    return basis, least[coset]
+
+
+@lru_cache(maxsize=1)
+def _shift_echelon(spec: GottesmanSpec) -> tuple[np.ndarray, tuple]:
+    """(R, pivots): the nonzero rows of the RREF of L^T, which span X(S), and their pivots."""
+    reduced, pivots, _ = spec.field.rref(spec.L.T)
+    reduced = reduced[: len(pivots)]
+    reduced.setflags(write=False)
+    return reduced, tuple(pivots)
 
 
 def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray) -> None:
@@ -426,21 +428,6 @@ def _closed_form_terms(spec: GottesmanSpec, delta: int):
     return xs, zs, root_table(spec.q)[quad]
 
 
-def closed_form_codeword(spec: GottesmanSpec, u) -> SparseState:
-    """Codeword of a product-form spec, from its explicit amplitude formula:
-
-        sum over sum-zero x of  w^((x+d)^T Q (x+d)) conj(w)^(x . c) |x + d>
-
-    normalized, with Q the certificate matrix and (c, d = delta * ones)
-    the product-form coordinates of u.
-    """
-    c_vec, delta = message_coordinates(spec, u)
-    xs, zs, quad_phase = _closed_form_terms(spec, delta)
-    lin = (xs @ c_vec) % spec.q
-    amps = quad_phase * np.conj(root_table(spec.q)[lin]) / math.sqrt(len(xs))
-    return SparseState.from_pairs(spec.group, spec.n, zs, amps)
-
-
 # ----------------------------------------------------------------------
 # Knill-Laflamme checks
 # ----------------------------------------------------------------------
@@ -476,48 +463,72 @@ def _projection_witness(projection, moved, trace, tol):
     return {"value": float(deviation)} if deviation > tol else None
 
 
-def _reduced_screen(basis, q, m, supports, tol):
+def _frame(floats, q, cosets, dropped):
+    """(frame, keys) of `_reduced_screen`: `floats` at its columns' coset words, without
+    the digits `dropped`, and their packed dropped digits; an axis per kept digit."""
+    shifts, pivots, least = cosets
+    n, kk, dropped = shifts.shape[1], len(least), list(dropped)
+    values = np.arange(q, dtype=np.int64)
+    words = np.zeros(1, dtype=np.int64)  # the kept digits, packed
+    offsets = np.zeros((1, len(dropped)), dtype=np.int64)  # (w_P R)_D
+    kept = [i for i in range(n) if i not in dropped]
+    for i in kept:
+        words = (words[:, None] + values * q ** (n - 1 - i)).ravel()
+        step = shifts[pivots.index(i), dropped] if i in pivots else 0
+        offsets = (offsets[:, None, :] + values[:, None] * step).reshape(-1, len(dropped))
+    digits = _remainder(offsets[:, None, :] + least[:, dropped], q)
+    keys = digits @ q ** (n - 1 - np.array(dropped, dtype=np.int64))
+    width = floats.shape[1] // kk
+    frame = floats[np.repeat(words[:, None] + keys, width, axis=1), np.arange(width * kk)]
+    return frame.reshape((q,) * len(kept) + (-1,)), keys.reshape((q,) * len(kept) + (-1,))
+
+
+def _reduced_screen(basis, q, m, supports, tol, cosets=None):
     """Mask of the errors that the reduced matrices on m-subsets of digits clear.
 
     For a set T of m digits, reorder the words so that T's digits come last:
     the basis becomes A_T with q^(n-m) rows and q^m K columns, and
     R_T = A_T^H A_T has entries R_T[(a, u), (b, v)] = sum over the words w
-    off T of conj(phi_u(a, w)) phi_v(b, w).  It is formed as one real
-    product Z_T^T Z_T, so that BLAS runs a symmetric rank-k update, of a
-    float view Z_T of A_T with `width` floats per column.  T is clean when
-    every block R_T[:, u, :, v] is within eps = tol / (2 q^m) of
-    delta_uv R_T[:, 0, :, 0].  An error is cleared when its support, a row
-    of `supports`, lies in a clean T.
+    off T of conj(phi_u(a, w)) phi_v(b, w).  T is clean when every block
+    R_T[:, u, :, v] is within eps = tol / (2 q^m) of delta_uv R_T[:, 0, :, 0],
+    and an error is cleared when its support, a row of `supports`, lies in
+    a clean T.  R_T is one real product Z_T^T Z_T, a symmetric rank-k update
+    in BLAS, of a float view Z_T of A_T with `width` floats per column.
+
+    Coset frames.  With `cosets` = (R, P, least), column j is zero off the
+    coset least[j] + X(S): R spans X(S) in reduced echelon form with pivot
+    digits P (`_shift_echelon`), and least[j] is zero at P.  On the coset the
+    free digits are fixed, w_F = least[j]_F + w_P R_F, so A_T leaves out the
+    digits D = F - T: the frame is the basis gathered at those coset words,
+    and C_T, the frame with T's digits last, has q^|D| times fewer rows.  A
+    row of C_T stands for one word per column, whose D digits are
+    kappa(a, u) = least[u]_D + a_P R_D, a_P the pivot digits of T, plus a
+    part shared by every column; so R_T = [kappa(a, u) = kappa(b, v)]
+    C_T^H C_T.  One frame serves every T with the same D.  Each column is
+    exactly 0.0 off its coset, so an entry that the mask zeroes sums only
+    exact zeros in the dense product, and every other entry sums the same
+    nonzero products in another order: the bounds below hold as they stand.
 
     With sigma = |Im V|_F, a basis with 6 sigma < eps is real but for
-    rounding (code15's amplitudes are +-2^-7 with imaginary parts below
-    1e-18), and Z_T = Re A_T, one float per column: a quarter of the flops
-    of the interleaved view and half of its copy.  T is then clean at
-    eps - 6 sigma.  Why that is safe: write a column of A_T as
-    c_i = r_i + i s_i, with |c_i| <= 1 and |s_i| <= sigma.  Then
-    |c_i^H c_j - r_i . r_j| <= sigma^2 + 2 sigma <= 3 sigma, so each entry
-    R_T[(a, u), (b, v)] - delta_uv R_T[(a, 0), (b, 0)] of the clean test
-    moves by at most 6 sigma between Re A_T and A_T, and a pass at
-    eps - 6 sigma is a pass at eps.  Otherwise Z_T interleaves the real and
-    imaginary parts of each column, two floats, and Re R_T and Im R_T are
-    read from its 2 x 2 blocks as re.re + im.im and re.im - im.re.
+    rounding (code15's imaginary parts are below 1e-18), and Z_T = Re A_T, a
+    quarter of the flops.  T is then clean at eps - 6 sigma: columns c_i of
+    A_T with |c_i| <= 1 and |Im c_i| <= sigma have |c_i^H c_j - Re c_i .
+    Re c_j| <= 3 sigma, so each entry of the test moves by at most 6 sigma.
+    Otherwise Z_T interleaves Re and Im of each column, and Re R_T, Im R_T
+    are read from its 2 x 2 blocks as re.re + im.im and re.im - im.re.
 
     Why eps is safe: an error E supported on T acts as E_T on T's digits,
     and E_T is monomial, with q^m entries of unit modulus at (a, pi(a)).  So
     <phi_u| E |phi_v> = sum over a of E_T[a, pi(a)] R_T[(a, u), (pi(a), v)],
     and on a clean T each Gram is within q^m eps = tol / 2 of c I, with c
     the same sum over R_T[:, 0, :, 0].  The other tol / 2 covers rounding,
-    so a cleared error passes `_gram_witness` at `tol`.  The real product
-    sums the very products that the complex one does, only grouped
-    differently, so each entry of R_T differs from A_T^H A_T (or, on the
-    real path, from Re A_T^T Re A_T) by rounding alone: at most about
-    q^(n-m) units of 2^-53 times the sum of the moduli of its terms, which
-    is at most 1 for unit columns.  Under the group cap that is below
-    1e-11, far inside tol / 2.
-
-    A code that passes has K <= q^(n - 2m), the quantum Singleton bound.
-    Beyond it nothing is screened, and R_T, with q^(2m) K^2 entries, is
-    never larger than the basis.  A 1 x 1 Gram always passes.
+    so a cleared error passes `_gram_witness` at `tol`: an entry of R_T is
+    off by at most about q^(n-m) units of 2^-53 times the sum of the moduli
+    of its products, at most 1 for unit columns, which under the group cap
+    is below 1e-11.  A code that passes has K <= q^(n - 2m), the quantum
+    Singleton bound: beyond it nothing is screened, and R_T, with
+    q^(2m) K^2 entries, is never larger than the basis.  A 1 x 1 Gram
+    always passes.
     """
     n = supports.shape[1]
     kk = basis.shape[1]
@@ -530,20 +541,35 @@ def _reduced_screen(basis, q, m, supports, tol):
     sigma = np.linalg.norm(basis.imag)
     if 6 * sigma < eps:  # a real basis but for rounding: Z_T = Re A_T
         width, eps = 1, eps - 6 * sigma
-        floats = basis.real
+        floats = np.ascontiguousarray(basis.real)  # a strided view copies slower
     else:
         width, floats = 2, basis.view(np.float64)
-    tensor = floats.reshape((q,) * n + (width * kk,))
     identity = np.eye(kk)[:, None, :]
+    free = [] if cosets is None else [i for i in range(n) if i not in cosets[1]]
+    by_frame: dict[tuple, list] = {}
     for subset in itertools.combinations(range(n), m):
-        rest = [k for k in range(n) if k not in subset]
-        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, width * columns)
-        blocks = (z_t.T @ z_t).reshape(columns, width, columns, width)
-        real = np.trace(blocks, axis1=1, axis2=3)
-        imag = blocks[:, 0, :, -1] - blocks[:, -1, :, 0]  # zero when width is 1
-        reduced = (real + 1j * imag).reshape(side, kk, side, kk)
-        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= eps:
-            cleared |= ~supports[:, rest].any(axis=1)
+        by_frame.setdefault(tuple(i for i in free if i not in subset), []).append(subset)
+    for dropped, subsets in by_frame.items():
+        if dropped:
+            tensor, keys = _frame(floats, q, cosets, dropped)
+        else:
+            tensor, keys = floats.reshape((q,) * n + (width * kk,)), None
+        axis = {digit: k for k, digit in enumerate(i for i in range(n) if i not in dropped)}
+        for subset in subsets:
+            rest = [k for k in range(n) if k not in subset]
+            order = [axis[k] for k in rest + list(subset) if k in axis] + [len(axis)]
+            z_t = tensor.transpose(order).reshape(-1, width * columns)
+            blocks = (z_t.T @ z_t).reshape(columns, width, columns, width)
+            real = np.trace(blocks, axis1=1, axis2=3)
+            imag = blocks[:, 0, :, -1] - blocks[:, -1, :, 0]  # zero when width is 1
+            reduced = real + 1j * imag
+            if keys is not None:  # zero where kappa(a, u) != kappa(b, v)
+                kappa = keys.transpose(order)[(0,) * (len(order) - m - 1)].ravel()
+                reduced *= kappa[:, None] == kappa
+            reduced = reduced.reshape(side, kk, side, kk)
+            if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= eps:
+                cleared |= ~supports[:, rest].any(axis=1)
+        del tensor, keys  # released before the next frame is gathered
     return cleared
 
 
@@ -612,13 +638,17 @@ def kl_check(description: FourierDescription, d: int, tol: float = 1e-9) -> Repo
     maximal = spec.is_maximal()
     if maximal:
         operand = _basis_matrix(description)
+        least = _cached_basis(description)[1]  # cached beside the matrix just read
         screen_tol = tol
     else:
         # not cached, so that it can be released before the dense projection is built
         check_size("dense dimension", q**n, DENSE_MATRIX_CAP)
-        operand = _projected_basis(spec, members)
+        operand, least = _projected_basis(spec, members)
         screen_tol = tol / operand.shape[1]
-    suspects = np.flatnonzero(~_reduced_screen(operand, q, m, (xs != 0) | (ys != 0), screen_tol))
+    # below the dense cap, the frames' bookkeeping costs more than the dense R_T saved
+    cosets = (*_shift_echelon(spec), least) if q**n > DENSE_MATRIX_CAP else None
+    supports = (xs != 0) | (ys != 0)
+    suspects = np.flatnonzero(~_reduced_screen(operand, q, m, supports, screen_tol, cosets))
     if not maximal and suspects.size:
         scalar = _scalar_prefix(operand, xs[suspects], ys[suspects], q, screen_tol / 2)
         suspects = suspects[scalar:]

@@ -170,23 +170,12 @@ class WeylElement:
         a = group.word(a)
         return cls(group, 0, a, (0,) * len(a))
 
-    @classmethod
-    def mult(cls, group: AlphabetGroup, b) -> "WeylElement":
-        b = group.word(b)
-        return cls(group, 0, (0,) * len(b), b)
-
     @property
     def n(self) -> int:
         return len(self.a)
 
-    def is_scalar(self) -> bool:
-        return not any(self.a) and not any(self.b)
-
     def weight(self) -> int:
         return self.group.weight(self.a, self.b)
-
-    def phase_factor(self) -> complex:
-        return phase_value(self.phase, self.group.phase_denominator)
 
 
 def _check_operands(g: WeylElement, h: WeylElement) -> None:

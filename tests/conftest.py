@@ -1,5 +1,6 @@
-"""Shared generators for randomized cross-validation sweeps, and digit-row
-references for the packed-word kernels."""
+"""Shared generators for randomized cross-validation sweeps, digit-row
+references for the packed-word kernels, and reference versions of library
+code that has been replaced or removed."""
 
 import functools
 import itertools
@@ -7,10 +8,12 @@ import itertools
 import numpy as np
 from hypothesis import settings
 
+from nonstab.circuits import Circuit, Gate
 from nonstab.families import maximal_form_spec
 from nonstab.galois import PrimeField, pack, unpack
 from nonstab.gottesman import GottesmanSpec, synthesize_phase_matrix, validate
-from nonstab.weyl import root_table
+from nonstab.oracle import SparseState, _closed_form_terms, message_coordinates
+from nonstab.weyl import prime_group, root_table
 
 # One profile for every property: the same examples on every run, no
 # per-example deadline, and no example database written to the tree.
@@ -141,3 +144,80 @@ def weyl_times(operand, x, y, q):
     moved = np.zeros_like(operand)
     moved[targets] = phases * operand
     return moved, np.conj(phases) * operand[targets]
+
+
+def reference_reduced_screen(basis, q, m, supports, tol):
+    """`oracle._reduced_screen` as it was before coset frames: every R_T from
+    the dense basis, on all q^n words.  Real path when 6 |Im V|_F < eps."""
+    n = supports.shape[1]
+    kk = basis.shape[1]
+    cleared = np.full(len(supports), kk == 1)
+    if kk == 1 or 2 * m > n or kk > q ** (n - 2 * m):
+        return cleared
+    side = q**m
+    columns = side * kk
+    eps = tol / (2 * side)
+    sigma = np.linalg.norm(basis.imag)
+    if 6 * sigma < eps:
+        width, eps = 1, eps - 6 * sigma
+        floats = basis.real
+    else:
+        width, floats = 2, basis.view(np.float64)
+    tensor = floats.reshape((q,) * n + (width * kk,))
+    identity = np.eye(kk)[:, None, :]
+    for subset in itertools.combinations(range(n), m):
+        rest = [k for k in range(n) if k not in subset]
+        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, width * columns)
+        blocks = (z_t.T @ z_t).reshape(columns, width, columns, width)
+        real = np.trace(blocks, axis1=1, axis2=3)
+        imag = blocks[:, 0, :, -1] - blocks[:, -1, :, 0]
+        reduced = (real + 1j * imag).reshape(side, kk, side, kk)
+        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= eps:
+            cleared |= ~supports[:, rest].any(axis=1)
+    return cleared
+
+
+def dense_vector(state):
+    """The amplitudes of a sparse state on all q^n words."""
+    out = np.zeros(state.group.q**state.n, dtype=complex)
+    out[state.packed] = state.amps
+    return out
+
+
+def zero_state(circuit):
+    """|0 ... 0> on every register of a circuit."""
+    return SparseState.basis_word(prime_group(circuit.q), (0,) * circuit.registers)
+
+
+def uniform_over_sum_zero(n, q):
+    """Circuit taking |0^n> to the uniform superposition over the sum-zero code."""
+    gates = [Gate("fourier", (i,)) for i in range(n - 1)]
+    gates += [Gate("c-u", (i, n - 1)) for i in range(n - 1)]
+    if n > 1:
+        gates.append(Gate("inverter", (n - 1,)))
+    return Circuit(q, n, tuple(gates))
+
+
+def weight_lex_indices(q, r):
+    """All of GF(q)^r ordered by weight, then lexicographically; 0 first."""
+    vectors = itertools.product(range(q), repeat=r)
+    return sorted(vectors, key=lambda v: (sum(1 for x in v if x), v))
+
+
+def symmetric_difference_sizes(family):
+    """|s1 ^ s2| over the pairs of distinct members of a set family."""
+    return {len(s1 ^ s2) for s1, s2 in itertools.combinations(family.members, 2)}
+
+
+def closed_form_codeword(spec, u):
+    """Codeword of a product-form spec, from its explicit amplitude formula:
+
+        sum over sum-zero x of  w^((x+d)^T Q (x+d)) conj(w)^(x . c) |x + d>
+
+    normalized, with Q the certificate matrix and (c, d = delta * ones)
+    the product-form coordinates of u.
+    """
+    c_vec, delta = message_coordinates(spec, u)
+    xs, zs, quad_phase = _closed_form_terms(spec, delta)
+    amps = quad_phase * np.conj(root_table(spec.q)[(xs @ c_vec) % spec.q]) / np.sqrt(len(xs))
+    return SparseState.from_pairs(spec.group, spec.n, zs, amps)

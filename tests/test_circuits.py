@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import closed_form_codeword, dense_vector, uniform_over_sum_zero, zero_state
 
 from nonstab.circuits import (
     Circuit,
@@ -10,13 +11,10 @@ from nonstab.circuits import (
     encoder_output_data,
     message_state,
     simulate,
-    uniform_over_sum_zero,
-    zero_state,
 )
 from nonstab.families import distance2_family, maximal_form_spec
 from nonstab.oracle import (
     SparseState,
-    closed_form_codeword,
     codeword,
     message_coordinates,
 )
@@ -30,7 +28,7 @@ def gate_matrix(q, registers, gates):
     out = np.zeros((dim, dim), dtype=complex)
     for col, word in enumerate(itertools.product(range(q), repeat=registers)):
         state = SparseState.basis_word(prime_group(q), word)
-        out[:, col] = simulate(circuit, state).to_dense()
+        out[:, col] = dense_vector(simulate(circuit, state))
     return out
 
 
@@ -107,28 +105,28 @@ def test_componentwise_layers():
     a, b = (1, 2), (2, 2)
     out = simulate(circuit, SparseState.basis_word(prime_group(q), a + b))
     expected = a + tuple((x + y) % q for x, y in zip(a, b))
-    assert out.to_dict() == {expected: 1.0 + 0j}
+    assert dict(out.items()) == {expected: 1.0 + 0j}
     # and the c-v layer multiplies by w(a . b)
     gates = [Gate("c-v", (i, n + i)) for i in range(n)]
     out = simulate(Circuit(q, 2 * n, tuple(gates)), SparseState.basis_word(prime_group(q), a + b))
     w = np.exp(2j * np.pi / q)
-    assert out.to_dict()[a + b] == pytest.approx(w ** (sum(x * y for x, y in zip(a, b)) % q))
+    assert dict(out.items())[a + b] == pytest.approx(w ** (sum(x * y for x, y in zip(a, b)) % q))
 
 
 def test_uniform_over_sum_zero():
     circuit = uniform_over_sum_zero(2, 2)
     out = simulate(circuit, zero_state(circuit))
-    assert out.to_dict() == pytest.approx({(0, 0): 1 / np.sqrt(2), (1, 1): 1 / np.sqrt(2)})
+    assert dict(out.items()) == pytest.approx({(0, 0): 1 / np.sqrt(2), (1, 1): 1 / np.sqrt(2)})
 
     trivial = uniform_over_sum_zero(1, 3)
-    assert simulate(trivial, zero_state(trivial)).to_dict() == {(0,): 1.0 + 0j}
+    assert dict(simulate(trivial, zero_state(trivial)).items()) == {(0,): 1.0 + 0j}
 
     c3 = uniform_over_sum_zero(3, 3)
     out3 = simulate(c3, zero_state(c3))
     assert len(out3) == 9  # q^(n-1) words
-    amps = np.array(list(out3.to_dict().values()))
+    amps = np.array(list(dict(out3.items()).values()))
     np.testing.assert_allclose(amps, 1 / 3, atol=1e-12)
-    for word in out3.to_dict():
+    for word in dict(out3.items()):
         assert sum(word) % 3 == 0
 
 

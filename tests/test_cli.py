@@ -172,6 +172,33 @@ def test_alpha_good_refuses_negative_attempts(capsys):
         assert captured.err == f"error: --attempts must be >= 0, got {attempts}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("d2", "--n", "1000001", "--q", "2"), "cocycle pairs 1000002000001 exceeds cap 65536"),
+        (("laflamme", "--n", "1000001"), "cocycle pairs 1000002000001 exceeds cap 65536"),
+        (("alpha-good", "--n", "1000000", "--seed", "1"),
+         "cocycle pairs 4000000000000 exceeds cap 65536"),
+        (("d2", "--n", "7", "--q", "1000003"),
+         "difference pairs 49000210000225 exceeds cap 10000000"),
+        (("d2", "--n", "257", "--q", "2"), "cocycle pairs 66049 exceeds cap 65536"),
+    ],
+)
+def test_family_refuses_an_oversized_construction_before_building_it(capsys, argv, refusal):
+    # n x n couplings, 7 million members of B, or validate's r^2 x r pair tables
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["family", "--name", *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {refusal}\n")
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("alpha", ["0/0", "1/0"])
 def test_alpha_good_refuses_a_malformed_alpha(capsys, alpha):
     code = main(["family", "--name", "alpha-good", "--n", "12", "--seed", "7",

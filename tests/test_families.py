@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import symmetric_difference_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,7 +120,7 @@ def test_subspace_family_counts():
     family = subspace_family(5, 3, 2)
     assert len(family) == 155 == gaussian_binomial(5, 2, 3)
     assert all(len(s) == 8 for s in family.members)
-    assert family.symmetric_difference_sizes() == {8, 12}
+    assert symmetric_difference_sizes(family) == {8, 12}
     for m in range(1, 6):
         for r in range(m + 1):
             assert len(subspace_family(m, r, 2)) == gaussian_binomial(m, 2, r)
@@ -205,7 +206,7 @@ def test_puncture_155_family():
     punctured = puncture(family, 32)
     assert len(punctured) == 155
     assert punctured.universe == 31
-    sizes = punctured.symmetric_difference_sizes()
+    sizes = symmetric_difference_sizes(punctured)
     assert sizes == {7, 8, 11, 12}
     assert all(7 <= s <= 13 for s in sizes)
     b = family_to_b(punctured, 31)

@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_description, random_maximal_spec, random_nonmaximal_spec
+from conftest import random_description, random_maximal_spec, random_nonmaximal_spec, weight_lex_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonstab.families import code_15_8_3, distance2_family, distance2_spec, laflamme_spec
 from nonstab.fourier_code import (
     FourierDescription,
+    _weight_lex_keys,
     bounds,
     code_dimension,
     greedy_construct,
     projection_coefficients,
     verify_distance,
-    weight_lex_indices,
 )
 from nonstab.galois import pack, unpack
 from nonstab.gottesman import (
@@ -247,15 +247,17 @@ def test_monotonicity_of_verification():
 
 
 def test_weight_lex_order():
-    order = weight_lex_indices(2, 3)
+    # greedy's default walk order against the sorted-product definition
+    def default_order(q, r):
+        return list(map(tuple, unpack(_weight_lex_keys(q, r), q, r).tolist()))
+
+    order = default_order(2, 3)
     assert order[0] == (0, 0, 0)
     weights = [sum(v) for v in order]
     assert weights == sorted(weights)
     assert len(order) == 8
     for q, r in ((2, 5), (3, 3), (5, 2)):
-        vectors = itertools.product(range(q), repeat=r)
-        expected = sorted(vectors, key=lambda v: (sum(1 for x in v if x), v))
-        assert weight_lex_indices(q, r) == expected
+        assert default_order(q, r) == weight_lex_indices(q, r)
 
 
 def test_description_json_roundtrip():

@@ -3,11 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (
+    closed_form_codeword,
+    dense_vector,
     oversized_nonmaximal_description,
     random_description,
     random_maximal_spec,
     random_nonmaximal_spec,
     random_stabilizer_spec,
+    reference_reduced_screen,
     shift_phase,
     weyl_times,
 )
@@ -42,9 +45,9 @@ from nonstab.oracle import (
     _gram_witness,
     _projected_basis,
     _reduced_screen,
+    _shift_echelon,
     _spec_tables,
     apply,
-    closed_form_codeword,
     codeword,
     dense_projection,
     kl_check,
@@ -77,7 +80,7 @@ def test_sparse_state_basics():
     assert len(s) == 2
     # merging and pruning
     merged = SparseState.from_pairs(Z2, 1, [[0], [0], [1]], [1.0, -1.0, 0.5])
-    assert merged.to_dict() == {(1,): 0.5}
+    assert dict(merged.items()) == {(1,): 0.5}
     with pytest.raises(ValueError):
         SparseState.from_pairs(Z2, 1, [[0]], [1.0, 2.0])
 
@@ -85,9 +88,9 @@ def test_sparse_state_basics():
 def test_apply_identity_and_shift():
     s = SparseState.basis_word(Z2, (0,))
     ident = WeylElement.identity(Z2, 1)
-    assert apply(ident, s).to_dict() == s.to_dict()
+    assert dict(apply(ident, s).items()) == dict(s.items())
     u1 = WeylElement.shift(Z2, (1,))
-    assert apply(u1, s).to_dict() == {(1,): 1.0 + 0j}
+    assert dict(apply(u1, s).items()) == {(1,): 1.0 + 0j}
 
 
 def test_apply_matches_dense_matrix():
@@ -101,8 +104,8 @@ def test_apply_matches_dense_matrix():
                 tuple(rng.integers(0, group.size, n)),
             )
             state = random_state(rng, group, n)
-            expected = dense_matrix(g) @ state.to_dense()
-            np.testing.assert_allclose(apply(g, state).to_dense(), expected, atol=1e-12)
+            expected = dense_matrix(g) @ dense_vector(state)
+            np.testing.assert_allclose(dense_vector(apply(g, state)), expected, atol=1e-12)
 
 
 def test_apply_is_group_action_and_isometry():
@@ -114,7 +117,9 @@ def test_apply_is_group_action_and_isometry():
         via_compose = apply(compose(g, h), state)
         via_sequence = apply(g, apply(h, state))
         assert via_compose.norm() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(via_sequence.to_dense(), via_compose.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(
+            dense_vector(via_sequence), dense_vector(via_compose), atol=1e-12
+        )
 
 
 def test_stabilizer_codeword_is_fixed_point():
@@ -208,7 +213,7 @@ def test_kl_nonmaximal_path():
 def test_dense_projection_matches_codeword_span():
     _, b = distance2_family(5, 2)
     p = dense_projection(b)
-    basis = np.column_stack([codeword(b, u).to_dense() for u in b.sorted_members()])
+    basis = np.column_stack([dense_vector(codeword(b, u)) for u in b.sorted_members()])
     np.testing.assert_allclose(p @ basis, basis, atol=1e-10)
     np.testing.assert_allclose(p, basis @ basis.conj().T, atol=1e-10)
 
@@ -564,7 +569,7 @@ def test_projected_basis_is_bit_equal_to_the_per_word_loop():
     descriptions = [code_15_8_3(), distance2_family(7, 3)[1], *crosscheck_maximal_descriptions()]
     for description in descriptions:
         members = description.sorted_members()
-        got = _projected_basis(description.spec, members)
+        got, _ = _projected_basis(description.spec, members)
         expected = per_word_projected_basis(description.spec, members)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -615,6 +620,70 @@ def test_code15_screen_takes_the_real_path(monkeypatch):
     applied = []
     monkeypatch.setattr(oracle, "_weyl_times", lambda *args: applied.append(args))
     assert kl_check(description, 3).passed and applied == []
+
+
+def code15_cosets():
+    description = code_15_8_3()
+    _cached_basis.cache_clear()
+    basis, least = _cached_basis(description)
+    return basis, (*_shift_echelon(description.spec), least)
+
+
+def test_code15_coset_frames_give_the_dense_mask():
+    basis, cosets = code15_cosets()
+    assert len(cosets[1]) == 14  # digit 14 is free: 91 pairs T drop it, 14 keep it
+    for d, cleared in ((3, 990), (4, 13_059)):
+        _, _, supports = error_supports(2, 15, d - 1)
+        mask = _reduced_screen(basis, 2, d - 1, supports, TOL, cosets)
+        assert mask.sum() == cleared
+        assert np.array_equal(mask, reference_reduced_screen(basis, 2, d - 1, supports, TOL))
+
+
+@st.composite
+def coset_screen_cases(draw):
+    """(description, m): a code over a maximal or non-maximal spec, with L of
+    any rank, of rank n (no digit to drop) or zero (every column one word)."""
+    shape = draw(st.sampled_from(["nonmaximal", "zero", "maximal", "full"]))
+    if shape == "maximal":
+        description, d = draw(maximal_descriptions())
+    elif shape == "nonmaximal":
+        description, d = draw(nonmaximal_descriptions())
+    else:
+        q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
+        n = draw(st.integers(*DIGITS_FOR_Q[q]))
+        r = n - draw(st.integers(0, 2)) if shape == "zero" else n
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if shape == "full":  # L = I, M symmetric
+            l_mat, m_mat = np.eye(n, dtype=np.int64), np.triu(rng.integers(0, q, (n, n)))
+            m_mat = (m_mat + np.triu(m_mat, 1).T) % q
+        else:  # L = 0, M of full column rank
+            l_mat = np.zeros((n, r), dtype=np.int64)
+            m_mat = rng.permutation(np.eye(n, dtype=np.int64))[:, :r]
+        spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=synthesize_phase_matrix(q, l_mat, m_mat))
+        assert validate(spec) == []
+        description, d = random_description(rng, spec), draw(st.sampled_from([2, 3]))
+    event(shape)
+    return description, min(d - 1, 2)
+
+
+@settings(max_examples=120)
+@given(coset_screen_cases())
+def test_coset_frames_give_the_dense_mask(case):
+    description, m = case
+    spec = description.spec
+    q, n = spec.q, spec.n
+    basis, least = _projected_basis(spec, description.sorted_members())
+    shifts, pivots = _shift_echelon(spec)
+    # each column is zero off the coset of its least word, which is zero at the pivots
+    assert not least[:, list(pivots)].any()
+    for column, word in zip(basis.T, least):
+        offset = (unpack(np.flatnonzero(column), q, n) - word) % q
+        assert np.array_equal(offset[:, list(pivots)] @ shifts % q, offset)
+    tol = TOL if spec.is_maximal() else TOL / basis.shape[1]
+    _, _, supports = error_supports(q, n, m)
+    mask = _reduced_screen(basis, q, m, supports, tol, (shifts, pivots, least))
+    event(f"cleared {'all' if mask.all() else 'some' if mask.any() else 'none'}")
+    assert np.array_equal(mask, reference_reduced_screen(basis, q, m, supports, tol))
 
 
 def corrupted_greedy_code():
@@ -806,7 +875,7 @@ def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
     # with the screen and the Gram test both turned away, every error is
     # checked on the dense projection, which is built once
     monkeypatch.setattr(
-        oracle, "_reduced_screen", lambda b, q, m, supports, tol: np.zeros(len(supports), bool)
+        oracle, "_reduced_screen", lambda b, q, m, supports, *_: np.zeros(len(supports), bool)
     )
     monkeypatch.setattr(oracle, "_scalar_prefix", lambda basis, xs, ys, q, tol: 0)
     builds = []

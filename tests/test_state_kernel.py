@@ -7,7 +7,7 @@ and the same exceptions.
 """
 
 import numpy as np
-from conftest import shift_phase
+from conftest import closed_form_codeword, shift_phase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from nonstab.oracle import (
     SparseState,
     _weyl_action,
     apply,
-    closed_form_codeword,
     message_coordinates,
     sum_zero_words,
 )
