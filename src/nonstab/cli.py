@@ -125,8 +125,7 @@ def make_family(name: str, args) -> CodeBundle:
             raise SystemExit2(
                 f"family d2 is documented for odd n >= 5 only, got n={args.n}"
             )
-        # refused before it is built: validate tables the n^2 basis pairs of
-        # the spec, and verify the K^2 differences of B
+        # refused before it is built: n x n matrices, and K^2 differences of B
         check_size("cocycle pairs", args.n**2, "group")
         check_size("difference pairs", (1 + args.n * (args.q - 1)) ** 2, "sphere")
         spec, description = families.distance2_family(args.n, args.q)

@@ -113,10 +113,9 @@ class SparseState:
         """<self | other>, conjugate-linear in self."""
         if self.group != other.group or self.n != other.n:
             raise ValueError("states live on different word spaces")
-        _, ia, ib = np.intersect1d(
-            self.packed, other.packed, assume_unique=True, return_indices=True
-        )
-        return complex(np.sum(np.conj(self.amps[ia]) * other.amps[ib]))
+        ib = np.searchsorted(other.packed, self.packed)  # sorted unique keys: pairs in order
+        ia = np.flatnonzero(other.packed.take(ib, mode="clip") == self.packed) if len(other) else []
+        return complex(np.sum(np.conj(self.amps[ia]) * other.amps[ib[ia]]))
 
     def fidelity(self, other: "SparseState") -> float:
         return abs(self.inner(other))
@@ -190,11 +189,24 @@ def _spec_tables(spec: GottesmanSpec):
     return a_rows, la, ma, rho
 
 
+@lru_cache(maxsize=1)
+def _subgroup_keys(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(packed La, packed Ma, rho(a)) in element index order, read-only, for the
+    codewords of the last spec to share.  Callers check the `group` budget first,
+    so that a table built under a larger budget is refused under a smaller one."""
+    _, la, ma, rho = _spec_tables(spec)
+    keys = pack(la, spec.q), pack(ma, spec.q), rho
+    for arr in keys:
+        arr.setflags(write=False)
+    return keys
+
+
 def codeword(description: FourierDescription, u) -> SparseState:
     """Unit eigenvector of the subgroup with character index u (maximal specs).
 
-    The one-member case of `_projected_basis`.  A maximal spec has as many
-    elements as the state has amplitudes, so the budget's `group` bounds both.
+    The one-member case of `_projected_basis`, on the spec's shared table.  A
+    maximal spec has as many elements as the state has amplitudes, so the
+    budget's `group` bounds both.
     """
     spec = description.spec
     if tuple(int(v) for v in u) not in description.members:
@@ -240,25 +252,23 @@ def _projected_basis(spec: GottesmanSpec, members):
     (`_coset_basis`) has a column for every such coset.
 
     For a maximal spec, P_u is applied to standard basis words in
-    lexicographic order until its image is nonzero.  The characters of every
-    member are one integer product before the first word, and the targets
-    and phases of a word are computed once for every member still waiting
-    for one, so each member then needs only its row of characters.  When
-    the spec carries a product-form certificate, the closed form is
-    evaluated as an independent second path and every column must agree
-    with it within BASIS_TOL.
+    lexicographic order until its image is nonzero, reading the shared keys
+    of `_subgroup_keys`; a member's characters u . a are the exponents of V_u
+    on the element indices.  The targets and phases of a word are computed
+    once for every member still waiting for one.  When the spec carries a
+    product-form certificate, the closed form is evaluated as an independent
+    second path and every column must agree with it within BASIS_TOL.
     """
     if not spec.is_maximal():
         return _coset_basis(spec, members)
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    a_rows, la, ma, rho = _spec_tables(spec)
-    chis = _remainder(_exact_product(np.array(members, dtype=np.int64), a_rows.T), q)
-    la, ma = pack(la, q), pack(ma, q)
-    del a_rows  # released: the word loop reads only the characters and the keys
+    check_size("subgroup size", spec.size, "group")
+    la, ma, rho = _subgroup_keys(spec)
+    zero, elements = np.zeros(n, dtype=np.int64), np.arange(spec.size)  # indices: r = n digits
+    chis = [_remainder(_weyl_action(elements, zero, u, q, n)[1], q) for u in members]
     roots = root_table(p)
     dim = q**n
-    zero = np.zeros(n, dtype=np.int64)
     basis = np.zeros((dim, len(members)), dtype=complex)
     least = np.zeros((len(members), n), dtype=np.int64)
     pending = list(range(len(members)))

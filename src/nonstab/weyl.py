@@ -137,10 +137,6 @@ class AlphabetGroup:
         self._check_pair(a, b)
         return sum(1 for x, y in zip(a, b) if x or y)
 
-    def all_words(self, n: int):
-        """All words of length n in lexicographic order."""
-        return itertools.product(range(self.q), repeat=n)
-
 
 def prime_group(q: int) -> AlphabetGroup:
     return AlphabetGroup(int(q))
@@ -211,7 +207,7 @@ def dense_matrix(g: WeylElement) -> np.ndarray:
     grp = g.group
     dim = grp.q**g.n
     check_size("dense dimension", dim, DENSE_MATRIX_CAP)
-    words = list(grp.all_words(g.n))
+    words = list(itertools.product(range(grp.q), repeat=g.n))  # in lexicographic order
     index = {w: i for i, w in enumerate(words)}
     out = np.zeros((dim, dim), dtype=complex)
     p = grp.phase_denominator

@@ -177,6 +177,12 @@ def reference_reduced_screen(basis, q, m, supports, tol):
     return cleared
 
 
+def reference_inner(a, b):
+    """SparseState.inner as the matched pairs of np.intersect1d."""
+    _, ia, ib = np.intersect1d(a.packed, b.packed, assume_unique=True, return_indices=True)
+    return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+
+
 def dense_vector(state):
     """The amplitudes of a sparse state on all q^n words."""
     out = np.zeros(state.group.q**state.n, dtype=complex)

@@ -185,7 +185,7 @@ def test_alpha_good_refuses_negative_attempts(capsys):
     ],
 )
 def test_family_refuses_an_oversized_construction_before_building_it(capsys, argv, refusal):
-    # n x n couplings, 7 million members of B, or validate's r^2 x r pair tables
+    # n x n couplings, 7 million members of B, or more cocycle pairs than the group budget
     import tracemalloc
 
     tracemalloc.start()

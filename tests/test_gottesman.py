@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from conftest import brute_force_forbidden, random_maximal_spec, random_nonmaxim
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonstab.families import distance2_family, laflamme_spec
+from nonstab.families import distance2_family, laflamme_spec, maximal_form_spec
 from nonstab.galois import PRODUCT_ROWS, error_sphere_count, pack
 from nonstab.gottesman import (
     GottesmanSpec,
@@ -337,6 +338,19 @@ def test_validate_reports_every_noncommuting_pair_in_order():
         "generators 0 and 2 do not commute",
     ]
     assert violations == reference_validate(spec)
+
+
+def test_validate_memory_grows_as_r_squared():
+    # r = 300: tables of the r^2 basis pairs as rows of r digits would hold
+    # 27 million entries per table; the check reads D + D^T - 2g instead
+    spec = maximal_form_spec(3, 300, np.triu(np.ones((300, 300), dtype=np.int64), 1))
+    tracemalloc.start()
+    try:
+        assert validate(spec) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def reference_sphere(spec, w):

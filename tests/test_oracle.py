@@ -26,7 +26,7 @@ from nonstab.fourier_code import (
     greedy_construct,
     verify_distance,
 )
-from nonstab.galois import unpack
+from nonstab.galois import pack, unpack
 from nonstab.gottesman import (
     GottesmanSpec,
     bounded_pair_arrays,
@@ -47,6 +47,7 @@ from nonstab.oracle import (
     _reduced_screen,
     _shift_echelon,
     _spec_tables,
+    _subgroup_keys,
     apply,
     codeword,
     dense_projection,
@@ -290,6 +291,47 @@ def test_a_cached_basis_is_refused_under_a_smaller_group():
     assert _cached_basis.cache_info().currsize == 1
     with budget(group=32):
         assert _basis_matrix(b) is basis
+
+
+def test_codewords_of_one_description_build_the_subgroup_table_once(monkeypatch):
+    description = code_15_8_3()
+    builds = []
+
+    def counted(spec):
+        builds.append(spec)
+        return _spec_tables(spec)
+
+    monkeypatch.setattr("nonstab.oracle._spec_tables", counted)
+    _subgroup_keys.cache_clear()
+    for u in description.sorted_members():
+        codeword(description, u)
+    assert builds == [description.spec]
+
+
+def test_a_cached_subgroup_table_is_refused_under_a_smaller_group():
+    _, b = distance2_family(5, 2)
+    u = b.sorted_members()[0]
+    _subgroup_keys.cache_clear()
+    state = codeword(b, u)  # the table is built and cached under the default budget
+    with budget(group=31):
+        with pytest.raises(ValueError, match="subgroup size 32 exceeds cap 31"):
+            codeword(b, u)
+    assert _subgroup_keys.cache_info().currsize == 1
+    with budget(group=32):
+        again = codeword(b, u)
+    assert _subgroup_keys.cache_info().misses == 1
+    assert np.array_equal(again.amps.view(np.uint64), state.amps.view(np.uint64))
+
+
+def test_the_cached_subgroup_table_is_read_only_packed_keys():
+    spec = distance2_family(5, 3)[0]
+    _, la, ma, rho = _spec_tables(spec)
+    keys = _subgroup_keys(spec)
+    assert _subgroup_keys(spec) is keys
+    for cached, expected in zip(keys, (pack(la, 3), pack(ma, 3), rho)):
+        assert np.array_equal(cached, expected) and not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1
 
 
 def test_packed_index_refuses_int64_overflow():

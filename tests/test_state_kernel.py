@@ -7,7 +7,7 @@ and the same exceptions.
 """
 
 import numpy as np
-from conftest import closed_form_codeword, shift_phase
+from conftest import closed_form_codeword, reference_inner, shift_phase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +192,35 @@ def rewrite_cases(draw):
 def test_apply_matches_word_matrix_reference(case):
     g, state = case
     assert outcome(apply, g, state) == outcome(reference_apply, g, state)
+
+
+@st.composite
+def inner_cases(draw):
+    """Two states on one word space: drawn apart, one state twice, one support
+    with other amplitudes, disjoint supports, or one of them empty."""
+    a = draw(states())
+    b = draw(states(q=a.group.q, n=a.n))
+    kind = draw(st.sampled_from(["drawn", "identical", "same support", "disjoint", "empty"]))
+    if kind == "identical":
+        b = a
+    elif kind == "same support":
+        amps = np.array([complex(*draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1))))
+                         for _ in range(len(a))], dtype=complex)
+        b = SparseState(a.group, a.n, a.packed, amps)
+    elif kind == "disjoint":
+        apart = ~np.isin(b.packed, a.packed)
+        b = SparseState(a.group, a.n, b.packed[apart], b.amps[apart])
+    elif kind == "empty":
+        b = SparseState(a.group, a.n, b.packed[:0], b.amps[:0])
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=200)
+@given(inner_cases())
+def test_inner_matches_the_intersect1d_reference(case):
+    a, b = case
+    bits = np.array([a.inner(b), reference_inner(a, b)]).view(np.uint64)
+    assert bits[:2].tolist() == bits[2:].tolist()
 
 
 # keys of up to three chunks of `_weyl_action`
