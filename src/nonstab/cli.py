@@ -265,11 +265,14 @@ def cmd_encode_sim(args) -> int:
 
 
 def cmd_decode_sim(args) -> int:
+    _at_least("--t", args.t)
     bundle = _read_bundle(args.infile, check_distance=True)
     u = _parse_vector(args.u)
     q, n = bundle.spec.q, bundle.spec.n
     x, y = (_parse_vector(args.error_x) or (0,) * n), (_parse_vector(args.error_y) or (0,) * n)
     for flag, text, word in (("--error-x", args.error_x, x), ("--error-y", args.error_y, y)):
+        if len(word) != n:
+            raise SystemExit2(f"{flag} must have {n} digits, got {text}")
         if any(not 0 <= v < q for v in word):  # refused, as the bundle loader refuses them
             raise SystemExit2(f"{flag} digits must lie in [0, {q}), got {text}")
     phi = codeword(bundle.description, u)

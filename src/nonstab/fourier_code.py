@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .galois import (
+    _characters,
     _chunk_layout,
     _chunk_values,
     _digit,
@@ -239,7 +240,7 @@ def greedy_construct(spec: GottesmanSpec, d: int, order=None) -> FourierDescript
         u = int(keys[at])
         picked.append(u)
         alive[at] = False
-        u_chunks = [u // place % size for place, size in layout]
+        u_chunks = [u // place % size for place, size, _ in layout]
         alive[position[_key_differences(u_chunks, forbidden, q, r)]] = False
         at += int(np.argmax(alive[at:]))  # a dead position only when none is left
         if not alive[at]:
@@ -267,9 +268,8 @@ def projection_coefficients(description: FourierDescription) -> dict:
     check_size("subgroup size", spec.size, "group")
     q, r, p = spec.q, spec.r, spec.phase_denominator
     unit = p // q
-    a_rows = unpack(np.arange(spec.size), q, r)
-    b_rows = description.member_array
-    exponents = (unit * ((b_rows @ a_rows.T) % q)) % p
+    exponents = (unit * _characters(description.member_array, q, r)) % p
     roots = np.exp(-2j * np.pi * np.arange(p) / p)  # conj(chi_u)(s_a)
     coeffs = roots[exponents].sum(axis=0) / spec.size
+    a_rows = unpack(np.arange(spec.size), q, r)  # the keys of the map
     return {tuple(map(int, row)): complex(c) for row, c in zip(a_rows, coeffs)}

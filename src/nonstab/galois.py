@@ -266,11 +266,47 @@ def _chunk_digits(q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _chunk_layout(q: int, width: int) -> tuple:
-    """(place value, number of values) of each chunk of a `width`-digit key,
-    leading chunk first."""
+    """(place value, number of values, digit positions) of each chunk of a
+    `width`-digit key, leading chunk first; the positions are a slice."""
     chunk = _chunk_digits(q).shape[1]
-    layout = [(q ** (width - hi), q ** min(chunk, hi)) for hi in range(width, 0, -chunk)]
-    return tuple(reversed(layout))
+    spans = [slice(max(0, hi - chunk), hi) for hi in range(width, 0, -chunk)]
+    return tuple((q ** (width - s.stop), q ** (s.stop - s.start), s) for s in reversed(spans))
+
+
+def _weyl_action(keys: np.ndarray, a, b, q: int, n: int):
+    """U_a V_b on packed words x of n digits: the keys of x + a, and the
+    exponents b . x, unreduced (each caller reduces them against its root table).
+
+    The keys are read one chunk of `_chunk_layout` at a time, and only in the
+    chunks where (a, b) is nonzero: one division reads the chunk value, and
+    two tables over the chunk's values, built from the cached digit rows of
+    `_chunk_digits`, give the change of the key under the shift and the
+    chunk's part of b . x.
+    """
+    targets = keys
+    exponents = np.zeros(len(keys), dtype=np.int64)
+    for place, size, span in _chunk_layout(q, n):
+        a_c, b_c = a[span], b[span]
+        if not (any(a_c) or any(b_c)):
+            continue
+        digits = _chunk_digits(q)[:size, -len(a_c) :]  # of each chunk value
+        # the chunk value: no division for the last chunk, no remainder for the first
+        value = keys // place if place > 1 else keys
+        if span.start:
+            value = _remainder(value, size)
+        if any(a_c):
+            moved = pack(_remainder(digits + a_c, q), q)
+            targets = targets + ((moved - np.arange(size)) * place)[value]
+        if any(b_c):
+            exponents += (digits @ np.asarray(b_c, dtype=np.int64))[value]
+    return targets, exponents
+
+
+def _characters(members, q: int, width: int) -> np.ndarray:
+    """u . a mod q for each member u (a row) and each index a of GF(q)^width
+    in key order (a column): the exponents of V_u on the packed indices."""
+    zero, indices = np.zeros(width, dtype=np.int64), np.arange(q**width)
+    return np.array([_remainder(_weyl_action(indices, zero, u, q, width)[1], q) for u in members])
 
 
 def _chunk_values(keys, q: int, width: int) -> list:
@@ -278,7 +314,7 @@ def _chunk_values(keys, q: int, width: int) -> list:
     keys = np.asarray(keys)
     return [
         np.asarray(_digit(keys, place, size), dtype=np.int64)
-        for place, size in _chunk_layout(q, width)
+        for place, size, _ in _chunk_layout(q, width)
     ]
 
 
@@ -315,7 +351,7 @@ def _key_differences(a_chunks: list, b_chunks: list, q: int, width: int) -> np.n
     """
     dtype = places(q, width).dtype
     out = np.zeros((), dtype=dtype)  # the key of every vector of width 0
-    for k, ((_, size), a, b) in enumerate(zip(_chunk_layout(q, width), a_chunks, b_chunks)):
+    for k, ((_, size, _), a, b) in enumerate(zip(_chunk_layout(q, width), a_chunks, b_chunks)):
         if q > CHUNK_VALUES:
             diff = _remainder(np.subtract.outer(a, b), q)
         else:

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fourier_code import FourierDescription, Report, code_dimension, projection_coefficients
-from .galois import _chunk_digits, _exact_product, _remainder, pack, unpack
+from .galois import _characters, _exact_product, _remainder, _weyl_action, pack, places, unpack
 from .gottesman import GottesmanSpec, bounded_pair_arrays
 from .weyl import DENSE_MATRIX_CAP, AlphabetGroup, WeylElement, check_size, root_table
 
@@ -121,39 +121,6 @@ class SparseState:
         return abs(self.inner(other))
 
 
-def _weyl_action(keys: np.ndarray, a, b, q: int, n: int):
-    """U_a V_b on packed words x of n digits: the keys of x + a, and the
-    exponents b . x, unreduced (each caller reduces them against its root table).
-
-    The keys are read one chunk of digits at a time, and only in the chunks
-    where (a, b) is nonzero: one division reads the chunk value, and two
-    tables over the chunk's values, built from the cached digit rows of
-    `_chunk_digits`, give the change of the key under the shift and the
-    chunk's part of b . x.
-    """
-    table = _chunk_digits(q)
-    width = table.shape[1]
-    targets = keys
-    exponents = np.zeros(len(keys), dtype=np.int64)
-    for hi in range(n, 0, -width):  # the chunk of digits lo .. hi-1
-        lo = max(0, hi - width)
-        a_c, b_c = a[lo:hi], b[lo:hi]
-        if not (any(a_c) or any(b_c)):
-            continue
-        digits = table[: q ** (hi - lo), width - (hi - lo) :]  # of each chunk value
-        place = q ** (n - hi)
-        # the chunk value: no division for the last chunk, no remainder for the first
-        value = keys // place if place > 1 else keys
-        if lo:
-            value = _remainder(value, len(digits))
-        if any(a_c):
-            moved = pack(_remainder(digits + a_c, q), q)
-            targets = targets + ((moved - np.arange(len(moved))) * place)[value]
-        if any(b_c):
-            exponents += (digits @ np.asarray(b_c, dtype=np.int64))[value]
-    return targets, exponents
-
-
 def apply(g: WeylElement, state: SparseState) -> SparseState:
     """Monomial action of w^phase U_a V_b: shift by a, multiply by <b, x>.
 
@@ -179,23 +146,16 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
 # ----------------------------------------------------------------------
 
 
-def _spec_tables(spec: GottesmanSpec):
-    """(index rows, U-parts, V-parts, phase exponents) for the whole subgroup."""
-    check_size("subgroup size", spec.size, "group")
-    a_rows = unpack(np.arange(spec.size), spec.q, spec.r)
-    la = _remainder(_exact_product(a_rows, spec.L.T), spec.q)
-    ma = _remainder(_exact_product(a_rows, spec.M.T), spec.q)
-    rho = spec.rho_batch(a_rows)
-    return a_rows, la, ma, rho
-
-
 @lru_cache(maxsize=1)
 def _subgroup_keys(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(packed La, packed Ma, rho(a)) in element index order, read-only, for the
-    codewords of the last spec to share.  Callers check the `group` budget first,
-    so that a table built under a larger budget is refused under a smaller one."""
-    _, la, ma, rho = _spec_tables(spec)
-    keys = pack(la, spec.q), pack(ma, spec.q), rho
+    """(packed La, packed Ma, rho(a)) in element index order, read-only: the one
+    table of the subgroup, kept for the readers of the last spec to share.
+    Readers check the `group` budget first, so that a table built under a
+    larger budget is refused under a smaller one."""
+    q = spec.q
+    a_rows = unpack(np.arange(spec.size), q, spec.r)
+    la, ma = (pack(_remainder(_exact_product(a_rows, part.T), q), q) for part in (spec.L, spec.M))
+    keys = la, ma, spec.rho_batch(a_rows)
     for arr in keys:
         arr.setflags(write=False)
     return keys
@@ -253,20 +213,19 @@ def _projected_basis(spec: GottesmanSpec, members):
 
     For a maximal spec, P_u is applied to standard basis words in
     lexicographic order until its image is nonzero, reading the shared keys
-    of `_subgroup_keys`; a member's characters u . a are the exponents of V_u
-    on the element indices.  The targets and phases of a word are computed
-    once for every member still waiting for one.  When the spec carries a
+    of `_subgroup_keys` and the characters u . a of `galois._characters`.
+    The targets and phases of a word are computed once for every member
+    still waiting for one.  When the spec carries a
     product-form certificate, the closed form is evaluated as an independent
     second path and every column must agree with it within BASIS_TOL.
     """
+    check_size("subgroup size", spec.size, "group")
     if not spec.is_maximal():
         return _coset_basis(spec, members)
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    check_size("subgroup size", spec.size, "group")
     la, ma, rho = _subgroup_keys(spec)
-    zero, elements = np.zeros(n, dtype=np.int64), np.arange(spec.size)  # indices: r = n digits
-    chis = [_remainder(_weyl_action(elements, zero, u, q, n)[1], q) for u in members]
+    zero, chis = np.zeros(n, dtype=np.int64), _characters(members, q, n)  # r = n digits
     roots = root_table(p)
     dim = q**n
     basis = np.zeros((dim, len(members)), dtype=complex)
@@ -322,7 +281,7 @@ def _coset_basis(spec: GottesmanSpec, members):
     """
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    a_rows, la, ma, rho = _spec_tables(spec)
+    la, ma, rho = _subgroup_keys(spec)
     reduced, pivots = _shift_echelon(spec)
     k = len(pivots)
     free = [i for i in range(n) if i not in pivots]
@@ -330,11 +289,13 @@ def _coset_basis(spec: GottesmanSpec, members):
     least[:, free] = unpack(np.arange(q ** (n - k)), q, n - k)
     shifts = _remainder(unpack(np.arange(q**k), q, k) @ reduced, q)
     words = pack(_remainder(least[:, None, :] + shifts, q), q)  # coset by coset
-    by_shift = np.argsort(pack(la[:, pivots], q), kind="stable").reshape(q**k, -1)
+    # shifts sort by key as by their pivot digits (docstring): a row of elements per shift
+    by_shift = np.argsort(la, kind="stable").reshape(q**k, -1)
     roots = root_table(p)
-    exponents = _remainder(rho + unit * _exact_product(least, ma.T), p)
+    free_digits = _remainder(ma[:, None] // places(q, n)[free], q)  # least words are 0 at pivots
+    exponents = _remainder(rho + unit * _exact_product(least[:, free], free_digits.T), p)
     terms = roots[exponents][:, by_shift].transpose(1, 0, 2)  # shift, least word, element
-    chi = _exact_product(np.array(members, dtype=np.int64), a_rows.T)
+    chi = _characters(members, q, spec.r)
     conj_chi = roots[_remainder(-unit * chi, p)][:, by_shift].transpose(1, 2, 0)
     images = np.matmul(terms, conj_chi) / spec.size  # shift, least word, member
     norms = np.linalg.norm(images, axis=0)
@@ -686,17 +647,16 @@ def dense_projection(description: FourierDescription) -> np.ndarray:
     q, n, p = spec.q, spec.n, spec.phase_denominator
     dim = q**n
     check_size("dense dimension", dim, DENSE_MATRIX_CAP)
-    coeffs = projection_coefficients(description)
-    _, la, ma, rho = _spec_tables(spec)  # rows in the order of the coefficients
+    coeffs = list(projection_coefficients(description).values())  # checks the group budget
+    la, ma, rho = _subgroup_keys(spec)  # in element index order, as the coefficients
+    kept = [i for i, t_a in enumerate(coeffs) if abs(t_a) >= PRUNE_TOL]
     roots = root_table(p)
     unit = p // q
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for t_a, x, y, phase in zip(coeffs.values(), la, ma, rho):
-        if abs(t_a) < PRUNE_TOL:
-            continue
+    for i, x, y in zip(kept, unpack(la[kept], q, n), unpack(ma[kept], q, n)):
         rows, exponents = _weyl_action(cols, x, y, q, n)
-        out[rows, cols] += t_a * roots[(phase + unit * exponents) % p]
+        out[rows, cols] += coeffs[i] * roots[(rho[i] + unit * exponents) % p]
     return out
 
 

@@ -8,8 +8,8 @@ where U_a shifts basis words (U_a|x> = |x+a>), V_b multiplies by the
 character (V_b|x> = <b,x>|x>, with <b,x> = exp(2*pi*i*(b.x)/q)), and the
 phase unit w is the primitive 2q-th root of unity exp(2*pi*i/(2q)).  Words
 are tuples of n digits mod q.  All phases are integer exponents mod 2q;
-complex numbers appear only in `dense_matrix` and in callers that opt in
-via `phase_value`.
+complex numbers appear only in `dense_matrix` and in the callers that opt
+in through `phase_value` or the cached `root_table` it reads.
 
 The phase denominator is 2q rather than q: subgroups containing an element
 whose square is -I (e.g. a U_1 V_1 factor over Z_2) only close up once the

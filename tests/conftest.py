@@ -12,7 +12,14 @@ from nonstab.circuits import Circuit, Gate
 from nonstab.families import maximal_form_spec
 from nonstab.galois import PrimeField, pack, unpack
 from nonstab.gottesman import GottesmanSpec, synthesize_phase_matrix, validate
-from nonstab.oracle import SparseState, _closed_form_terms, message_coordinates
+from nonstab.oracle import (
+    PRUNE_TOL,
+    VANISHING,
+    SparseState,
+    _closed_form_terms,
+    _shift_echelon,
+    message_coordinates,
+)
 from nonstab.weyl import prime_group, root_table
 
 # One profile for every property: the same examples on every run, no
@@ -126,7 +133,7 @@ def brute_force_forbidden(spec, d):
 
 def shift_phase(words, x, y, q):
     """U_x V_y on digit rows w: the packed keys of w + x and the exponents
-    y . w mod q, the reference for `oracle._weyl_action`.  Rows broadcast,
+    y . w mod q, the reference for `galois._weyl_action`.  Rows broadcast,
     so one word may meet many (x, y) or many words one (x, y)."""
     return pack((words + x) % q, q), np.einsum("...i,...i->...", words, y) % q
 
@@ -144,6 +151,69 @@ def weyl_times(operand, x, y, q):
     moved = np.zeros_like(operand)
     moved[targets] = phases * operand
     return moved, np.conj(phases) * operand[targets]
+
+
+def spec_tables(spec):
+    """(index rows a, La, Ma, rho(a)) of the whole subgroup as digit tables,
+    the reference for the packed keys of `oracle._subgroup_keys`."""
+    a_rows = unpack(np.arange(spec.size), spec.q, spec.r)
+    la, ma = (a_rows @ spec.L.T) % spec.q, (a_rows @ spec.M.T) % spec.q
+    return a_rows, la, ma, spec.rho_batch(a_rows)
+
+
+def reference_coset_basis(spec, members):
+    """`oracle._coset_basis` on the digit tables of `spec_tables`, with the
+    characters u . a as one product of the members with the index rows."""
+    q, n, p = spec.q, spec.n, spec.phase_denominator
+    unit = p // q
+    a_rows, la, ma, rho = spec_tables(spec)
+    reduced, pivots = _shift_echelon(spec)
+    k = len(pivots)
+    free = [i for i in range(n) if i not in pivots]
+    least = np.zeros((q ** (n - k), n), dtype=np.int64)
+    least[:, free] = unpack(np.arange(q ** (n - k)), q, n - k)
+    shifts = (unpack(np.arange(q**k), q, k) @ reduced) % q
+    words = pack((least[:, None, :] + shifts) % q, q)  # coset by coset
+    by_shift = np.argsort(pack(la[:, list(pivots)], q), kind="stable").reshape(q**k, -1)
+    roots = root_table(p)
+    terms = roots[(rho + unit * (least @ ma.T)) % p][:, by_shift].transpose(1, 0, 2)
+    chi = np.array(members, dtype=np.int64) @ a_rows.T
+    conj_chi = roots[(-unit * chi) % p][:, by_shift].transpose(1, 2, 0)
+    images = np.matmul(terms, conj_chi) / spec.size  # shift, least word, member
+    norms = np.linalg.norm(images, axis=0)
+    member, coset = np.nonzero((norms > VANISHING).T)
+    basis = np.zeros((q**n, len(member)), dtype=complex)
+    basis[words[coset].T, np.arange(len(member))] = images[:, coset, member] / norms[coset, member]
+    return basis, least[coset]
+
+
+def reference_projection_coefficients(description):
+    """`fourier_code.projection_coefficients` with the characters u . a as
+    one int64 product of the members with the index rows."""
+    spec = description.spec
+    q, p = spec.q, spec.phase_denominator
+    a_rows = unpack(np.arange(spec.size), q, spec.r)
+    exponents = (p // q * ((description.member_array @ a_rows.T) % q)) % p
+    roots = np.exp(-2j * np.pi * np.arange(p) / p)  # conj(chi_u)(s_a)
+    coeffs = roots[exponents].sum(axis=0) / spec.size
+    return {tuple(map(int, row)): complex(c) for row, c in zip(a_rows, coeffs)}
+
+
+def reference_dense_projection(description):
+    """`oracle.dense_projection` from `spec_tables` and `shift_phase`: the sum
+    over the elements of T_a w^rho(a) U_La V_Ma, on all q^n words."""
+    spec = description.spec
+    q, n, p = spec.q, spec.n, spec.phase_denominator
+    _, la, ma, rho = spec_tables(spec)
+    coeffs = reference_projection_coefficients(description).values()
+    roots = root_table(p)
+    out = np.zeros((q**n, q**n), dtype=complex)
+    cols = np.arange(q**n)
+    for t_a, x, y, phase in zip(coeffs, la, ma, rho):
+        if abs(t_a) >= PRUNE_TOL:
+            rows, exponents = shift_phase(word_digits(q, n), x, y, q)
+            out[rows, cols] += t_a * roots[(phase + p // q * exponents) % p]
+    return out
 
 
 def reference_reduced_screen(basis, q, m, supports, tol):

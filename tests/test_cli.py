@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonstab.cli import CodeBundle, main
+from nonstab.families import distance2_family
 
 
 def run(capsys, *argv):
@@ -235,6 +240,26 @@ def test_decode_sim_refuses_error_digits_outside_0_to_q(capsys, tmp_path):
                  "--error-x", "2,0,0,0,0", "--error-y", "0,2,0,0,0"])
     captured = capsys.readouterr()
     assert code in (0, 1) and captured.err == "" and "pass" in json.loads(captured.out)
+
+
+def test_decode_sim_refuses_a_negative_t_before_reading_the_bundle(capsys, tmp_path):
+    # refused with and without an error, and on a bundle that does not exist
+    path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "2")
+    for bundle, error in ((path, []), (path, ["--error-x", "1,0,0,0,0"]),
+                          (tmp_path / "missing.json", [])):
+        code = main(["decode-sim", "--in", str(bundle), "--u", "0,0,0,0,0", "--t", "-1", *error])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --t must be >= 0, got -1\n"
+
+
+def test_decode_sim_refuses_an_error_word_of_the_wrong_length(capsys, tmp_path):
+    path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "3")
+    for flag, word in (("--error-x", "1,0"), ("--error-y", "0,0,0,0,0,1"), ("--error-x", "0")):
+        code = main(["decode-sim", "--in", str(path), "--u", "0,0,0,0,0", flag, word])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {flag} must have 5 digits, got {word}\n"
 
 
 @pytest.mark.parametrize(
@@ -615,3 +640,54 @@ def test_decode_sim_searches_match_the_pinned_bytes(capsys, tmp_path):
     # d2 n=7 q=3 with weight-2 errors at --t 0, 1 and 2.  Nothing rewrites
     # the file.
     replay_pins(capsys, tmp_path, "decode_golden.json")
+
+
+# The CLI fuzz: drawn integer flags and digit vectors on the d2 (5, 2) bundle.
+# Digit vectors are members of its B half of the time, so that runs get past
+# the membership checks, and each optional flag is left out as often as not.
+D2_MEMBERS = [",".join(map(str, u)) for u in distance2_family(5, 2)[1].sorted_members()]
+COUNT_FLAGS = ("--t", "--top", "--max-sphere", "--max-group")
+VECTOR = st.sampled_from(D2_MEMBERS) | st.lists(st.integers(-2, 3), max_size=6).map(
+    lambda digits: ",".join(map(str, digits))
+)
+DISTANCE, CAP = st.integers(-2, 7), st.integers(-3, 2**16)
+FUZZ_FLAGS = {  # command: (required flags, optional flags)
+    "verify": ({}, {"--d": DISTANCE, "--max-sphere": CAP}),
+    "oracle": ({}, {"--d": DISTANCE, "--max-sphere": CAP, "--max-group": CAP}),
+    "greedy": ({"--d": DISTANCE}, {"--max-sphere": CAP}),
+    "encode-sim": ({"--message": VECTOR}, {"--top": st.integers(-3, 40)}),
+    "decode-sim": ({"--u": VECTOR}, {"--error-x": VECTOR, "--error-y": VECTOR,
+                                     "--t": st.integers(-3, 7)}),
+}
+
+
+@pytest.fixture(scope="module")
+def d2_bundle(tmp_path_factory):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["family", "--name", "d2", "--n", "5", "--q", "2"]) == 0
+    path = tmp_path_factory.mktemp("fuzz") / "d2.json"
+    path.write_text(out.getvalue())
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+def test_fuzzed_flags_exit_0_1_or_2_with_one_line_on_refusal(d2_bundle, command):
+    required, optional = FUZZ_FLAGS[command]
+
+    @settings(max_examples=50)
+    @given(st.fixed_dictionaries(required, optional=optional))
+    def run_fuzzed(flags):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, f"--in={d2_bundle}", *(f"{k}={v}" for k, v in flags.items())])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines(keepends=True)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+        else:
+            assert lines == [] and out.getvalue().endswith("\n")
+        if any(flags.get(flag, 0) < 0 for flag in COUNT_FLAGS) or flags.get("--d", 1) < 1:
+            assert code == 2, flags
+
+    run_fuzzed()

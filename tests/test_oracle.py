@@ -10,8 +10,12 @@ from conftest import (
     random_maximal_spec,
     random_nonmaximal_spec,
     random_stabilizer_spec,
+    reference_coset_basis,
+    reference_dense_projection,
+    reference_projection_coefficients,
     reference_reduced_screen,
     shift_phase,
+    spec_tables,
     weyl_times,
 )
 
@@ -24,9 +28,10 @@ from nonstab.fourier_code import (
     Report,
     code_dimension,
     greedy_construct,
+    projection_coefficients,
     verify_distance,
 )
-from nonstab.galois import pack, unpack
+from nonstab.galois import _characters, pack, unpack
 from nonstab.gottesman import (
     GottesmanSpec,
     bounded_pair_arrays,
@@ -46,7 +51,6 @@ from nonstab.oracle import (
     _projected_basis,
     _reduced_screen,
     _shift_echelon,
-    _spec_tables,
     _subgroup_keys,
     apply,
     codeword,
@@ -293,19 +297,44 @@ def test_a_cached_basis_is_refused_under_a_smaller_group():
         assert _basis_matrix(b) is basis
 
 
+def counted_table_builds(monkeypatch):
+    """The specs whose subgroup table is built from here on: each build reads
+    rho(a) of every element once, and nothing else in `src` does."""
+    builds = []
+    rho_batch = GottesmanSpec.rho_batch
+
+    def counted(spec, a_rows):
+        builds.append(spec)
+        return rho_batch(spec, a_rows)
+
+    monkeypatch.setattr(GottesmanSpec, "rho_batch", counted)
+    _subgroup_keys.cache_clear()
+    return builds
+
+
 def test_codewords_of_one_description_build_the_subgroup_table_once(monkeypatch):
     description = code_15_8_3()
-    builds = []
-
-    def counted(spec):
-        builds.append(spec)
-        return _spec_tables(spec)
-
-    monkeypatch.setattr("nonstab.oracle._spec_tables", counted)
-    _subgroup_keys.cache_clear()
+    builds = counted_table_builds(monkeypatch)
     for u in description.sorted_members():
         codeword(description, u)
     assert builds == [description.spec]
+
+
+def test_a_failing_nonmaximal_kl_check_builds_the_subgroup_table_once(monkeypatch):
+    from nonstab import oracle
+
+    # the coset basis and the dense projection of the first failing error
+    # both read the table
+    rng = np.random.default_rng(1)
+    description = random_description(rng, random_nonmaximal_spec(rng, 8, 3))
+    expected = reference_nonmaximal_kl_check(description, 2)
+    assert not expected.passed
+    projections = []
+    dense = oracle.dense_projection
+    monkeypatch.setattr(oracle, "dense_projection", lambda b: projections.append(b) or dense(b))
+    builds = counted_table_builds(monkeypatch)
+    assert outcome(kl_check(description, 2)) == outcome(expected)
+    assert projections == [description] and builds == [description.spec]
 
 
 def test_a_cached_subgroup_table_is_refused_under_a_smaller_group():
@@ -321,11 +350,25 @@ def test_a_cached_subgroup_table_is_refused_under_a_smaller_group():
         again = codeword(b, u)
     assert _subgroup_keys.cache_info().misses == 1
     assert np.array_equal(again.amps.view(np.uint64), state.amps.view(np.uint64))
+    # the non-maximal readers: the coset basis and the dense projection
+    rng = np.random.default_rng(1)
+    description = random_description(rng, random_nonmaximal_spec(rng, 5, 2))
+    spec, members = description.spec, description.sorted_members()
+    built = _projected_basis(spec, members)[0], dense_projection(description)
+    for reader in (lambda: _projected_basis(spec, members), lambda: dense_projection(description)):
+        with budget(group=3), pytest.raises(ValueError, match="subgroup size 4 exceeds cap 3"):
+            reader()
+    assert _subgroup_keys.cache_info().currsize == 1
+    with budget(group=4):
+        again = _projected_basis(spec, members)[0], dense_projection(description)
+    assert _subgroup_keys.cache_info().misses == 2  # one build for each spec
+    for got, want in zip(again, built):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_the_cached_subgroup_table_is_read_only_packed_keys():
     spec = distance2_family(5, 3)[0]
-    _, la, ma, rho = _spec_tables(spec)
+    _, la, ma, rho = spec_tables(spec)
     keys = _subgroup_keys(spec)
     assert _subgroup_keys(spec) is keys
     for cached, expected in zip(keys, (pack(la, 3), pack(ma, 3), rho)):
@@ -468,12 +511,6 @@ def test_reduced_screen_clears_only_passing_errors(case):
         assert _gram_witness(basis, moved, members, TOL) is None
 
 
-def subgroup_tables(spec):
-    a_rows = unpack(np.arange(spec.q**spec.n), spec.q, spec.n)
-    la, ma = (a_rows @ spec.L.T) % spec.q, (a_rows @ spec.M.T) % spec.q
-    return a_rows, la, ma, spec.rho_batch(a_rows)
-
-
 def reference_projection(spec, tables, u):
     """(column, word): the codeword of u built on its own, as a dense column,
     and the index of the basis word whose image under the projection gave it."""
@@ -501,7 +538,7 @@ def assert_basis_matches_reference(description):
     """The basis and every codeword(u) are bit-equal to the per-member
     reference; returns the basis word each member's codeword came from."""
     members = description.sorted_members()
-    tables = subgroup_tables(description.spec)
+    tables = spec_tables(description.spec)
     columns, words = zip(*(reference_projection(description.spec, tables, u) for u in members))
     expected = np.column_stack(columns)
     _cached_basis.cache_clear()
@@ -566,7 +603,7 @@ def per_word_projected_basis(spec, members):
     word, and remainders taken with %."""
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
-    a_rows, la, ma, rho = _spec_tables(spec)
+    a_rows, la, ma, rho = spec_tables(spec)
     roots = root_table(p)
     dim = q**n
     basis = np.zeros((dim, len(members)), dtype=complex)
@@ -862,6 +899,32 @@ def test_nonmaximal_kl_check_matches_the_dense_per_error_loop(case):
     got = kl_check(description, d)
     event(f"passed={got.passed}")
     assert outcome(got) == outcome(reference_nonmaximal_kl_check(description, d))
+
+
+@settings(max_examples=60)
+@given(st.one_of(maximal_member_sets(), nonmaximal_descriptions().map(lambda case: case[0])))
+def test_the_subgroup_table_readers_are_bit_equal_to_the_digit_table_references(description):
+    spec, members = description.spec, description.sorted_members()
+    q, maximal = spec.q, spec.is_maximal()
+    event(f"maximal={maximal}")
+    basis, least = _projected_basis(spec, members)
+    if maximal:
+        expected = per_word_projected_basis(spec, members)
+    else:
+        expected, expected_least = reference_coset_basis(spec, members)
+        assert np.array_equal(least, expected_least)
+    assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
+    got, want = dense_projection(description), reference_dense_projection(description)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got, want = projection_coefficients(description), reference_projection_coefficients(description)
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).view(np.uint64).tolist() == (
+        np.array(list(want.values())).view(np.uint64).tolist()
+    )
+    # u . a of every member and element: V_u on the element indices
+    a_rows = unpack(np.arange(spec.size), q, spec.r)
+    expected = shift_phase(a_rows, 0, description.member_array[:, None, :], q)[1]
+    assert np.array_equal(_characters(members, q, spec.r), expected)
 
 
 def stabilizer_code(q, x_rows, z_rows):

@@ -21,11 +21,10 @@ from nonstab.circuits import (
     simulate,
 )
 from nonstab.families import code_15_8_3, maximal_form_spec
-from nonstab.galois import _chunk_digits, _digit, linear_solve, places, unpack
+from nonstab.galois import _chunk_digits, _digit, _weyl_action, linear_solve, places, unpack
 from nonstab.oracle import (
     PRUNE_TOL,
     SparseState,
-    _weyl_action,
     apply,
     message_coordinates,
     sum_zero_words,
@@ -223,7 +222,7 @@ def test_inner_matches_the_intersect1d_reference(case):
     assert bits[:2].tolist() == bits[2:].tolist()
 
 
-# keys of up to three chunks of `_weyl_action`
+# keys of up to three chunks of `galois._chunk_layout`
 WEYL_DIGITS = {2: 17, 3: 11, 5: 7}
 
 
