@@ -9,13 +9,11 @@ from .fourier_code import (
     projection_coefficients,
     verify_distance,
 )
-from .galois import PrimeField, error_sphere_count, gaussian_binomial, linear_solve
+from .galois import PrimeField, error_sphere_count, gaussian_binomial
 from .gottesman import (
     ForbiddenSet,
     GottesmanSpec,
-    character_exponent,
     forbidden_set,
-    low_weight_members,
     purity_radius,
     synthesize_phase_matrix,
     validate,
@@ -36,7 +34,6 @@ __all__ = [
     "WeylElement",
     "apply",
     "bounds",
-    "character_exponent",
     "code_dimension",
     "codeword",
     "compose",
@@ -47,8 +44,6 @@ __all__ = [
     "greedy_construct",
     "inverse",
     "kl_check",
-    "linear_solve",
-    "low_weight_members",
     "orthonormality_check",
     "prime_group",
     "projection_coefficients",

@@ -11,7 +11,8 @@ Commands (JSON on stdout unless noted; deterministic output given flags):
     table       CSV of built-in code parameters and dimension bounds
 
 Exit status: 0 on success/pass, 1 on verification failure (with a
-machine-readable witness), 2 on usage errors or exceeded budgets.
+machine-readable witness), 2 on usage errors, exceeded budgets or a
+floating-point overflow or invalid operation.
 A code bundle is {"spec", "B", "params", "provenance"}.
 """
 
@@ -23,6 +24,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import families
 from .circuits import build_encoder, encoder_output_data, message_state, simulate
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
     try:
         caps = {k: _at_least(f"--max-{k}", getattr(args, f"max_{k}"))
                 for k in ("sphere", "group") if hasattr(args, f"max_{k}")}
-        with budget(**caps):  # from the subcommand's --max-* flags, before anything runs
+        with budget(**caps), np.errstate(over="raise", invalid="raise"):  # before anything runs
             return command(args)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -392,7 +395,7 @@ def main(argv=None) -> int:
     except InvalidSpec as exc:
         _emit({"pass": False, "violations": exc.args[0]})
         return 1
-    except (ValueError, DecodingError, json.JSONDecodeError) as exc:
+    except (ValueError, DecodingError, json.JSONDecodeError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,7 +21,7 @@ from .fourier_code import FourierDescription
 from .galois import _remainder, pack, unpack
 from .gottesman import GottesmanSpec, _sphere
 from .oracle import SparseState, apply
-from .weyl import WeylElement, inverse
+from .weyl import WeylElement, inverse, root_table
 
 EIGENVALUE_TOL = 1e-9
 
@@ -64,7 +64,7 @@ def measure_syndrome(state: SparseState, spec: GottesmanSpec) -> Syndrome:
         if np.any(np.abs(moved.amps - ratio * state.amps) > bound):
             raise DecodingError(f"inconsistent eigenvalue for generator {i}")
         exponent = int(round(np.angle(ratio) * p / (2 * np.pi))) % p
-        if abs(ratio - np.exp(2j * np.pi * exponent / p)) > EIGENVALUE_TOL:
+        if abs(ratio - root_table(p)[exponent]) > EIGENVALUE_TOL:
             raise DecodingError(f"eigenvalue of generator {i} is not a root of unity")
         exponents.append(exponent)
     return Syndrome(tuple(exponents), p)

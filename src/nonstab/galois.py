@@ -57,7 +57,7 @@ class PrimeField:
 
     # ------------------------------------------------------------------
     # Gaussian elimination.  Pivoting is deterministic (first nonzero row
-    # in scan order) so reduced forms and kernel bases are reproducible.
+    # in scan order) so reduced forms are reproducible.
     # ------------------------------------------------------------------
     def rref(self, a) -> tuple[np.ndarray, list[int], np.ndarray]:
         """Return (R, pivot_columns, T) with T @ a = R (mod p) and R in RREF.
@@ -86,52 +86,6 @@ class PrimeField:
             pivots.append(col)
             row += 1
         return r[:, :cols], pivots, r[:, cols:]
-
-    def rank(self, a) -> int:
-        return len(self.rref(a)[1])
-
-    def kernel(self, a) -> list[np.ndarray]:
-        """Basis of the right kernel of `a`, one vector per free column."""
-        a = self.reduce(a)
-        _, cols = a.shape
-        r, pivots, _ = self.rref(a)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = np.zeros(cols, dtype=np.int64)
-            v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = (-r[i, f]) % self.p
-            basis.append(v)
-        return basis
-
-    def solve(self, a, b) -> np.ndarray | None:
-        """One particular solution of a @ x = b, or None if inconsistent."""
-        a = self.reduce(a)
-        b = self.reduce(b)
-        if a.shape[0] != b.shape[0]:
-            raise ValueError("dimension mismatch between matrix and rhs")
-        r, pivots, t = self.rref(a)
-        tb = (t @ b) % self.p
-        nrows = len(pivots)
-        if np.any(tb[nrows:]):
-            return None
-        x = np.zeros(a.shape[1], dtype=np.int64)
-        for i, c in enumerate(pivots):
-            x[c] = tb[i]
-        return x
-
-
-def linear_solve(field: PrimeField, a, b) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """Solve a @ x = b over GF(p).
-
-    Returns a particular solution together with a basis of ker(a), or None
-    when the system is inconsistent.
-    """
-    x = field.solve(a, b)
-    if x is None:
-        return None
-    return x, field.kernel(a)
 
 
 def _gl_order(m: int, q: int) -> int:

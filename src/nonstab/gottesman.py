@@ -304,20 +304,6 @@ def validate(spec: GottesmanSpec) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Characters
-# ----------------------------------------------------------------------
-
-
-def character_exponent(spec: GottesmanSpec, u, a) -> int:
-    """Exponent of chi_u(s_a) = w_q^(u . a), in units of 1/P."""
-    u = spec.field.check(np.atleast_1d(np.asarray(u, dtype=np.int64)), "character index")
-    a = spec.field.check(np.atleast_1d(np.asarray(a, dtype=np.int64)), "index vector")
-    if u.shape != (spec.r,) or a.shape != (spec.r,):
-        raise ValueError("character arguments must have length r")
-    return (spec.phase_denominator // spec.q) * int((u @ a) % spec.q)
-
-
-# ----------------------------------------------------------------------
 # Low-weight structure: enumeration helpers, purity, forbidden sets
 # ----------------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from .weyl import DENSE_MATRIX_CAP, AlphabetGroup, WeylElement, check_size, root
 PRUNE_TOL = 1e-14
 VANISHING = 1e-8  # norm below which a projected basis word counts as zero
 BASIS_TOL = 1e-10  # codeword basis against the closed form, and its orthonormality
+KL_TOL = 1e-9  # of every Knill-Laflamme Gram and projection test
 
 
 def _canonical(packed: np.ndarray, amps: np.ndarray):
@@ -100,15 +101,6 @@ class SparseState:
     def __len__(self) -> int:
         return len(self.amps)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
-    def normalized(self) -> "SparseState":
-        nrm = self.norm()
-        if nrm < PRUNE_TOL:
-            raise ValueError("cannot normalize a (near-)zero state")
-        return SparseState._from_packed(self.group, self.n, self.packed, self.amps / nrm)
-
     def inner(self, other: "SparseState") -> complex:
         """<self | other>, conjugate-linear in self."""
         if self.group != other.group or self.n != other.n:
@@ -177,8 +169,9 @@ def codeword(description: FourierDescription, u) -> SparseState:
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
-def _basis_matrix(description: FourierDescription) -> np.ndarray:
-    """The code-space basis of `_projected_basis` as a read-only matrix.
+def _basis_matrix(description: FourierDescription) -> tuple[np.ndarray, np.ndarray]:
+    """The codewords of `_projected_basis` as a read-only matrix, and their
+    least words (maximal specs).
 
     Its q^n x K entries are checked against DENSE_MATRIX_CAP^2, the size of
     a dense projection, and the subgroup against the budget, before the
@@ -189,7 +182,7 @@ def _basis_matrix(description: FourierDescription) -> np.ndarray:
     spec = description.spec
     check_size("codeword basis entries", spec.q**spec.n * code_dimension(description), DENSE_MATRIX_CAP**2)
     check_size("subgroup size", spec.size, "group")
-    return _cached_basis(description)[0]
+    return _cached_basis(description)
 
 
 @lru_cache(maxsize=1)
@@ -201,27 +194,22 @@ def _cached_basis(description: FourierDescription) -> tuple[np.ndarray, np.ndarr
 
 
 def _projected_basis(spec: GottesmanSpec, members):
-    """An orthonormal basis of the code space of `members`, as the columns of
-    a matrix, and the digit rows of the words w of its columns.
+    """The codewords of `members` over a maximal spec, as the columns of a
+    matrix in the order given, and the digit rows of the words w of its columns.
 
-    Each column is P_u e_w, normalized, for a member u and a standard basis
-    word w: the least word of a coset w + X(S) of the shifts X(S) = {La} on
-    which the character projection P_u is nonzero, and on which the column
-    lies.  A maximal spec has one such coset per member, so its columns are
-    its codewords, one per member in the order given; a non-maximal one
-    (`_coset_basis`) has a column for every such coset.
-
-    For a maximal spec, P_u is applied to standard basis words in
-    lexicographic order until its image is nonzero, reading the shared keys
-    of `_subgroup_keys` and the characters u . a of `galois._characters`.
-    The targets and phases of a word are computed once for every member
-    still waiting for one.  When the spec carries a
-    product-form certificate, the closed form is evaluated as an independent
-    second path and every column must agree with it within BASIS_TOL.
+    Each column is P_u e_w, normalized, for a member u and the first standard
+    basis word w, in lexicographic order, on which the character projection
+    P_u is nonzero.  P_u s_a = chi_u(s_a) P_u, so P_u maps the words of a
+    coset w + X(S) of the shifts X(S) = {La} to multiples of one vector,
+    supported on the coset: w is the least word of the column's coset.
+    The shared keys of `_subgroup_keys` and the characters u . a of
+    `galois._characters` are read, and the targets and phases of a word are
+    computed once for every member still waiting for one.  When the spec
+    carries a product-form certificate, the closed form is evaluated as an
+    independent second path and every column must agree with it within
+    BASIS_TOL.
     """
     check_size("subgroup size", spec.size, "group")
-    if not spec.is_maximal():
-        return _coset_basis(spec, members)
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
     la, ma, rho = _subgroup_keys(spec)
@@ -259,9 +247,10 @@ def _projected_basis(spec: GottesmanSpec, members):
     return basis, least
 
 
-def _coset_basis(spec: GottesmanSpec, members):
-    """`_projected_basis` of a non-maximal spec: a column per member u and per
-    coset of X(S) on which P_u is nonzero, member by member, cosets in order.
+def _coset_basis(spec: GottesmanSpec, members) -> np.ndarray:
+    """An orthonormal basis of the code space of `members` over a non-maximal
+    spec: P_u e_w, normalized, for each member u and each coset w + X(S) on
+    which P_u is nonzero (see `_projected_basis`), cosets in order.
 
     With R the reduced row echelon form of L^T, whose k nonzero rows span
     X(S), subtracting multiples of R's rows can zero a word's digits at the
@@ -274,11 +263,10 @@ def _coset_basis(spec: GottesmanSpec, members):
     w + x is the sum over the elements with La = x of
     w^rho(a) <Ma, w> conj(chi_u(s_a)) / #S: grouping the elements by shift
     makes these sums, for every member and every least word, one batched
-    matrix product.  P_u s_a = chi_u(s_a) P_u, so P_u maps the words of one
-    coset to multiples of one vector, supported on the coset: columns of
-    different cosets have disjoint supports, and columns of different
-    members are orthogonal, since P_u P_v = 0.
+    matrix product.  Columns of different cosets have disjoint supports,
+    and columns of different members are orthogonal, since P_u P_v = 0.
     """
+    check_size("subgroup size", spec.size, "group")
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
     la, ma, rho = _subgroup_keys(spec)
@@ -305,7 +293,7 @@ def _coset_basis(spec: GottesmanSpec, members):
     member, coset = np.nonzero(nonzero.T)
     basis = np.zeros((q**n, len(member)), dtype=complex)
     basis[words[coset].T, np.arange(len(member))] = images[:, coset, member] / norms[coset, member]
-    return basis, least[coset]
+    return basis
 
 
 @lru_cache(maxsize=1)
@@ -564,81 +552,86 @@ def _scalar_prefix(basis, xs, ys, q, tol) -> int:
     return len(xs)
 
 
-def kl_check(description: FourierDescription, d: int, tol: float = 1e-9) -> Report:
+def kl_check(description: FourierDescription, d: int) -> Report:
     """Direct check that every error of weight < d is detected.
 
-    For each error E and the orthonormal basis V of the code space of
-    `_projected_basis`, the Gram V^H E V must be a constant multiple c I of
-    the identity.  `_reduced_screen` first clears the errors on the clean
-    (d-1)-subsets of digits, and the rest are checked one at a time, in
-    canonical order.
-
-    For a maximal spec the columns of V are the codewords, and
-    `_gram_witness` checks each Gram under `tol`.  For a non-maximal spec
-    the test and its witness stay those of P E P = phi(E) P on the dense
-    projection P = V V^H, within `tol`.  The screen runs at tol / K', with
-    K' the number of columns of V, so that it leaves every Gram it clears
-    within tol / K' of c I; an error passes when its Gram is within
-    tol / (2 K') of c I, c = tr(V^H E V) / K'.  At the first error whose
-    Gram does not, V is released, the dense projection is built, and that
-    error and the ones after it are checked on it by the arithmetic of
-    `_projection_witness`, so that verdicts and witnesses are bit for bit
-    those of that check alone, and V and the dense matrices are never held
-    at once.  The first such error is, but for rounding at the bound, a
-    failure, so the check then returns at once.
-
-    Why the bounds hold: tr(P E P) = tr(V^H E V) and tr P = K', so
-    phi(E) = c, and P E P - c P = V X V^H with X = V^H E V - c I.  Its
-    entry (i, j) is the sum over k, l of V_ik X_kl conj(V_jl), of modulus
-    at most max|X| (sum_k |V_ik|) (sum_l |V_jl|) <= max|X| K' |V_i| |V_j|
-    by Cauchy-Schwarz, where the rows V_i of V have norm at most 1, being
-    the square roots of the diagonal of the projection.  A Gram within
-    tol / K' of c I thus keeps P E P within tol of c P.  The rounding of
-    the two paths, of the order of q^n units of 2^-53, is far inside tol.
-
+    For each error E and an orthonormal basis V of the code space, the Gram
+    V^H E V must be a constant multiple c I of the identity.  The errors are
+    checked in canonical order, a maximal spec by `_maximal_failure` and any
+    other by `_nonmaximal_failure`, and the first that fails is the witness.
     Every cap, of the budget or fixed, is checked before any state is built.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     spec = description.spec
-    q, n = spec.q, spec.n
-    m = min(d - 1, n)
-    xs, ys = bounded_pair_arrays(q, n, m)
+    m = min(d - 1, spec.n)
+    xs, ys = bounded_pair_arrays(spec.q, spec.n, m)
     check_size("subgroup size", spec.size, "group")
-    members = description.sorted_members()
-    maximal = spec.is_maximal()
-    if maximal:
-        operand = _basis_matrix(description)
-        least = _cached_basis(description)[1]  # cached beside the matrix just read
-        screen_tol = tol
+    if spec.is_maximal():
+        failure = _maximal_failure(description, xs, ys, m)
+        counts = {"errors": len(xs), "pairs": len(description) ** 2}
     else:
-        # not cached, so that it can be released before the dense projection is built
-        check_size("dense dimension", q**n, DENSE_MATRIX_CAP)
-        operand, least = _projected_basis(spec, members)
-        screen_tol = tol / operand.shape[1]
-    # below the dense cap, the frames' bookkeeping costs more than the dense R_T saved
-    cosets = (*_shift_echelon(spec), least) if q**n > DENSE_MATRIX_CAP else None
-    supports = (xs != 0) | (ys != 0)
-    suspects = np.flatnonzero(~_reduced_screen(operand, q, m, supports, screen_tol, cosets))
-    if not maximal and suspects.size:
-        scalar = _scalar_prefix(operand, xs[suspects], ys[suspects], q, screen_tol / 2)
-        suspects = suspects[scalar:]
-        operand = None
-        if suspects.size:
-            operand = dense_projection(description)
-            trace = np.trace(operand).real
-    for x, y in zip(xs[suspects], ys[suspects]):
-        moved = _weyl_times(x, y, operand, q)
-        if maximal:
-            found = _gram_witness(operand, moved, members, tol)
-        else:
-            found = _projection_witness(operand, moved, trace, tol)
+        failure = _nonmaximal_failure(description, xs, ys)
+        counts = {"errors": len(xs)}
+    if failure is None:
+        return Report(True, counts=counts)
+    x, y, found = failure
+    return Report(False, witness={"error": {"x": x.tolist(), "y": y.tolist()}, **found})
+
+
+def _maximal_failure(description: FourierDescription, xs, ys, m: int):
+    """(x, y, witness) of the first error whose Gram on the codewords fails
+    `_gram_witness`, or None.  `_reduced_screen` first clears the errors on
+    the clean m-subsets of digits, using coset frames beyond DENSE_MATRIX_CAP
+    words (below it their bookkeeping costs more than the dense R_T saved)."""
+    spec = description.spec
+    q, members = spec.q, description.sorted_members()
+    basis, least = _basis_matrix(description)
+    cosets = (*_shift_echelon(spec), least) if q**spec.n > DENSE_MATRIX_CAP else None
+    cleared = _reduced_screen(basis, q, m, (xs != 0) | (ys != 0), KL_TOL, cosets)
+    for x, y in zip(xs[~cleared], ys[~cleared]):
+        found = _gram_witness(basis, _weyl_times(x, y, basis, q), members, KL_TOL)
         if found is not None:
-            return Report(False, witness={"error": {"x": x.tolist(), "y": y.tolist()}, **found})
-    counts = {"errors": int(xs.shape[0])}
-    if maximal:
-        counts["pairs"] = len(members) ** 2
-    return Report(True, counts=counts)
+            return x, y, found
+    return None
+
+
+def _nonmaximal_failure(description: FourierDescription, xs, ys):
+    """(x, y, witness) of the first error where P E P = phi(E) P fails on the
+    dense projection P within KL_TOL, by `_projection_witness`, or None.
+
+    V is the basis of `_coset_basis`, with K' columns, and P = V V^H.
+    `_scalar_prefix` passes the errors while each Gram is within
+    KL_TOL / (2 K') of c I, c = tr(V^H E V) / K'.  From the first that is
+    not, a failure but for rounding at the bound, V is released and the rest
+    are checked on P, so that verdicts and witnesses are bit for bit those
+    of that check alone, and V and P are never held at once.
+
+    Why the bound holds: tr(P E P) = tr(V^H E V) and tr P = K', so
+    phi(E) = c, and P E P - c P = V X V^H with X = V^H E V - c I.  Its
+    entry (i, j) is the sum over k, l of V_ik X_kl conj(V_jl), of modulus
+    at most max|X| (sum_k |V_ik|) (sum_l |V_jl|) <= max|X| K' |V_i| |V_j|
+    by Cauchy-Schwarz, where the rows V_i of V have norm at most 1, being
+    the square roots of the diagonal of P.  A Gram within KL_TOL / K' of
+    c I thus keeps P E P within KL_TOL of c P.  The rounding of the two
+    paths, of the order of q^n units of 2^-53, is far inside that.
+    """
+    spec = description.spec
+    q = spec.q
+    # not cached, so that it can be released before the dense projection is built
+    check_size("dense dimension", q**spec.n, DENSE_MATRIX_CAP)
+    basis = _coset_basis(spec, description.sorted_members())
+    first = _scalar_prefix(basis, xs, ys, q, KL_TOL / (2 * basis.shape[1]))
+    if first == len(xs):
+        return None
+    del basis
+    projection = dense_projection(description)
+    trace = np.trace(projection).real
+    for x, y in zip(xs[first:], ys[first:]):
+        found = _projection_witness(projection, _weyl_times(x, y, projection, q), trace, KL_TOL)
+        if found is not None:
+            return x, y, found
+    return None
 
 
 def dense_projection(description: FourierDescription) -> np.ndarray:
@@ -665,7 +658,7 @@ def orthonormality_check(description: FourierDescription) -> Report:
     if not description.spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
     members = description.sorted_members()
-    basis = _basis_matrix(description)
+    basis = _basis_matrix(description)[0]
     gram = basis.conj().T @ basis
     deviation = np.abs(gram - np.eye(len(members)))
     if deviation.max() > BASIS_TOL:

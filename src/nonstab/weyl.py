@@ -8,8 +8,7 @@ where U_a shifts basis words (U_a|x> = |x+a>), V_b multiplies by the
 character (V_b|x> = <b,x>|x>, with <b,x> = exp(2*pi*i*(b.x)/q)), and the
 phase unit w is the primitive 2q-th root of unity exp(2*pi*i/(2q)).  Words
 are tuples of n digits mod q.  All phases are integer exponents mod 2q;
-complex numbers appear only in `dense_matrix` and in the callers that opt
-in through `phase_value` or the cached `root_table` it reads.
+complex numbers appear only in the cached `root_table` and its readers.
 
 The phase denominator is 2q rather than q: subgroups containing an element
 whose square is -I (e.g. a U_1 V_1 factor over Z_2) only close up once the
@@ -21,7 +20,6 @@ of the two that a caller sets, which `check_sphere` and `check_size` read.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -86,11 +84,6 @@ def root_table(denominator: int) -> np.ndarray:
     return roots
 
 
-def phase_value(exponent: int, denominator: int) -> complex:
-    """exp(2*pi*i*exponent/denominator) with a cached root table."""
-    return complex(root_table(denominator)[exponent % denominator])
-
-
 @dataclass(frozen=True)
 class AlphabetGroup:
     """The cyclic group Z_q of digits, the alphabet of every word position."""
@@ -100,10 +93,6 @@ class AlphabetGroup:
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError("the alphabet size must be an integer >= 2")
-
-    @property
-    def size(self) -> int:
-        return self.q
 
     @property
     def phase_denominator(self) -> int:
@@ -132,11 +121,6 @@ class AlphabetGroup:
         self._check_pair(a, b)
         return 2 * sum(x * y for x, y in zip(a, b)) % self.phase_denominator
 
-    def weight(self, a: Word, b: Word) -> int:
-        """Number of positions where (a_i, b_i) != (0, 0)."""
-        self._check_pair(a, b)
-        return sum(1 for x, y in zip(a, b) if x or y)
-
 
 def prime_group(q: int) -> AlphabetGroup:
     return AlphabetGroup(int(q))
@@ -161,17 +145,9 @@ class WeylElement:
     def identity(cls, group: AlphabetGroup, n: int) -> "WeylElement":
         return cls(group, 0, group.zero(n), group.zero(n))
 
-    @classmethod
-    def shift(cls, group: AlphabetGroup, a) -> "WeylElement":
-        a = group.word(a)
-        return cls(group, 0, a, (0,) * len(a))
-
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def weight(self) -> int:
-        return self.group.weight(self.a, self.b)
 
 
 def _check_operands(g: WeylElement, h: WeylElement) -> None:
@@ -200,18 +176,3 @@ def gamma(g: WeylElement, h: WeylElement) -> int:
     return (
         grp.bicharacter_exponent(g.b, h.a) - grp.bicharacter_exponent(g.a, h.b)
     ) % grp.phase_denominator
-
-
-def dense_matrix(g: WeylElement) -> np.ndarray:
-    """Complex matrix of g on the q^n-dimensional word space (oracle use)."""
-    grp = g.group
-    dim = grp.q**g.n
-    check_size("dense dimension", dim, DENSE_MATRIX_CAP)
-    words = list(itertools.product(range(grp.q), repeat=g.n))  # in lexicographic order
-    index = {w: i for i, w in enumerate(words)}
-    out = np.zeros((dim, dim), dtype=complex)
-    p = grp.phase_denominator
-    for col, x in enumerate(words):
-        row = index[grp.add(x, g.a)]
-        out[row, col] = phase_value(g.phase + grp.bicharacter_exponent(g.b, x), p)
-    return out

@@ -1,6 +1,6 @@
 """Shared generators for randomized cross-validation sweeps, digit-row
 references for the packed-word kernels, and reference versions of library
-code that has been replaced or removed."""
+code that has been replaced or removed, or that only tests read."""
 
 import functools
 import itertools
@@ -20,7 +20,7 @@ from nonstab.oracle import (
     _shift_echelon,
     message_coordinates,
 )
-from nonstab.weyl import prime_group, root_table
+from nonstab.weyl import DENSE_MATRIX_CAP, check_size, prime_group, root_table
 
 # One profile for every property: the same examples on every run, no
 # per-example deadline, and no example database written to the tree.
@@ -61,9 +61,10 @@ def random_stabilizer_spec(rng, n, r, q=2):
     rows = np.zeros((0, 2 * n), dtype=np.int64)
     while len(rows) < r:
         twisted = np.hstack([rows[:, n:], -rows[:, :n]]) % q
-        free = np.array(field.kernel(twisted) if len(rows) else np.eye(2 * n, dtype=np.int64))
+        free = np.array(linear_solve(field, twisted, np.zeros(len(rows)))[1]
+                        if len(rows) else np.eye(2 * n, dtype=np.int64))
         grown = np.vstack([rows, rng.integers(0, q, size=len(free)) @ free % q])
-        if field.rank(grown) == len(grown):
+        if len(field.rref(grown)[1]) == len(grown):
             rows = grown
     l_mat, m_mat = rows[:, :n].T.copy(), rows[:, n:].T.copy()
     spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=synthesize_phase_matrix(q, l_mat, m_mat))
@@ -184,7 +185,7 @@ def reference_coset_basis(spec, members):
     member, coset = np.nonzero((norms > VANISHING).T)
     basis = np.zeros((q**n, len(member)), dtype=complex)
     basis[words[coset].T, np.arange(len(member))] = images[:, coset, member] / norms[coset, member]
-    return basis, least[coset]
+    return basis
 
 
 def reference_projection_coefficients(description):
@@ -297,3 +298,65 @@ def closed_form_codeword(spec, u):
     xs, zs, quad_phase = _closed_form_terms(spec, delta)
     amps = quad_phase * np.conj(root_table(spec.q)[(xs @ c_vec) % spec.q]) / np.sqrt(len(xs))
     return SparseState.from_pairs(spec.group, spec.n, zs, amps)
+
+
+def linear_solve(field, a, b):
+    """(x, kernel) with a @ x = b over GF(p) and a basis of ker(a), one
+    vector per free column, or None when the system is inconsistent; read
+    off the transform T of `PrimeField.rref`, T @ a = R."""
+    a, b = field.reduce(a), field.reduce(b)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("dimension mismatch between matrix and rhs")
+    reduced, pivots, transform = field.rref(a)
+    tb = (transform @ b) % field.p
+    if np.any(tb[len(pivots):]):
+        return None
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    x[pivots] = tb[: len(pivots)]
+    kernel = []
+    for free in (c for c in range(a.shape[1]) if c not in pivots):
+        v = np.zeros(a.shape[1], dtype=np.int64)
+        v[free] = 1
+        v[pivots] = (-reduced[: len(pivots), free]) % field.p
+        kernel.append(v)
+    return x, kernel
+
+
+def normalized(state):
+    """`state` scaled to unit norm."""
+    amps = state.amps / np.linalg.norm(state.amps)
+    return SparseState.from_pairs(state.group, state.n, state.words, amps)
+
+
+def phase_value(exponent, denominator):
+    """exp(2 pi i exponent / denominator), read off the cached root table."""
+    return complex(root_table(denominator)[exponent % denominator])
+
+
+def dense_matrix(g):
+    """Complex matrix of a `WeylElement` on the q^n-dimensional word space."""
+    grp = g.group
+    dim = grp.q**g.n
+    check_size("dense dimension", dim, DENSE_MATRIX_CAP)
+    words = list(itertools.product(range(grp.q), repeat=g.n))  # in lexicographic order
+    index = {w: i for i, w in enumerate(words)}
+    out = np.zeros((dim, dim), dtype=complex)
+    p = grp.phase_denominator
+    for col, x in enumerate(words):
+        row = index[grp.add(x, g.a)]
+        out[row, col] = phase_value(g.phase + grp.bicharacter_exponent(g.b, x), p)
+    return out
+
+
+def weight(a, b):
+    """Number of positions where (a_i, b_i) != (0, 0): the weight of U_a V_b."""
+    return sum(1 for x, y in zip(a, b) if x or y)
+
+
+def character_exponent(spec, u, a):
+    """Exponent of chi_u(s_a) = w_q^(u . a), in units of 1 / (2q)."""
+    u = spec.field.check(np.atleast_1d(np.asarray(u, dtype=np.int64)), "character index")
+    a = spec.field.check(np.atleast_1d(np.asarray(a, dtype=np.int64)), "index vector")
+    if u.shape != (spec.r,) or a.shape != (spec.r,):
+        raise ValueError("character arguments must have length r")
+    return (spec.phase_denominator // spec.q) * int((u @ a) % spec.q)

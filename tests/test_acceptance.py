@@ -118,7 +118,7 @@ def test_accept_03_code_15_8_3():
     b = code_15_8_3()
     ok &= code_dimension(b) == 8
     ok &= verify_distance(b, 3).passed
-    kl = kl_check(b, 3, tol=1e-9)
+    kl = kl_check(b, 3)
     ok &= kl.passed and kl.counts == {"errors": 990, "pairs": 64}
     elapsed = time.perf_counter() - start
     ok &= elapsed <= 600

@@ -691,3 +691,100 @@ def test_fuzzed_flags_exit_0_1_or_2_with_one_line_on_refusal(d2_bundle, command)
             assert code == 2, flags
 
     run_fuzzed()
+
+
+def test_a_floating_point_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    import numpy as np
+
+    from nonstab import cli
+
+    path, _ = family_bundle(capsys, tmp_path, "--name", "d2", "--n", "5", "--q", "2")
+    before = np.geterr()
+    for operation in ("over", "invalid"):
+        def failing(description, d, operation=operation):
+            big = np.float64(1e308)
+            return big * 10 if operation == "over" else np.sqrt(-big)
+
+        monkeypatch.setattr(cli, "verify_distance", failing)
+        code = main(["verify", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert ("overflow" if operation == "over" else "invalid value") in captured.err
+    assert np.geterr() == before  # restored on the way out
+
+
+# The bundle fuzz: one drawn mutation of the d2 (5, 2) or the code15 bundle,
+# run through every command that reads a bundle.  An entry becomes a digit in
+# or out of range, a negative, a float, a bool or 10^30; a field is dropped; a
+# matrix is made ragged, truncated or transposed; or a params claim is moved.
+MATRICES = (("spec", "L"), ("spec", "M"), ("spec", "D"), ("spec", "quad_upper"), ("B",))
+SCALARS = (("spec", "q"), ("spec", "n"), ("spec", "r"), ("spec", "phase_denominator"),
+           ("params", "n"), ("params", "q"), ("params", "K"), ("params", "d"))
+ENTRY = st.integers(0, 8) | st.sampled_from([-1, 1.5, 1.0, True, False, 10**30])
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_bundles(draw, doc):
+    doc = json.loads(json.dumps(doc))
+    kind = draw(st.sampled_from(["entry", "scalar", "drop", "ragged", "truncated", "transposed",
+                                 "params"]))
+    matrix = draw(st.sampled_from([p for p in MATRICES if p[-1] in _at(doc, p[:-1])]))
+    rows = _at(doc, matrix)
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "entry":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(ENTRY)
+    elif kind == "scalar":
+        path = draw(st.sampled_from(SCALARS))
+        _at(doc, path[:-1])[path[-1]] = draw(ENTRY)
+    elif kind == "drop":
+        paths = [(key,) for key in doc] + [(part, key) for part in ("spec", "params")
+                                           for key in doc[part]]
+        path = draw(st.sampled_from(paths))
+        del _at(doc, path[:-1])[path[-1]]
+    elif kind == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0]
+    elif kind == "truncated":
+        del rows[i:]
+    elif kind == "transposed":
+        _at(doc, matrix[:-1])[matrix[-1]] = [list(column) for column in zip(*rows)]
+    else:
+        key = draw(st.sampled_from(["n", "q", "K", "d"]))
+        doc["params"][key] += draw(st.sampled_from([-1, 1, 2]))
+    return doc
+
+
+@pytest.mark.parametrize("family, examples", [(("d2", "--n", "5", "--q", "2"), 100),
+                                              (("code15",), 15)], ids=["d2", "code15"])
+def test_mutated_bundles_exit_0_1_or_2_with_one_line_on_refusal(tmp_path, family, examples):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["family", "--name", *family]) == 0
+    original = json.loads(out.getvalue())
+    member = ",".join(map(str, min(map(tuple, original["B"]))))
+    d = str(original["params"]["d"])
+    path = tmp_path / "mutated.json"
+
+    @settings(max_examples=examples)
+    @given(mutated_bundles(original))
+    def run_mutated(doc):
+        path.write_text(json.dumps(doc))
+        for argv in (["verify"], ["oracle"], ["greedy", "--d", d],
+                     ["encode-sim", "--message", member], ["decode-sim", "--u", member]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--in", str(path)])
+            assert code in (0, 1, 2), argv
+            lines = err.getvalue().splitlines(keepends=True)
+            if code == 2:
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            else:
+                assert lines == [] and out.getvalue().endswith("\n"), argv
+
+    run_mutated()

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from conftest import character_exponent, linear_solve, weight
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from nonstab.decoder import DecodingError, Syndrome, decode, measure_syndrome, s
 from nonstab.families import code_15_8_3, distance2_family, laflamme_spec
 from nonstab.fourier_code import FourierDescription, greedy_construct, verify_distance
 from nonstab.galois import error_sphere_count
-from nonstab.gottesman import bounded_pair_arrays, character_exponent
+from nonstab.gottesman import bounded_pair_arrays
 from nonstab.oracle import SparseState, apply, codeword
 from nonstab.weyl import WeylElement, prime_group
 
@@ -172,14 +173,12 @@ def test_syndrome_collisions_are_harmless():
     assert len({
         tuple(((np.array(g.a) @ spec.M - np.array(g.b) @ spec.L) % 2).tolist())
         for g in errors
-        if g.weight() <= 1
+        if weight(g.a, g.b) <= 1
     }) == 21  # weight-1 syndromes are pairwise distinct (uniqueness)
     syndromes = {}
     for g in errors:
         syndrome = tuple(((np.array(g.a) @ spec.M - np.array(g.b) @ spec.L) % 2).tolist())
         syndromes.setdefault(syndrome, []).append(g)
-    from nonstab.galois import linear_solve
-
     collisions = 0
     for group_elements in syndromes.values():
         for i in range(len(group_elements)):

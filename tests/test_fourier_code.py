@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_description, random_maximal_spec, random_nonmaximal_spec, weight_lex_indices
+from conftest import (
+    random_description,
+    random_maximal_spec,
+    random_nonmaximal_spec,
+    weight,
+    weight_lex_indices,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,7 +312,7 @@ def reference_verify(description, d):
         failing = sorted(u for u in diffs if sum(x * y for x, y in zip(u, a)) % q)
         if failing:
             witness = {"condition": 1, "subgroup_index": list(a),
-                       "weight": element.weight(), "difference": list(failing[0])}
+                       "weight": weight(element.a, element.b), "difference": list(failing[0])}
             return {"pass": False, "witness": witness, "counts": counts}
     forbidden = forbidden_set(spec, d)
     counts["forbidden"] = len(forbidden)

@@ -3,7 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import brute_force_forbidden, random_maximal_spec, random_nonmaximal_spec
+from conftest import (
+    brute_force_forbidden,
+    character_exponent,
+    dense_matrix,
+    phase_value,
+    random_maximal_spec,
+    random_nonmaximal_spec,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,14 +20,13 @@ from nonstab.gottesman import (
     GottesmanSpec,
     _sphere,
     bounded_pair_arrays,
-    character_exponent,
     forbidden_set,
     low_weight_members,
     purity_radius,
     synthesize_phase_matrix,
     validate,
 )
-from nonstab.weyl import WeylElement, budget, compose, dense_matrix, gamma, phase_value
+from nonstab.weyl import WeylElement, budget, compose, gamma
 
 
 def weight_one_member_spec():
@@ -251,7 +257,7 @@ def reference_validate(spec):
     g = f.matmul(spec.L.T, spec.M)
     if not np.array_equal(g, g.T):
         violations.append("L^T M is not symmetric")
-    if f.rank(np.vstack([spec.L, spec.M])) != r:
+    if len(f.rref(np.vstack([spec.L, spec.M]))[1]) != r:
         violations.append("a -> (La, Ma) is not injective (scalar elements present)")
     if spec.rho(np.zeros(r, dtype=np.int64)) != 0:
         violations.append("identity element carries a nonzero phase")

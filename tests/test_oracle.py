@@ -3,9 +3,13 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (
+    character_exponent,
     closed_form_codeword,
+    dense_matrix,
     dense_vector,
+    normalized,
     oversized_nonmaximal_description,
+    phase_value,
     random_description,
     random_maximal_spec,
     random_nonmaximal_spec,
@@ -35,7 +39,6 @@ from nonstab.galois import _characters, pack, unpack
 from nonstab.gottesman import (
     GottesmanSpec,
     bounded_pair_arrays,
-    character_exponent,
     forbidden_set,
     purity_radius,
     synthesize_phase_matrix,
@@ -47,6 +50,7 @@ from nonstab.oracle import (
     SparseState,
     _basis_matrix,
     _cached_basis,
+    _coset_basis,
     _gram_witness,
     _projected_basis,
     _reduced_screen,
@@ -63,8 +67,6 @@ from nonstab.weyl import (
     WeylElement,
     budget,
     compose,
-    dense_matrix,
-    phase_value,
     prime_group,
     root_table,
 )
@@ -74,14 +76,14 @@ Z3 = prime_group(3)
 
 
 def random_state(rng, group, n, support=4):
-    words = rng.integers(0, group.size, size=(support, n))
+    words = rng.integers(0, group.q, size=(support, n))
     amps = rng.normal(size=support) + 1j * rng.normal(size=support)
-    return SparseState.from_pairs(group, n, words, amps).normalized()
+    return normalized(SparseState.from_pairs(group, n, words, amps))
 
 
 def test_sparse_state_basics():
     s = SparseState.from_pairs(Z2, 2, [(0, 0), (1, 1)], [0.6, 0.8])
-    assert s.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(s.amps) == pytest.approx(1.0)
     assert len(s) == 2
     # merging and pruning
     merged = SparseState.from_pairs(Z2, 1, [[0], [0], [1]], [1.0, -1.0, 0.5])
@@ -94,7 +96,7 @@ def test_apply_identity_and_shift():
     s = SparseState.basis_word(Z2, (0,))
     ident = WeylElement.identity(Z2, 1)
     assert dict(apply(ident, s).items()) == dict(s.items())
-    u1 = WeylElement.shift(Z2, (1,))
+    u1 = WeylElement(Z2, 0, (1,), (0,))
     assert dict(apply(u1, s).items()) == {(1,): 1.0 + 0j}
 
 
@@ -105,8 +107,8 @@ def test_apply_matches_dense_matrix():
             g = WeylElement(
                 group,
                 int(rng.integers(0, group.phase_denominator)),
-                tuple(rng.integers(0, group.size, n)),
-                tuple(rng.integers(0, group.size, n)),
+                tuple(rng.integers(0, group.q, n)),
+                tuple(rng.integers(0, group.q, n)),
             )
             state = random_state(rng, group, n)
             expected = dense_matrix(g) @ dense_vector(state)
@@ -121,7 +123,7 @@ def test_apply_is_group_action_and_isometry():
         state = random_state(rng, Z3, 2)
         via_compose = apply(compose(g, h), state)
         via_sequence = apply(g, apply(h, state))
-        assert via_compose.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(via_compose.amps) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             dense_vector(via_sequence), dense_vector(via_compose), atol=1e-12
         )
@@ -131,7 +133,7 @@ def test_stabilizer_codeword_is_fixed_point():
     spec, _ = distance2_family(5, 2)
     stabilizer = FourierDescription(spec, frozenset({(0,) * 5}))
     phi = codeword(stabilizer, (0,) * 5)
-    assert phi.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(phi.amps) == pytest.approx(1.0, abs=1e-12)
     for i in range(5):
         moved = apply(spec.element(np.eye(5, dtype=int)[i]), phi)
         assert moved.fidelity(phi) == pytest.approx(1.0, abs=1e-10)
@@ -354,13 +356,13 @@ def test_a_cached_subgroup_table_is_refused_under_a_smaller_group():
     rng = np.random.default_rng(1)
     description = random_description(rng, random_nonmaximal_spec(rng, 5, 2))
     spec, members = description.spec, description.sorted_members()
-    built = _projected_basis(spec, members)[0], dense_projection(description)
-    for reader in (lambda: _projected_basis(spec, members), lambda: dense_projection(description)):
+    built = _coset_basis(spec, members), dense_projection(description)
+    for reader in (lambda: _coset_basis(spec, members), lambda: dense_projection(description)):
         with budget(group=3), pytest.raises(ValueError, match="subgroup size 4 exceeds cap 3"):
             reader()
     assert _subgroup_keys.cache_info().currsize == 1
     with budget(group=4):
-        again = _projected_basis(spec, members)[0], dense_projection(description)
+        again = _coset_basis(spec, members), dense_projection(description)
     assert _subgroup_keys.cache_info().misses == 2  # one build for each spec
     for got, want in zip(again, built):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -542,7 +544,7 @@ def assert_basis_matches_reference(description):
     columns, words = zip(*(reference_projection(description.spec, tables, u) for u in members))
     expected = np.column_stack(columns)
     _cached_basis.cache_clear()
-    basis = _basis_matrix(description)
+    basis, _ = _basis_matrix(description)
     assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
     for column, u in zip(columns, members):
         state = codeword(description, u)
@@ -685,7 +687,7 @@ def test_code15_screen_takes_the_real_path(monkeypatch):
     from nonstab import oracle
 
     description = code_15_8_3()
-    basis = _basis_matrix(description)
+    basis, _ = _basis_matrix(description)
     sigma = np.linalg.norm(basis.imag)
     # all 990 errors of weight <= 2, and 13,059 of the 13,275 of weight <= 3
     for d, cleared in ((3, 990), (4, 13_059)):
@@ -703,8 +705,7 @@ def test_code15_screen_takes_the_real_path(monkeypatch):
 
 def code15_cosets():
     description = code_15_8_3()
-    _cached_basis.cache_clear()
-    basis, least = _cached_basis(description)
+    basis, least = _basis_matrix(description)
     return basis, (*_shift_echelon(description.spec), least)
 
 
@@ -720,24 +721,24 @@ def test_code15_coset_frames_give_the_dense_mask():
 
 @st.composite
 def coset_screen_cases(draw):
-    """(description, m): a code over a maximal or non-maximal spec, with L of
-    any rank, of rank n (no digit to drop) or zero (every column one word)."""
-    shape = draw(st.sampled_from(["nonmaximal", "zero", "maximal", "full"]))
+    """(description, m): a code over a maximal spec, the only kind that
+    `kl_check` screens, with L of any rank, of rank n (no digit to drop) or
+    zero (every column one word)."""
+    shape = draw(st.sampled_from(["any rank", "zero", "maximal", "full"]))
     if shape == "maximal":
         description, d = draw(maximal_descriptions())
-    elif shape == "nonmaximal":
-        description, d = draw(nonmaximal_descriptions())
+    elif shape == "any rank":
+        description, d = draw(maximal_member_sets()), draw(st.sampled_from([2, 3]))
     else:
         q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
         n = draw(st.integers(*DIGITS_FOR_Q[q]))
-        r = n - draw(st.integers(0, 2)) if shape == "zero" else n
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         if shape == "full":  # L = I, M symmetric
             l_mat, m_mat = np.eye(n, dtype=np.int64), np.triu(rng.integers(0, q, (n, n)))
             m_mat = (m_mat + np.triu(m_mat, 1).T) % q
-        else:  # L = 0, M of full column rank
-            l_mat = np.zeros((n, r), dtype=np.int64)
-            m_mat = rng.permutation(np.eye(n, dtype=np.int64))[:, :r]
+        else:  # L = 0, M invertible
+            l_mat = np.zeros((n, n), dtype=np.int64)
+            m_mat = rng.permutation(np.eye(n, dtype=np.int64))
         spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=synthesize_phase_matrix(q, l_mat, m_mat))
         assert validate(spec) == []
         description, d = random_description(rng, spec), draw(st.sampled_from([2, 3]))
@@ -758,11 +759,10 @@ def test_coset_frames_give_the_dense_mask(case):
     for column, word in zip(basis.T, least):
         offset = (unpack(np.flatnonzero(column), q, n) - word) % q
         assert np.array_equal(offset[:, list(pivots)] @ shifts % q, offset)
-    tol = TOL if spec.is_maximal() else TOL / basis.shape[1]
     _, _, supports = error_supports(q, n, m)
-    mask = _reduced_screen(basis, q, m, supports, tol, (shifts, pivots, least))
+    mask = _reduced_screen(basis, q, m, supports, TOL, (shifts, pivots, least))
     event(f"cleared {'all' if mask.all() else 'some' if mask.any() else 'none'}")
-    assert np.array_equal(mask, reference_reduced_screen(basis, q, m, supports, tol))
+    assert np.array_equal(mask, reference_reduced_screen(basis, q, m, supports, TOL))
 
 
 def corrupted_greedy_code():
@@ -778,7 +778,7 @@ def corrupted_greedy_code():
 def test_a_global_phase_takes_the_complex_path_to_the_same_mask():
     for description, d in ((code_15_8_3(), 3), (corrupted_greedy_code()[1], 3)):
         spec = description.spec
-        basis = _basis_matrix(description)
+        basis, _ = _basis_matrix(description)
         _, _, supports = error_supports(spec.q, spec.n, d - 1)
         turned = basis * np.exp(0.7j)
         assert 6 * np.linalg.norm(turned.imag) > TOL / (2 * spec.q ** (d - 1))
@@ -796,7 +796,7 @@ def test_an_imaginary_violation_is_not_cleared():
     assert kl_check(code, 3).passed and len(members) == 2
     xs, ys, supports = error_supports(2, 7, 2)
     for e in (0, 17, len(xs) - 1):
-        basis = np.array(_basis_matrix(code))
+        basis = np.array(_basis_matrix(code)[0])
         _, adjoint = weyl_times(basis, xs[e], ys[e], 2)
         basis[:, 1] += 2j * TOL * adjoint[:, 0]
         assert 6 * np.linalg.norm(basis.imag) > TOL / (2 * 2**2)
@@ -817,7 +817,7 @@ def test_reduced_screen_clears_every_error_of_a_passing_code():
     ):
         spec = description.spec
         xs, ys = bounded_pair_arrays(spec.q, spec.n, d - 1)
-        basis = _basis_matrix(description)
+        basis, _ = _basis_matrix(description)
         assert _reduced_screen(basis, spec.q, d - 1, (xs != 0) | (ys != 0), TOL).all()
 
 
@@ -907,12 +907,11 @@ def test_the_subgroup_table_readers_are_bit_equal_to_the_digit_table_references(
     spec, members = description.spec, description.sorted_members()
     q, maximal = spec.q, spec.is_maximal()
     event(f"maximal={maximal}")
-    basis, least = _projected_basis(spec, members)
     if maximal:
+        basis = _projected_basis(spec, members)[0]
         expected = per_word_projected_basis(spec, members)
     else:
-        expected, expected_least = reference_coset_basis(spec, members)
-        assert np.array_equal(least, expected_least)
+        basis, expected = _coset_basis(spec, members), reference_coset_basis(spec, members)
     assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
     got, want = dense_projection(description), reference_dense_projection(description)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -971,17 +970,14 @@ def test_stabilizer_codes_pass_on_the_screen_alone(monkeypatch, code, q, d, erro
     built = []
     monkeypatch.setattr(oracle, "dense_projection", built.append)
     assert outcome(kl_check(description, d)) == outcome(expected)
-    assert built == []  # every error cleared by the reduced matrices
+    assert built == []  # every error cleared by its Gram on the coset basis
 
 
 def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
     from nonstab import oracle
 
-    # with the screen and the Gram test both turned away, every error is
-    # checked on the dense projection, which is built once
-    monkeypatch.setattr(
-        oracle, "_reduced_screen", lambda b, q, m, supports, *_: np.zeros(len(supports), bool)
-    )
+    # with the Gram test turned away, every error is checked on the dense
+    # projection, which is built once
     monkeypatch.setattr(oracle, "_scalar_prefix", lambda basis, xs, ys, q, tol: 0)
     builds = []
     dense = oracle.dense_projection
@@ -996,12 +992,44 @@ def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
     assert not expected.passed
 
 
+def test_nonmaximal_kl_check_neither_screens_nor_frames(monkeypatch):
+    from nonstab import oracle
+
+    def refused(*args):
+        raise AssertionError("a non-maximal check reached the reduced-matrix screen")
+
+    monkeypatch.setattr(oracle, "_reduced_screen", refused)
+    monkeypatch.setattr(oracle, "_frame", refused)
+    three_one_two = stabilizer_code(5, [(1, 1, 1), (0, 0, 0)], [(0, 0, 0), (1, 1, -2)])
+    cases = [(code_4_2_2(2), 2, True), (code_5_1_3(2), 3, True), (code_4_2_2(3), 2, True),
+             (three_one_two, 2, True)]  # [[3,1,2]]_5
+    rng = np.random.default_rng(1)
+    for q in (2, 3, 5):
+        cases.append((random_description(rng, random_nonmaximal_spec(rng, 3, 2, q)), 2, False))
+    for description, d, passes in cases:
+        expected = reference_nonmaximal_kl_check(description, d)
+        assert expected.passed == passes
+        assert outcome(kl_check(description, d)) == outcome(expected)
+
+
+def test_a_maximal_kl_check_screens_once(monkeypatch):
+    from nonstab import oracle
+
+    calls = []
+    screen = oracle._reduced_screen
+    monkeypatch.setattr(oracle, "_reduced_screen", lambda *a: calls.append(a) or screen(*a))
+    _, d2 = distance2_family(5, 2)
+    for description, d, passes in ((d2, 2, True), (d2, 3, False), (code_15_8_3(), 3, True)):
+        calls.clear()
+        assert kl_check(description, d).passed == passes
+        assert len(calls) == 1
+
+
 @settings(max_examples=40)
 @given(nonmaximal_descriptions())
 def test_code_space_basis_of_a_nonmaximal_spec(case):
     description, _ = case
-    _cached_basis.cache_clear()
-    basis = _basis_matrix(description)
+    basis = _coset_basis(description.spec, description.sorted_members())
     assert basis.shape[1] == code_dimension(description)
     gram = basis.conj().T @ basis
     assert np.abs(gram - np.eye(len(gram))).max() <= BASIS_TOL
@@ -1021,7 +1049,6 @@ def test_nonmaximal_kl_check_peak_memory():
     expected = reference_nonmaximal_kl_check(description, 2)
     assert not expected.passed
     kl_check(description, 2)  # cached tables built outside the trace
-    _cached_basis.cache_clear()  # but the basis inside it, as on a first call
     tracemalloc.start()
     try:
         report = kl_check(description, 2)

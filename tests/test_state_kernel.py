@@ -7,7 +7,7 @@ and the same exceptions.
 """
 
 import numpy as np
-from conftest import closed_form_codeword, reference_inner, shift_phase
+from conftest import closed_form_codeword, linear_solve, reference_inner, shift_phase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,7 @@ from nonstab.circuits import (
     simulate,
 )
 from nonstab.families import code_15_8_3, maximal_form_spec
-from nonstab.galois import _chunk_digits, _digit, _weyl_action, linear_solve, places, unpack
+from nonstab.galois import _chunk_digits, _digit, _weyl_action, places, unpack
 from nonstab.oracle import (
     PRUNE_TOL,
     SparseState,

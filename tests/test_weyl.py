@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dense_matrix, phase_value, weight
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,8 @@ from nonstab.weyl import (
     budget,
     check_sphere,
     compose,
-    dense_matrix,
     gamma,
     inverse,
-    phase_value,
     prime_group,
 )
 
@@ -64,7 +63,7 @@ def test_compose_identity_law():
 def test_compose_against_matrix_oracle_xz():
     # over Z_2 with n=1: U_1 = X, V_1 = Z
     xz = WeylElement(Z2, 0, (1,), (1,))
-    x = WeylElement.shift(Z2, (1,))
+    x = WeylElement(Z2, 0, (1,), (0,))
     out = compose(xz, x)
     assert (out.a, out.b) == ((0,), (1,))
     assert phase_value(out.phase, Z2.phase_denominator) == pytest.approx(-1)  # (XZ)X = -Z
@@ -92,14 +91,12 @@ def test_compose_inverse_gives_identity():
 
 
 def test_weight():
-    assert WeylElement.identity(Z2, 3).weight() == 0
-    g = WeylElement(Z2, 0, (1, 0, 1), (0, 0, 1))
-    assert g.weight() == 2
-    assert WeylElement(Z2, 3, (0, 0, 0), (0, 0, 0)).weight() == 0
+    assert weight((0, 0, 0), (0, 0, 0)) == 0
+    assert weight((1, 0, 1), (0, 0, 1)) == 2
 
 
 def test_gamma_examples():
-    x = WeylElement.shift(Z2, (1,))
+    x = WeylElement(Z2, 0, (1,), (0,))
     z = WeylElement(Z2, 0, (0,), (1,))
     assert gamma(x, x) == 0
     assert phase_value(gamma(x, z), Z2.phase_denominator) == pytest.approx(-1)
@@ -112,8 +109,8 @@ def test_gamma_matches_matrix_commutator():
     rng = np.random.default_rng(11)
     for group, n in ((Z2, 2), (Z3, 1)):
         for _ in range(20):
-            g = WeylElement(group, 0, tuple(rng.integers(0, group.size, n)), tuple(rng.integers(0, group.size, n)))
-            h = WeylElement(group, 0, tuple(rng.integers(0, group.size, n)), tuple(rng.integers(0, group.size, n)))
+            g = WeylElement(group, 0, tuple(rng.integers(0, group.q, n)), tuple(rng.integers(0, group.q, n)))
+            h = WeylElement(group, 0, tuple(rng.integers(0, group.q, n)), tuple(rng.integers(0, group.q, n)))
             mg, mh = dense_matrix(g), dense_matrix(h)
             comm = mg @ mh @ np.linalg.inv(mg) @ np.linalg.inv(mh)
             expected = phase_value(gamma(g, h), group.phase_denominator) * np.eye(len(mg))
@@ -137,7 +134,7 @@ def test_gamma_bimultiplicative_and_conjugate_symmetric():
 def test_dense_matrix_basics():
     ident = WeylElement.identity(Z2, 1)
     np.testing.assert_allclose(dense_matrix(ident), np.eye(2), atol=1e-12)
-    u1 = WeylElement.shift(Z2, (1,))
+    u1 = WeylElement(Z2, 0, (1,), (0,))
     np.testing.assert_allclose(dense_matrix(u1), X, atol=1e-12)
     with pytest.raises(ValueError):
         dense_matrix(WeylElement.identity(Z2, 13))
@@ -184,9 +181,9 @@ def test_weyl_commutation_relation():
     rng = np.random.default_rng(23)
     for group, n in ((Z2, 3), (Z3, 2)):
         for _ in range(20):
-            a = tuple(rng.integers(0, group.size, n))
-            b = tuple(rng.integers(0, group.size, n))
-            ua = WeylElement.shift(group, a)
+            a = tuple(rng.integers(0, group.q, n))
+            b = tuple(rng.integers(0, group.q, n))
+            ua = WeylElement(group, 0, a, (0,) * n)
             vb = WeylElement(group, 0, (0,) * n, b)
             lhs = compose(vb, ua)
             rhs = compose(ua, vb)
@@ -220,7 +217,7 @@ def test_bounded_pair_arrays_counts():
 def test_bounded_pair_arrays_order_and_uniqueness():
     pairs = pair_rows(3, 3, 2)
     assert len(pairs) == len(set(pairs))
-    weights = [Z3.weight(a, b) for a, b in pairs]
+    weights = [weight(a, b) for a, b in pairs]
     assert weights == sorted(weights)
     assert pairs == pair_rows(3, 3, 2)
     with budget(sphere=1000), pytest.raises(ValueError):
@@ -230,9 +227,9 @@ def test_bounded_pair_arrays_order_and_uniqueness():
 def reference_bounded_pairs(q, n, w):
     """Pairs with 1 <= wt <= w by weight, support, then digit pairs, from itertools."""
     options = [(x, y) for x in range(q) for y in range(q) if x or y]
-    for weight in range(1, w + 1):
-        for support in itertools.combinations(range(n), weight):
-            for choice in itertools.product(options, repeat=weight):
+    for size in range(1, w + 1):
+        for support in itertools.combinations(range(n), size):
+            for choice in itertools.product(options, repeat=size):
                 a, b = [0] * n, [0] * n
                 for pos, (x, y) in zip(support, choice):
                     a[pos], b[pos] = x, y
@@ -300,7 +297,7 @@ def library_functions():
 def test_no_signature_takes_a_cap():
     functions = list(library_functions())
     names = {f"{fn.__module__}.{fn.__qualname__}" for fn in functions}
-    assert {"nonstab.oracle.kl_check", "nonstab.oracle.SparseState.normalized",
+    assert {"nonstab.oracle.kl_check", "nonstab.oracle.SparseState.fidelity",
             "nonstab.oracle._basis_matrix", "nonstab.weyl.check_size"} <= names
     taking_caps = [
         f"{fn.__module__}.{fn.__qualname__}({name})"
