@@ -13,12 +13,35 @@ Matrix = np.ndarray
 Vector = np.ndarray
 
 
+# Miller-Rabin on the first 13 primes as bases is exact below PRIME_LIMIT
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin; p >= PRIME_LIMIT is refused."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"primality of {p} is not decided at or beyond {PRIME_LIMIT}")
     if p < 2:
         return False
-    for d in range(2, int(math.isqrt(p)) + 1):
-        if p % d == 0:
-            return False
+    if p in PRIME_BASES:
+        return True
+    if any(p % b == 0 for b in PRIME_BASES):
+        return False
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in PRIME_BASES:
+        x = pow(b, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # b witnesses that p is composite
     return True
 
 

@@ -351,37 +351,51 @@ def _image_reduction(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray]:
     return pivots, transform
 
 
+def _shift_keys(spec: GottesmanSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Packed keys (`galois.pack`) of the syndrome shifts M^T x - L^T y of the
+    pairs (x, y), the rows of `xs` and `ys`.
+
+    One exact product [x y] [M; -L], over blocks of PRODUCT_ROWS pairs; no
+    reduction of the spec is needed.  The shift is 0 exactly when U_x V_y
+    commutes with every element of the subgroup.
+    """
+    q = spec.q
+    operator = np.vstack([spec.M, -spec.L])
+    keys = np.empty(len(xs), dtype=places(q, spec.r).dtype)
+    for start in range(0, len(xs), PRODUCT_ROWS):
+        block = slice(start, start + PRODUCT_ROWS)
+        keys[block] = pack(_remainder(_exact_product(np.hstack([xs[block], ys[block]]), operator), q), q)
+    return keys
+
+
 def _sphere(spec: GottesmanSpec, w: int):
-    """One pass over the pairs (x, y) with 1 <= wt <= w, in canonical order.
+    """The pairs (x, y) with 1 <= wt <= w, in canonical order, with their
+    shift keys (`_shift_keys`) and their image solve.
 
     Returns (xs, ys, in_image, members, shift_keys): the pairs, whether each
     is (La, Ma) for some a, the solutions a of the pairs in the image (one
-    row each, in pair order), and the packed keys (`galois.pack`) of every
-    pair's syndrome shift M^T x - L^T y.
+    row each, in pair order), and the shift keys.
 
     With T the transform of the reduction of [L; M] (T [L; M] in RREF), a
     pair is in the image exactly when T [x; y] mod q vanishes below the
     rank, and then its first entries are the pivot coordinates of the
-    solution.  Solve and shift are both linear in [x; y], so one exact
-    product [x y] [T^T | [M; -L]] gives both.  It runs over blocks of
-    PRODUCT_ROWS pairs, and each block keeps only what callers read, so no
-    N x (2n + r) image is ever held.
+    solution.  The solve is one exact product [x y] T^T over blocks of
+    PRODUCT_ROWS pairs, and each block keeps only the rows in the image, so
+    no N x 2n image is ever held.
     """
     q, n, r = spec.q, spec.n, spec.r
     xs, ys = bounded_pair_arrays(q, n, w)
+    shift_keys = _shift_keys(spec, xs, ys)
     pivots, transform = _image_reduction(spec)
     rank = len(pivots)
-    operator = np.hstack([transform.T, np.vstack([spec.M, -spec.L])])
     in_image = np.empty(len(xs), dtype=bool)
-    shift_keys = np.empty(len(xs), dtype=places(q, r).dtype)
     solved = [np.empty((0, rank), dtype=np.int64)]
     for start in range(0, len(xs), PRODUCT_ROWS):
         block = slice(start, start + PRODUCT_ROWS)
-        image = _remainder(_exact_product(np.hstack([xs[block], ys[block]]), operator), q)
-        inside = ~image[:, rank : 2 * n].any(axis=1)
+        image = _remainder(_exact_product(np.hstack([xs[block], ys[block]]), transform.T), q)
+        inside = ~image[:, rank:].any(axis=1)
         in_image[block] = inside
         solved.append(image[inside, :rank])
-        shift_keys[block] = pack(image[:, 2 * n :], q)
     solved = np.vstack(solved)
     members = np.zeros((len(solved), r), dtype=np.int64)
     members[:, pivots] = solved
@@ -406,8 +420,8 @@ def purity_radius(spec: GottesmanSpec, cutoff: int) -> int | None:
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    xs, ys, _, _, shift_keys = _sphere(spec, min(cutoff - 1, spec.n))
-    central = shift_keys == 0
+    xs, ys = bounded_pair_arrays(spec.q, spec.n, min(cutoff - 1, spec.n))
+    central = _shift_keys(spec, xs, ys) == 0
     if not central.any():
         return None
     weights = np.sum((xs != 0) | (ys != 0), axis=1)

@@ -10,7 +10,6 @@ form is evaluated as a second, independent path and compared.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -18,9 +17,22 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fourier_code import FourierDescription, Report, code_dimension, projection_coefficients
-from .galois import _characters, _exact_product, _remainder, _weyl_action, pack, places, unpack
-from .gottesman import GottesmanSpec, bounded_pair_arrays
-from .weyl import DENSE_MATRIX_CAP, AlphabetGroup, WeylElement, check_size, root_table
+from .galois import (
+    PRODUCT_ROWS,
+    _characters,
+    _chunk_digits,
+    _chunk_layout,
+    _digit,
+    _exact_product,
+    _remainder,
+    _weyl_action,
+    error_sphere_count,
+    pack,
+    places,
+    unpack,
+)
+from .gottesman import GottesmanSpec, _shift_keys, bounded_pair_arrays
+from .weyl import DENSE_MATRIX_CAP, AlphabetGroup, WeylElement, check_size, check_sphere, root_table
 
 PRUNE_TOL = 1e-14
 VANISHING = 1e-8  # norm below which a projected basis word counts as zero
@@ -143,14 +155,22 @@ def _subgroup_keys(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(packed La, packed Ma, rho(a)) in element index order, read-only: the one
     table of the subgroup, kept for the readers of the last spec to share.
     Readers check the `group` budget first, so that a table built under a
-    larger budget is refused under a smaller one."""
-    q = spec.q
-    a_rows = unpack(np.arange(spec.size), q, spec.r)
-    la, ma = (pack(_remainder(_exact_product(a_rows, part.T), q), q) for part in (spec.L, spec.M))
-    keys = la, ma, spec.rho_batch(a_rows)
-    for arr in keys:
+    larger budget is refused under a smaller one.  The products with L, M and
+    D are taken PRODUCT_ROWS elements at a time, so that the digit table of
+    the elements is the only array of the whole subgroup's size besides the
+    keys."""
+    q, size = spec.q, spec.size
+    la, ma = (np.empty(size, dtype=places(q, spec.n).dtype) for _ in range(2))
+    rho = np.empty(size, dtype=np.int64)
+    a_rows = unpack(np.arange(size), q, spec.r)
+    for start in range(0, size, PRODUCT_ROWS):
+        block = slice(start, start + PRODUCT_ROWS)
+        for keys, part in ((la, spec.L), (ma, spec.M)):
+            keys[block] = pack(_remainder(_exact_product(a_rows[block], part.T), q), q)
+        rho[block] = spec.rho_batch(a_rows[block])
+    for arr in (la, ma, rho):
         arr.setflags(write=False)
-    return keys
+    return la, ma, rho
 
 
 def codeword(description: FourierDescription, u) -> SparseState:
@@ -165,13 +185,12 @@ def codeword(description: FourierDescription, u) -> SparseState:
         raise ValueError("u is not a member of the Fourier description")
     if not spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
-    column = _projected_basis(spec, [u])[0][:, 0]
+    column = _projected_basis(spec, [u])[:, 0]
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
-def _basis_matrix(description: FourierDescription) -> tuple[np.ndarray, np.ndarray]:
-    """The codewords of `_projected_basis` as a read-only matrix, and their
-    least words (maximal specs).
+def _basis_matrix(description: FourierDescription) -> np.ndarray:
+    """The codewords of `_projected_basis` as a read-only matrix (maximal specs).
 
     Its q^n x K entries are checked against DENSE_MATRIX_CAP^2, the size of
     a dense projection, and the subgroup against the budget, before the
@@ -186,27 +205,23 @@ def _basis_matrix(description: FourierDescription) -> tuple[np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=1)
-def _cached_basis(description: FourierDescription) -> tuple[np.ndarray, np.ndarray]:
-    basis, least = _projected_basis(description.spec, description.sorted_members())
+def _cached_basis(description: FourierDescription) -> np.ndarray:
+    basis = _projected_basis(description.spec, description.sorted_members())
     basis.setflags(write=False)
-    least.setflags(write=False)
-    return basis, least
+    return basis
 
 
-def _projected_basis(spec: GottesmanSpec, members):
+def _projected_basis(spec: GottesmanSpec, members) -> np.ndarray:
     """The codewords of `members` over a maximal spec, as the columns of a
-    matrix in the order given, and the digit rows of the words w of its columns.
+    matrix in the order given.
 
     Each column is P_u e_w, normalized, for a member u and the first standard
     basis word w, in lexicographic order, on which the character projection
-    P_u is nonzero.  P_u s_a = chi_u(s_a) P_u, so P_u maps the words of a
-    coset w + X(S) of the shifts X(S) = {La} to multiples of one vector,
-    supported on the coset: w is the least word of the column's coset.
-    The shared keys of `_subgroup_keys` and the characters u . a of
-    `galois._characters` are read, and the targets and phases of a word are
-    computed once for every member still waiting for one.  When the spec
-    carries a product-form certificate, the closed form is evaluated as an
-    independent second path and every column must agree with it within
+    P_u is nonzero.  The shared keys of `_subgroup_keys` and the characters
+    u . a of `galois._characters` are read, and the targets and phases of a
+    word are computed once for every member still waiting for one.  When the
+    spec carries a product-form certificate, the closed form is evaluated as
+    an independent second path and every column must agree with it within
     BASIS_TOL.
     """
     check_size("subgroup size", spec.size, "group")
@@ -217,7 +232,6 @@ def _projected_basis(spec: GottesmanSpec, members):
     roots = root_table(p)
     dim = q**n
     basis = np.zeros((dim, len(members)), dtype=complex)
-    least = np.zeros((len(members), n), dtype=np.int64)
     pending = list(range(len(members)))
     for word in range(dim):
         if not pending:
@@ -236,7 +250,7 @@ def _projected_basis(spec: GottesmanSpec, members):
             if norm > VANISHING:
                 support = np.nonzero(np.abs(image) > PRUNE_TOL)[0]
                 support, amps = _pruned(support, image[support] / norm)
-                basis[support, col], least[col] = amps, w
+                basis[support, col] = amps
             else:
                 waiting.append(col)
         pending = waiting
@@ -244,65 +258,7 @@ def _projected_basis(spec: GottesmanSpec, members):
         raise ValueError("projection vanished on every basis word (invalid spec?)")
     if spec.quad_upper is not None:
         _check_closed_form(spec, members, basis)
-    return basis, least
-
-
-def _coset_basis(spec: GottesmanSpec, members) -> np.ndarray:
-    """An orthonormal basis of the code space of `members` over a non-maximal
-    spec: P_u e_w, normalized, for each member u and each coset w + X(S) on
-    which P_u is nonzero (see `_projected_basis`), cosets in order.
-
-    With R the reduced row echelon form of L^T, whose k nonzero rows span
-    X(S), subtracting multiples of R's rows can zero a word's digits at the
-    pivots of R without touching an earlier digit.  So the least word of
-    each coset is its one word with zeros at the pivots, and the words of a
-    coset are that word plus the combinations of R's rows, in lexicographic
-    order of the coefficients, which are the pivot digits of the shift.
-
-    s_a e_w = w^rho(a) <Ma, w> e_(w + La), so the amplitude of P_u e_w at
-    w + x is the sum over the elements with La = x of
-    w^rho(a) <Ma, w> conj(chi_u(s_a)) / #S: grouping the elements by shift
-    makes these sums, for every member and every least word, one batched
-    matrix product.  Columns of different cosets have disjoint supports,
-    and columns of different members are orthogonal, since P_u P_v = 0.
-    """
-    check_size("subgroup size", spec.size, "group")
-    q, n, p = spec.q, spec.n, spec.phase_denominator
-    unit = p // q
-    la, ma, rho = _subgroup_keys(spec)
-    reduced, pivots = _shift_echelon(spec)
-    k = len(pivots)
-    free = [i for i in range(n) if i not in pivots]
-    least = np.zeros((q ** (n - k), n), dtype=np.int64)
-    least[:, free] = unpack(np.arange(q ** (n - k)), q, n - k)
-    shifts = _remainder(unpack(np.arange(q**k), q, k) @ reduced, q)
-    words = pack(_remainder(least[:, None, :] + shifts, q), q)  # coset by coset
-    # shifts sort by key as by their pivot digits (docstring): a row of elements per shift
-    by_shift = np.argsort(la, kind="stable").reshape(q**k, -1)
-    roots = root_table(p)
-    free_digits = _remainder(ma[:, None] // places(q, n)[free], q)  # least words are 0 at pivots
-    exponents = _remainder(rho + unit * _exact_product(least[:, free], free_digits.T), p)
-    terms = roots[exponents][:, by_shift].transpose(1, 0, 2)  # shift, least word, element
-    chi = _characters(members, q, spec.r)
-    conj_chi = roots[_remainder(-unit * chi, p)][:, by_shift].transpose(1, 2, 0)
-    images = np.matmul(terms, conj_chi) / spec.size  # shift, least word, member
-    norms = np.linalg.norm(images, axis=0)
-    nonzero = norms > VANISHING  # least word, member
-    if not nonzero.any(axis=0).all():
-        raise ValueError("projection vanished on every basis word (invalid spec?)")
-    member, coset = np.nonzero(nonzero.T)
-    basis = np.zeros((q**n, len(member)), dtype=complex)
-    basis[words[coset].T, np.arange(len(member))] = images[:, coset, member] / norms[coset, member]
     return basis
-
-
-@lru_cache(maxsize=1)
-def _shift_echelon(spec: GottesmanSpec) -> tuple[np.ndarray, tuple]:
-    """(R, pivots): the nonzero rows of the RREF of L^T, which span X(S), and their pivots."""
-    reduced, pivots, _ = spec.field.rref(spec.L.T)
-    reduced = reduced[: len(pivots)]
-    reduced.setflags(write=False)
-    return reduced, tuple(pivots)
 
 
 def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray) -> None:
@@ -316,15 +272,27 @@ def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray) -> None:
             continue  # no unique product-form coordinates
         by_delta.setdefault(delta, []).append((col, c_vec))
     roots = root_table(spec.q)
+    xs = sum_zero_words(spec.n, spec.q)
+    offsets = _closed_form_offsets(spec)
     for delta, columns in by_delta.items():
-        xs, zs, quad_phase = _closed_form_terms(spec, delta)
-        rows = pack(zs, spec.q)
+        if delta not in offsets:
+            _, zs, quad_phase = _closed_form_terms(spec, delta)
+            offsets[delta] = pack(zs, spec.q), quad_phase
+        rows, quad_phase = offsets[delta]
         cols, c_vecs = zip(*columns)
         lins = _remainder(_exact_product(xs, np.column_stack(c_vecs)), spec.q)
         for col, lin in zip(cols, lins.T):
             amps = quad_phase * np.conj(roots[lin]) / math.sqrt(len(xs))
             if abs(abs(np.sum(np.conj(basis[rows, col]) * amps)) - 1.0) > BASIS_TOL:
                 raise ValueError("projection-built codeword disagrees with the closed form")
+
+
+@lru_cache(maxsize=1)
+def _closed_form_offsets(spec: GottesmanSpec) -> dict:
+    """offset delta -> (packed words z, w^(z^T Q z)) of `_closed_form_terms`,
+    filled by `_check_closed_form` as it meets the offsets of the last spec:
+    the codewords of one offset share them, and no digit table is kept."""
+    return {}
 
 
 def message_coordinates(spec: GottesmanSpec, u) -> tuple[np.ndarray, int]:
@@ -422,116 +390,6 @@ def _projection_witness(projection, moved, trace, tol):
     return {"value": float(deviation)} if deviation > tol else None
 
 
-def _frame(floats, q, cosets, dropped):
-    """(frame, keys) of `_reduced_screen`: `floats` at its columns' coset words, without
-    the digits `dropped`, and their packed dropped digits; an axis per kept digit."""
-    shifts, pivots, least = cosets
-    n, kk, dropped = shifts.shape[1], len(least), list(dropped)
-    values = np.arange(q, dtype=np.int64)
-    words = np.zeros(1, dtype=np.int64)  # the kept digits, packed
-    offsets = np.zeros((1, len(dropped)), dtype=np.int64)  # (w_P R)_D
-    kept = [i for i in range(n) if i not in dropped]
-    for i in kept:
-        words = (words[:, None] + values * q ** (n - 1 - i)).ravel()
-        step = shifts[pivots.index(i), dropped] if i in pivots else 0
-        offsets = (offsets[:, None, :] + values[:, None] * step).reshape(-1, len(dropped))
-    digits = _remainder(offsets[:, None, :] + least[:, dropped], q)
-    keys = digits @ q ** (n - 1 - np.array(dropped, dtype=np.int64))
-    width = floats.shape[1] // kk
-    frame = floats[np.repeat(words[:, None] + keys, width, axis=1), np.arange(width * kk)]
-    return frame.reshape((q,) * len(kept) + (-1,)), keys.reshape((q,) * len(kept) + (-1,))
-
-
-def _reduced_screen(basis, q, m, supports, tol, cosets=None):
-    """Mask of the errors that the reduced matrices on m-subsets of digits clear.
-
-    For a set T of m digits, reorder the words so that T's digits come last:
-    the basis becomes A_T with q^(n-m) rows and q^m K columns, and
-    R_T = A_T^H A_T has entries R_T[(a, u), (b, v)] = sum over the words w
-    off T of conj(phi_u(a, w)) phi_v(b, w).  T is clean when every block
-    R_T[:, u, :, v] is within eps = tol / (2 q^m) of delta_uv R_T[:, 0, :, 0],
-    and an error is cleared when its support, a row of `supports`, lies in
-    a clean T.  R_T is one real product Z_T^T Z_T, a symmetric rank-k update
-    in BLAS, of a float view Z_T of A_T with `width` floats per column.
-
-    Coset frames.  With `cosets` = (R, P, least), column j is zero off the
-    coset least[j] + X(S): R spans X(S) in reduced echelon form with pivot
-    digits P (`_shift_echelon`), and least[j] is zero at P.  On the coset the
-    free digits are fixed, w_F = least[j]_F + w_P R_F, so A_T leaves out the
-    digits D = F - T: the frame is the basis gathered at those coset words,
-    and C_T, the frame with T's digits last, has q^|D| times fewer rows.  A
-    row of C_T stands for one word per column, whose D digits are
-    kappa(a, u) = least[u]_D + a_P R_D, a_P the pivot digits of T, plus a
-    part shared by every column; so R_T = [kappa(a, u) = kappa(b, v)]
-    C_T^H C_T.  One frame serves every T with the same D.  Each column is
-    exactly 0.0 off its coset, so an entry that the mask zeroes sums only
-    exact zeros in the dense product, and every other entry sums the same
-    nonzero products in another order: the bounds below hold as they stand.
-
-    With sigma = |Im V|_F, a basis with 6 sigma < eps is real but for
-    rounding (code15's imaginary parts are below 1e-18), and Z_T = Re A_T, a
-    quarter of the flops.  T is then clean at eps - 6 sigma: columns c_i of
-    A_T with |c_i| <= 1 and |Im c_i| <= sigma have |c_i^H c_j - Re c_i .
-    Re c_j| <= 3 sigma, so each entry of the test moves by at most 6 sigma.
-    Otherwise Z_T interleaves Re and Im of each column, and Re R_T, Im R_T
-    are read from its 2 x 2 blocks as re.re + im.im and re.im - im.re.
-
-    Why eps is safe: an error E supported on T acts as E_T on T's digits,
-    and E_T is monomial, with q^m entries of unit modulus at (a, pi(a)).  So
-    <phi_u| E |phi_v> = sum over a of E_T[a, pi(a)] R_T[(a, u), (pi(a), v)],
-    and on a clean T each Gram is within q^m eps = tol / 2 of c I, with c
-    the same sum over R_T[:, 0, :, 0].  The other tol / 2 covers rounding,
-    so a cleared error passes `_gram_witness` at `tol`: an entry of R_T is
-    off by at most about q^(n-m) units of 2^-53 times the sum of the moduli
-    of its products, at most 1 for unit columns, which under the group cap
-    is below 1e-11.  A code that passes has K <= q^(n - 2m), the quantum
-    Singleton bound: beyond it nothing is screened, and R_T, with
-    q^(2m) K^2 entries, is never larger than the basis.  A 1 x 1 Gram
-    always passes.
-    """
-    n = supports.shape[1]
-    kk = basis.shape[1]
-    cleared = np.full(len(supports), kk == 1)
-    if kk == 1 or 2 * m > n or kk > q ** (n - 2 * m):
-        return cleared
-    side = q**m
-    columns = side * kk
-    eps = tol / (2 * side)
-    sigma = np.linalg.norm(basis.imag)
-    if 6 * sigma < eps:  # a real basis but for rounding: Z_T = Re A_T
-        width, eps = 1, eps - 6 * sigma
-        floats = np.ascontiguousarray(basis.real)  # a strided view copies slower
-    else:
-        width, floats = 2, basis.view(np.float64)
-    identity = np.eye(kk)[:, None, :]
-    free = [] if cosets is None else [i for i in range(n) if i not in cosets[1]]
-    by_frame: dict[tuple, list] = {}
-    for subset in itertools.combinations(range(n), m):
-        by_frame.setdefault(tuple(i for i in free if i not in subset), []).append(subset)
-    for dropped, subsets in by_frame.items():
-        if dropped:
-            tensor, keys = _frame(floats, q, cosets, dropped)
-        else:
-            tensor, keys = floats.reshape((q,) * n + (width * kk,)), None
-        axis = {digit: k for k, digit in enumerate(i for i in range(n) if i not in dropped)}
-        for subset in subsets:
-            rest = [k for k in range(n) if k not in subset]
-            order = [axis[k] for k in rest + list(subset) if k in axis] + [len(axis)]
-            z_t = tensor.transpose(order).reshape(-1, width * columns)
-            blocks = (z_t.T @ z_t).reshape(columns, width, columns, width)
-            real = np.trace(blocks, axis1=1, axis2=3)
-            imag = blocks[:, 0, :, -1] - blocks[:, -1, :, 0]  # zero when width is 1
-            reduced = real + 1j * imag
-            if keys is not None:  # zero where kappa(a, u) != kappa(b, v)
-                kappa = keys.transpose(order)[(0,) * (len(order) - m - 1)].ravel()
-                reduced *= kappa[:, None] == kappa
-            reduced = reduced.reshape(side, kk, side, kk)
-            if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= eps:
-                cleared |= ~supports[:, rest].any(axis=1)
-        del tensor, keys  # released before the next frame is gathered
-    return cleared
-
-
 def _weyl_times(x, y, operand, q):
     """U_x V_y @ operand on the dense word space."""
     targets, exponents = _weyl_action(np.arange(len(operand)), x, y, q, len(x))
@@ -540,98 +398,180 @@ def _weyl_times(x, y, operand, q):
     return moved
 
 
-def _scalar_prefix(basis, xs, ys, q, tol) -> int:
-    """How many of the errors, in order, have a Gram G = V^H E V within tol
-    of c I, c = tr G / K', with K' the number of columns of V."""
-    adjoint = basis.conj().T
-    identity = np.eye(basis.shape[1])
-    for count, (x, y) in enumerate(zip(xs, ys)):
-        gram = adjoint @ _weyl_times(x, y, basis, q)
-        if np.abs(gram - np.trace(gram) / len(gram) * identity).max() > tol:
-            return count
-    return len(xs)
-
-
 def kl_check(description: FourierDescription, d: int) -> Report:
-    """Direct check that every error of weight < d is detected.
+    """Exact decision that every error of weight < d is detected, then a walk
+    to the first error that fails on state vectors.
 
-    For each error E and an orthonormal basis V of the code space, the Gram
-    V^H E V must be a constant multiple c I of the identity.  The errors are
-    checked in canonical order, a maximal spec by `_maximal_failure` and any
-    other by `_nonmaximal_failure`, and the first that fails is the witness.
-    Every cap, of the budget or fixed, is checked before any state is built.
+    The code projection is P = sum over a of t_a s_a, with t_a = F(a) / #S
+    and F(a) = sum over u in B of conj chi_u(s_a) (`projection_coefficients`),
+    and K = tr P is the dimension.  For a Weyl error E and X = P E P,
+    Cauchy-Schwarz gives |tr X|^2 = |tr(P X)|^2 <= K tr(X^H X), with
+    equality exactly when X = c P, c = tr(X) / K; the gap is the residual
+    ||X - c P||_F^2 = tr(E^H P E P) - |tr(E P)|^2 / K.  Summed over the
+    errors of weight j, the two sides are the Shor-Laflamme enumerators of
+    P: with alpha_w the sum of |F(a)|^2 over the elements s_a of weight w,
+    the sum of |tr(E P)|^2 is q^(2n) alpha_j / #S^2, and that of
+    tr(E^H P E P) is q^n / #S^2 times the sum over w of alpha_w K_j(w), K_j
+    the Krawtchouk polynomial over q^2 letters.  So every error of weight j
+    has P E P = c P exactly when q^n alpha_j = K sum_w alpha_w K_j(w).  That
+    is an identity of integers (`_enumerator`), decided with no tolerance.
+
+    At the least j < d where it fails, `_first_failure` walks the errors of
+    weight j in canonical order.  Those whose residual is exactly 0 are
+    skipped: every entry of the Gram V^H E V - c I on the codeword basis V
+    (`_gram_witness`, maximal specs), and of P E P - c P on the dense
+    projection (`_projection_witness`, any other spec), is then rounding,
+    since the largest entry of a matrix is at most its Frobenius norm, and
+    both are isometric images of X - c P.  The others are confirmed on
+    those states, and the first that fails within KL_TOL is the witness that
+    the walk over every error would find, since every error of lower weight
+    has residual 0.  When none fails, the identity and KL_TOL disagree, and
+    a ValueError says so.  Every cap, of the budget or fixed, is checked
+    before anything is built.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     spec = description.spec
-    m = min(d - 1, spec.n)
-    xs, ys = bounded_pair_arrays(spec.q, spec.n, m)
+    q, n = spec.q, spec.n
+    m = min(d - 1, n)
+    check_sphere(n, q, m)
     check_size("subgroup size", spec.size, "group")
+    counts = {"errors": error_sphere_count(n, q, m) - 1}
+    dim = code_dimension(description)
     if spec.is_maximal():
-        failure = _maximal_failure(description, xs, ys, m)
-        counts = {"errors": len(xs), "pairs": len(description) ** 2}
+        check_size("codeword basis entries", q**n * dim, DENSE_MATRIX_CAP**2)
+        counts["pairs"] = len(description) ** 2
     else:
-        failure = _nonmaximal_failure(description, xs, ys)
-        counts = {"errors": len(xs)}
-    if failure is None:
+        check_size("dense dimension", q**n, DENSE_MATRIX_CAP)
+    weights = _weights(spec)  # builds the subgroup table before the characters are held
+    chars = _characters(description.member_array, q, spec.r)
+    alpha = _enumerator(chars, weights, q, n)
+    failing = (
+        j for j in range(1, m + 1)
+        if q**n * alpha[j] != dim * sum(a * _krawtchouk(j, w, q * q, n) for w, a in enumerate(alpha))
+    )
+    weight = next(failing, None)
+    if weight is None:
         return Report(True, counts=counts)
-    x, y, found = failure
+    x, y, found = _first_failure(description, chars, weight)
     return Report(False, witness={"error": {"x": x.tolist(), "y": y.tolist()}, **found})
 
 
-def _maximal_failure(description: FourierDescription, xs, ys, m: int):
-    """(x, y, witness) of the first error whose Gram on the codewords fails
-    `_gram_witness`, or None.  `_reduced_screen` first clears the errors on
-    the clean m-subsets of digits, using coset frames beyond DENSE_MATRIX_CAP
-    words (below it their bookkeeping costs more than the dense R_T saved)."""
-    spec = description.spec
-    q, members = spec.q, description.sorted_members()
-    basis, least = _basis_matrix(description)
-    cosets = (*_shift_echelon(spec), least) if q**spec.n > DENSE_MATRIX_CAP else None
-    cleared = _reduced_screen(basis, q, m, (xs != 0) | (ys != 0), KL_TOL, cosets)
-    for x, y in zip(xs[~cleared], ys[~cleared]):
-        found = _gram_witness(basis, _weyl_times(x, y, basis, q), members, KL_TOL)
-        if found is not None:
-            return x, y, found
-    return None
+def _krawtchouk(j: int, w: int, letters: int, n: int) -> int:
+    """K_j(w) over an alphabet of `letters` letters, words of length n."""
+    return sum(
+        (-1) ** s * (letters - 1) ** (j - s) * math.comb(w, s) * math.comb(n - w, j - s)
+        for s in range(j + 1)
+    )
 
 
-def _nonmaximal_failure(description: FourierDescription, xs, ys):
-    """(x, y, witness) of the first error where P E P = phi(E) P fails on the
-    dense projection P within KL_TOL, by `_projection_witness`, or None.
+COUNT_BLOCK = 2**16  # character counts c_k(a) that `_enumerator` holds at once
 
-    V is the basis of `_coset_basis`, with K' columns, and P = V V^H.
-    `_scalar_prefix` passes the errors while each Gram is within
-    KL_TOL / (2 K') of c I, c = tr(V^H E V) / K'.  From the first that is
-    not, a failure but for rounding at the bound, V is released and the rest
-    are checked on P, so that verdicts and witnesses are bit for bit those
-    of that check alone, and V and P are never held at once.
 
-    Why the bound holds: tr(P E P) = tr(V^H E V) and tr P = K', so
-    phi(E) = c, and P E P - c P = V X V^H with X = V^H E V - c I.  Its
-    entry (i, j) is the sum over k, l of V_ik X_kl conj(V_jl), of modulus
-    at most max|X| (sum_k |V_ik|) (sum_l |V_jl|) <= max|X| K' |V_i| |V_j|
-    by Cauchy-Schwarz, where the rows V_i of V have norm at most 1, being
-    the square roots of the diagonal of P.  A Gram within KL_TOL / K' of
-    c I thus keeps P E P within KL_TOL of c P.  The rounding of the two
-    paths, of the order of q^n units of 2^-53, is far inside that.
+def _enumerator(chars: np.ndarray, weights: np.ndarray, q: int, n: int) -> list[int]:
+    """alpha_w for w = 0 .. n, exactly: the sum of |F(a)|^2 over the elements
+    s_a of weight w, with `chars` the characters u . a of the members and
+    `weights` those of the elements (`_weights`).
+
+    With c_k(a) the number of members u with u . a = k mod q,
+    F(a) = sum over k of c_k(a) conj(w_q)^k, so |F(a)|^2 is the sum over m of
+    R_m(a) w_q^m, R_m(a) = sum over k of c_k(a) c_(k+m)(a).  A weight class
+    is closed under a -> c a for c != 0, which takes R_m to R_(m / c): over
+    the class every R_m with m != 0 has the same sum, and the w_q^m with
+    m != 0 sum to -1.  So alpha_w is the sum over the class of
+    c_k (c_k - c_(k+1)), an integer: for q = 2 it is F(a)^2.  The counts are
+    taken for COUNT_BLOCK / q elements at a time.
+    """
+    size = len(weights)
+    terms = np.empty(size, dtype=np.int64)
+    step = max(1, COUNT_BLOCK // q)
+    for start in range(0, size, step):
+        block = chars[:, start : start + step]
+        width = block.shape[1]
+        counts = np.bincount((block + q * np.arange(width)).ravel(), minlength=q * width)
+        counts = counts.reshape(width, q)
+        terms[start : start + width] = (counts * (counts - np.roll(counts, -1, axis=1))).sum(axis=1)
+    alpha = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(alpha, weights, terms)
+    return alpha.tolist()
+
+
+def _weights(spec: GottesmanSpec) -> np.ndarray:
+    """The weight of every element s_a, the digits where La or Ma is nonzero,
+    read from the keys of `_subgroup_keys` one chunk of `_chunk_layout` at a
+    time: a bit per nonzero digit of each chunk value, and the bits of the
+    two keys' values counted."""
+    q, n = spec.q, spec.n
+    la, ma, _ = _subgroup_keys(spec)
+    weights = np.zeros(len(la), dtype=np.int64)
+    ones = np.count_nonzero(_chunk_digits(2), axis=1)  # the bits set in each value below 2^8
+    for place, size, span in _chunk_layout(q, n):
+        width = span.stop - span.start
+        bits = pack(_chunk_digits(q)[:size, -width:] != 0, 2)  # below 2^8: width <= 8
+        weights += ones[bits[_digit(la, place, size)] | bits[_digit(ma, place, size)]]
+    return weights
+
+
+def _first_failure(description: FourierDescription, chars: np.ndarray, j: int):
+    """(x, y, witness) of the first error of weight j that fails on state
+    vectors, confirming only the errors whose residual is not 0 (`kl_check`).
+
+    E = U_x V_y takes s_a to E^H s_a E = w_q^(+-a . sigma) s_a, with sigma =
+    M^T x - L^T y its syndrome shift (`gottesman._shift_keys`), and
+    tr(s_a s_b) = q^n when a + b = 0, else 0.  So the residual is
+
+        q^n / (K #S^2) (K G(sigma) - q^n |F(a_E)|^2),
+
+    with G(sigma) the sum over a of |F(a)|^2 w_q^(-a . sigma), one DFT of
+    |F|^2 on the (q,)^r grid read at the shift keys, and F(a_E) present only
+    when E = U_La V_Ma for an element a_E, which is looked up in
+    `_subgroup_keys` for the errors whose shift is 0.  G(sigma) is #S times
+    the number of pairs (u, v) in B^2 with v - u = sigma, so it rounds to a
+    multiple of #S, which is checked.  For E = U_La V_Ma the residual is
+    q^(2n) / (K #S^2) (#B^2 - |F(a)|^2), 0 exactly when u . a is the same for
+    every member u.  The residual is thus 0, exactly, when sigma is not a
+    difference of members, or when E is such an element.
     """
     spec = description.spec
-    q = spec.q
-    # not cached, so that it can be released before the dense projection is built
-    check_size("dense dimension", q**spec.n, DENSE_MATRIX_CAP)
-    basis = _coset_basis(spec, description.sorted_members())
-    first = _scalar_prefix(basis, xs, ys, q, KL_TOL / (2 * basis.shape[1]))
-    if first == len(xs):
-        return None
-    del basis
-    projection = dense_projection(description)
-    trace = np.trace(projection).real
-    for x, y in zip(xs[first:], ys[first:]):
-        found = _projection_witness(projection, _weyl_times(x, y, projection, q), trace, KL_TOL)
+    q, n = spec.q, spec.n
+    xs, ys = bounded_pair_arrays(q, n, j)
+    first = error_sphere_count(n, q, j - 1) - 1
+    xs, ys = xs[first:], ys[first:]
+    shifts = _shift_keys(spec, xs, ys)
+    power = np.abs(root_table(q)[_remainder(-chars, q)].sum(axis=0)) ** 2  # |F(a)|^2
+    pairs = np.fft.fftn(power.reshape((q,) * spec.r)).real.ravel() / spec.size
+    counted = np.rint(pairs)
+    if np.abs(pairs - counted).max() > 0.25:
+        raise ValueError("the autocorrelation of B does not round to integers")
+    flagged = counted[shifts] > 0
+    central = np.flatnonzero(shifts == 0)
+    if central.size:
+        la, ma, _ = _subgroup_keys(spec)
+        words = q**n  # q^(2n) <= 2^48 under the basis and dense caps
+        elements = la * words + ma
+        order = np.argsort(elements)
+        keys = pack(xs[central], q) * words + pack(ys[central], q)
+        a = order.take(np.searchsorted(elements, keys, sorter=order), mode="clip")
+        constant = (elements[a] == keys) & (chars[:, a] == chars[:1, a]).all(axis=0)
+        flagged[central[constant]] = False
+    if spec.is_maximal():
+        basis, members = _basis_matrix(description), description.sorted_members()
+
+        def confirm(x, y):
+            return _gram_witness(basis, _weyl_times(x, y, basis, q), members, KL_TOL)
+    else:
+        projection = dense_projection(description)
+        trace = np.trace(projection).real
+
+        def confirm(x, y):
+            return _projection_witness(projection, _weyl_times(x, y, projection, q), trace, KL_TOL)
+    for x, y in zip(xs[flagged], ys[flagged]):
+        found = confirm(x, y)
         if found is not None:
             return x, y, found
-    return None
+    raise ValueError(
+        f"the weight enumerators fail at weight {j}, but no error of weight {j} fails within KL_TOL"
+    )
 
 
 def dense_projection(description: FourierDescription) -> np.ndarray:
@@ -658,7 +598,7 @@ def orthonormality_check(description: FourierDescription) -> Report:
     if not description.spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
     members = description.sorted_members()
-    basis = _basis_matrix(description)[0]
+    basis = _basis_matrix(description)
     gram = basis.conj().T @ basis
     deviation = np.abs(gram - np.eye(len(members)))
     if deviation.max() > BASIS_TOL:

@@ -14,10 +14,8 @@ from nonstab.galois import PrimeField, pack, unpack
 from nonstab.gottesman import GottesmanSpec, synthesize_phase_matrix, validate
 from nonstab.oracle import (
     PRUNE_TOL,
-    VANISHING,
     SparseState,
     _closed_form_terms,
-    _shift_echelon,
     message_coordinates,
 )
 from nonstab.weyl import DENSE_MATRIX_CAP, check_size, prime_group, root_table
@@ -162,32 +160,6 @@ def spec_tables(spec):
     return a_rows, la, ma, spec.rho_batch(a_rows)
 
 
-def reference_coset_basis(spec, members):
-    """`oracle._coset_basis` on the digit tables of `spec_tables`, with the
-    characters u . a as one product of the members with the index rows."""
-    q, n, p = spec.q, spec.n, spec.phase_denominator
-    unit = p // q
-    a_rows, la, ma, rho = spec_tables(spec)
-    reduced, pivots = _shift_echelon(spec)
-    k = len(pivots)
-    free = [i for i in range(n) if i not in pivots]
-    least = np.zeros((q ** (n - k), n), dtype=np.int64)
-    least[:, free] = unpack(np.arange(q ** (n - k)), q, n - k)
-    shifts = (unpack(np.arange(q**k), q, k) @ reduced) % q
-    words = pack((least[:, None, :] + shifts) % q, q)  # coset by coset
-    by_shift = np.argsort(pack(la[:, list(pivots)], q), kind="stable").reshape(q**k, -1)
-    roots = root_table(p)
-    terms = roots[(rho + unit * (least @ ma.T)) % p][:, by_shift].transpose(1, 0, 2)
-    chi = np.array(members, dtype=np.int64) @ a_rows.T
-    conj_chi = roots[(-unit * chi) % p][:, by_shift].transpose(1, 2, 0)
-    images = np.matmul(terms, conj_chi) / spec.size  # shift, least word, member
-    norms = np.linalg.norm(images, axis=0)
-    member, coset = np.nonzero((norms > VANISHING).T)
-    basis = np.zeros((q**n, len(member)), dtype=complex)
-    basis[words[coset].T, np.arange(len(member))] = images[:, coset, member] / norms[coset, member]
-    return basis
-
-
 def reference_projection_coefficients(description):
     """`fourier_code.projection_coefficients` with the characters u . a as
     one int64 product of the members with the index rows."""
@@ -215,37 +187,6 @@ def reference_dense_projection(description):
             rows, exponents = shift_phase(word_digits(q, n), x, y, q)
             out[rows, cols] += t_a * roots[(phase + p // q * exponents) % p]
     return out
-
-
-def reference_reduced_screen(basis, q, m, supports, tol):
-    """`oracle._reduced_screen` as it was before coset frames: every R_T from
-    the dense basis, on all q^n words.  Real path when 6 |Im V|_F < eps."""
-    n = supports.shape[1]
-    kk = basis.shape[1]
-    cleared = np.full(len(supports), kk == 1)
-    if kk == 1 or 2 * m > n or kk > q ** (n - 2 * m):
-        return cleared
-    side = q**m
-    columns = side * kk
-    eps = tol / (2 * side)
-    sigma = np.linalg.norm(basis.imag)
-    if 6 * sigma < eps:
-        width, eps = 1, eps - 6 * sigma
-        floats = basis.real
-    else:
-        width, floats = 2, basis.view(np.float64)
-    tensor = floats.reshape((q,) * n + (width * kk,))
-    identity = np.eye(kk)[:, None, :]
-    for subset in itertools.combinations(range(n), m):
-        rest = [k for k in range(n) if k not in subset]
-        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, width * columns)
-        blocks = (z_t.T @ z_t).reshape(columns, width, columns, width)
-        real = np.trace(blocks, axis1=1, axis2=3)
-        imag = blocks[:, 0, :, -1] - blocks[:, -1, :, 0]
-        reduced = (real + 1j * imag).reshape(side, kk, side, kk)
-        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= eps:
-            cleared |= ~supports[:, rest].any(axis=1)
-    return cleared
 
 
 def reference_inner(a, b):

@@ -524,9 +524,12 @@ def _set(path, value):
         (_set(["spec", "n"], 99), "spec n=99 does not match L, which is 15 x 15"),
         (_set(["spec", "D", 0, 0], 10**30), "spec D must hold 15 rows of 15 integers in [0, 4)"),
         (_set(["params", "d"], 1.5), "params d must be an integer, got 1.5"),
+        (_set(["spec", "q"], 3215031751), "modulus 3215031751 is not prime"),
+        (_set(["spec", "q"], 2**89 - 1),
+         f"primality of {2**89 - 1} is not decided at or beyond 3317044064679887385961981"),
     ],
     ids=["L entry 7 at q=2", "L entry 1.5", "boolean B digit", "spec n 99", "D entry 10^30",
-         "params d 1.5"],
+         "params d 1.5", "spec q a strong pseudoprime", "spec q 2^89 - 1"],
 )
 def test_malformed_bundle_exits_2_at_load(capsys, tmp_path, corrupt, message):
     _, doc = family_bundle(capsys, tmp_path, "--name", "code15")

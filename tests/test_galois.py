@@ -33,6 +33,36 @@ def test_is_prime():
         PrimeField(4)
 
 
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    numbers = np.arange(10**5)
+    composite = numbers < 2
+    for divisor in range(2, 317):  # 316^2 < 10^5 < 317^2
+        composite |= (numbers % divisor == 0) & (numbers != divisor)
+    assert [is_prime(p) for p in range(10**5)] == (~composite).tolist()
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine prime bases
+    assert 151 * 751 * 28351 == 3215031751 and not is_prime(3215031751)
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not is_prime(3825123056546413051)
+
+
+def test_is_prime_is_fast_on_large_primes_and_refuses_beyond_its_range():
+    import time
+
+    elapsed = []
+    for _ in range(5):
+        start = time.perf_counter()
+        assert is_prime(2**61 - 1)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 1e-3
+    assert not is_prime(2**61 + 1)  # divisible by 3
+    # the Mersenne prime 2^89 - 1 lies beyond the range where the bases decide
+    with pytest.raises(ValueError, match=f"^primality of {2**89 - 1} is not decided"):
+        PrimeField(2**89 - 1)
+
+
 def test_linear_solve_identity_case():
     f2 = PrimeField(2)
     sol = linear_solve(f2, np.eye(2, dtype=int), [1, 0])

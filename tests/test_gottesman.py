@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonstab.families import distance2_family, laflamme_spec, maximal_form_spec
-from nonstab.galois import PRODUCT_ROWS, error_sphere_count, pack
+from nonstab.galois import PRODUCT_ROWS, error_sphere_count, pack, unpack
 from nonstab.gottesman import (
     GottesmanSpec,
     _sphere,
@@ -414,6 +414,26 @@ def test_sphere_pass_spans_several_blocks():
     want = reference_sphere(spec, 1)
     assert got[4].dtype == object and got[4].tolist() == want[2].tolist()
     assert np.array_equal(got[2], want[0])
+
+
+def test_purity_and_the_decoders_search_reduce_nothing(monkeypatch):
+    # both read only the shift keys of the error pairs, one product with
+    # [M; -L]; the reduction of [L; M] is for the image solve of `_sphere`
+    from nonstab import gottesman
+    from nonstab.decoder import Syndrome, search_error
+    from nonstab.galois import PrimeField
+
+    spec, description = distance2_family(5, 3)
+    member_one = weight_one_member_spec()
+    u = np.array(description.sorted_members()[1])
+    x, y = np.eye(5, dtype=np.int64)[:1], np.zeros((1, 5), dtype=np.int64)
+    shift = unpack(gottesman._shift_keys(spec, x, y), 3, 5)[0]
+    syndrome = Syndrome(tuple(int(v) for v in 2 * ((u + shift) % 3)), 6)
+    expected = search_error(syndrome, description, 1)
+    monkeypatch.setattr(PrimeField, "rref", lambda self, a: pytest.fail("[L; M] was reduced"))
+    gottesman._image_reduction.cache_clear()
+    assert purity_radius(spec, 2) is None and purity_radius(member_one, 2) == 1
+    assert search_error(syndrome, description, 1) == expected
 
 
 def test_validate_and_the_error_sphere_share_one_reduction(monkeypatch):

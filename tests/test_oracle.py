@@ -1,4 +1,6 @@
 import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,10 +16,8 @@ from conftest import (
     random_maximal_spec,
     random_nonmaximal_spec,
     random_stabilizer_spec,
-    reference_coset_basis,
     reference_dense_projection,
     reference_projection_coefficients,
-    reference_reduced_screen,
     shift_phase,
     spec_tables,
     weyl_times,
@@ -50,11 +50,8 @@ from nonstab.oracle import (
     SparseState,
     _basis_matrix,
     _cached_basis,
-    _coset_basis,
     _gram_witness,
     _projected_basis,
-    _reduced_screen,
-    _shift_echelon,
     _subgroup_keys,
     apply,
     codeword,
@@ -300,26 +297,30 @@ def test_a_cached_basis_is_refused_under_a_smaller_group():
 
 
 def counted_table_builds(monkeypatch):
-    """The specs whose subgroup table is built from here on: each build reads
-    rho(a) of every element once, and nothing else in `src` does."""
+    """The specs whose subgroup table is built from here on: the misses of a
+    fresh cache in place of `_subgroup_keys`'s."""
+    from nonstab import oracle
+
     builds = []
-    rho_batch = GottesmanSpec.rho_batch
-
-    def counted(spec, a_rows):
-        builds.append(spec)
-        return rho_batch(spec, a_rows)
-
-    monkeypatch.setattr(GottesmanSpec, "rho_batch", counted)
-    _subgroup_keys.cache_clear()
+    build = _subgroup_keys.__wrapped__
+    counted = lru_cache(maxsize=1)(lambda spec: builds.append(spec) or build(spec))
+    monkeypatch.setattr(oracle, "_subgroup_keys", counted)
     return builds
 
 
 def test_codewords_of_one_description_build_the_subgroup_table_once(monkeypatch):
+    from nonstab import oracle
+
     description = code_15_8_3()
     builds = counted_table_builds(monkeypatch)
+    # and the closed form of each of the two offsets of code15's members once
+    offsets = []
+    terms = oracle._closed_form_terms
+    monkeypatch.setattr(oracle, "_closed_form_terms", lambda *a: offsets.append(a[1]) or terms(*a))
     for u in description.sorted_members():
         codeword(description, u)
     assert builds == [description.spec]
+    assert sorted(offsets) == [0, 1]
 
 
 def test_a_failing_nonmaximal_kl_check_builds_the_subgroup_table_once(monkeypatch):
@@ -352,20 +353,17 @@ def test_a_cached_subgroup_table_is_refused_under_a_smaller_group():
         again = codeword(b, u)
     assert _subgroup_keys.cache_info().misses == 1
     assert np.array_equal(again.amps.view(np.uint64), state.amps.view(np.uint64))
-    # the non-maximal readers: the coset basis and the dense projection
+    # the non-maximal reader: the dense projection
     rng = np.random.default_rng(1)
     description = random_description(rng, random_nonmaximal_spec(rng, 5, 2))
-    spec, members = description.spec, description.sorted_members()
-    built = _coset_basis(spec, members), dense_projection(description)
-    for reader in (lambda: _coset_basis(spec, members), lambda: dense_projection(description)):
-        with budget(group=3), pytest.raises(ValueError, match="subgroup size 4 exceeds cap 3"):
-            reader()
+    built = dense_projection(description)
+    with budget(group=3), pytest.raises(ValueError, match="subgroup size 4 exceeds cap 3"):
+        dense_projection(description)
     assert _subgroup_keys.cache_info().currsize == 1
     with budget(group=4):
-        again = _coset_basis(spec, members), dense_projection(description)
+        again = dense_projection(description)
     assert _subgroup_keys.cache_info().misses == 2  # one build for each spec
-    for got, want in zip(again, built):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(again.view(np.uint64), built.view(np.uint64))
 
 
 def test_the_cached_subgroup_table_is_read_only_packed_keys():
@@ -469,50 +467,6 @@ def test_kl_check_gram_memory_is_bounded():
         assert peak < 5 * 2**20, d
 
 
-TOL = 1e-9
-
-
-@st.composite
-def perturbed_bases(draw):
-    """(basis, q, m, xs, ys, members): a greedy code's basis with one Gram moved.
-
-    Column v gains delta E^dagger phi_u for an error E of weight <= m, so
-    <phi_u| E |phi_v> moves by about delta, drawn around TOL, and the
-    entries of R_T on the m-subsets T around E's support by about
-    delta / q^m.  With u = v the diagonal of that Gram spreads instead.
-    delta is real or imaginary: an imaginary one on a q = 2 basis, which is
-    real but for rounding, puts the violation in the imaginary part alone.
-    """
-    q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
-    n = draw(st.integers(*DIGITS_FOR_Q[q]))
-    d = draw(st.sampled_from([2, 3]))
-    entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
-    spec = maximal_form_spec(q, n, np.triu(np.array(entries, dtype=np.int64).reshape(n, n)))
-    assume(purity_radius(spec, d) is None)
-    description = greedy_construct(spec, d)
-    kk = len(description)
-    assume(kk > 1)
-    m = d - 1
-    xs, ys = bounded_pair_arrays(q, n, m)
-    basis = codeword_matrix(description)
-    u, v = draw(st.integers(0, kk - 1)), draw(st.integers(0, kk - 1))
-    e = draw(st.integers(0, len(xs) - 1))
-    delta = TOL * draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, 1j]))
-    _, adjoint = weyl_times(basis, xs[e], ys[e], q)
-    basis[:, v] += delta * adjoint[:, u]
-    return basis, q, m, xs, ys, description.sorted_members()
-
-
-@settings(max_examples=60)
-@given(perturbed_bases())
-def test_reduced_screen_clears_only_passing_errors(case):
-    basis, q, m, xs, ys, members = case
-    cleared = _reduced_screen(basis, q, m, (xs != 0) | (ys != 0), TOL)
-    for x, y in zip(xs[cleared], ys[cleared]):
-        moved, _ = weyl_times(basis, x, y, q)
-        assert _gram_witness(basis, moved, members, TOL) is None
-
-
 def reference_projection(spec, tables, u):
     """(column, word): the codeword of u built on its own, as a dense column,
     and the index of the basis word whose image under the projection gave it."""
@@ -544,7 +498,7 @@ def assert_basis_matches_reference(description):
     columns, words = zip(*(reference_projection(description.spec, tables, u) for u in members))
     expected = np.column_stack(columns)
     _cached_basis.cache_clear()
-    basis, _ = _basis_matrix(description)
+    basis = _basis_matrix(description)
     assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
     for column, u in zip(columns, members):
         state = codeword(description, u)
@@ -650,175 +604,9 @@ def test_projected_basis_is_bit_equal_to_the_per_word_loop():
     descriptions = [code_15_8_3(), distance2_family(7, 3)[1], *crosscheck_maximal_descriptions()]
     for description in descriptions:
         members = description.sorted_members()
-        got, _ = _projected_basis(description.spec, members)
+        got = _projected_basis(description.spec, members)
         expected = per_word_projected_basis(description.spec, members)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-
-
-def complex_reduced_screen(basis, q, m, supports, tol):
-    """`_reduced_screen` as it ran on every basis before the real path: R_T
-    from the interleaved float view of A_T, clean within tol / (2 q^m)."""
-    n, kk = supports.shape[1], basis.shape[1]
-    cleared = np.full(len(supports), kk == 1)
-    if kk == 1 or 2 * m > n or kk > q ** (n - 2 * m):
-        return cleared
-    side = q**m
-    columns = side * kk
-    tensor = basis.view(np.float64).reshape((q,) * n + (2 * kk,))
-    identity = np.eye(kk)[:, None, :]
-    for subset in itertools.combinations(range(n), m):
-        rest = [k for k in range(n) if k not in subset]
-        z_t = tensor.transpose(rest + list(subset) + [n]).reshape(-1, 2 * columns)
-        blocks = (z_t.T @ z_t).reshape(columns, 2, columns, 2)
-        real = blocks[:, 0, :, 0] + blocks[:, 1, :, 1]
-        imag = blocks[:, 0, :, 1] - blocks[:, 1, :, 0]
-        reduced = (real + 1j * imag).reshape(side, kk, side, kk)
-        if np.abs(reduced - reduced[:, :1, :, :1] * identity).max() <= tol / (2 * side):
-            cleared |= ~supports[:, rest].any(axis=1)
-    return cleared
-
-
-def error_supports(q, n, m):
-    xs, ys = bounded_pair_arrays(q, n, m)
-    return xs, ys, (xs != 0) | (ys != 0)
-
-
-def test_code15_screen_takes_the_real_path(monkeypatch):
-    from nonstab import oracle
-
-    description = code_15_8_3()
-    basis, _ = _basis_matrix(description)
-    sigma = np.linalg.norm(basis.imag)
-    # all 990 errors of weight <= 2, and 13,059 of the 13,275 of weight <= 3
-    for d, cleared in ((3, 990), (4, 13_059)):
-        m = d - 1
-        assert 6 * sigma < TOL / (2 * 2**m)  # the switch to the real path
-        _, _, supports = error_supports(2, 15, m)
-        mask = _reduced_screen(basis, 2, m, supports, TOL)
-        assert mask.sum() == cleared
-        assert np.array_equal(mask, complex_reduced_screen(basis, 2, m, supports, TOL))
-    # at d = 3 the screen clears all 990 errors, so no error is applied
-    applied = []
-    monkeypatch.setattr(oracle, "_weyl_times", lambda *args: applied.append(args))
-    assert kl_check(description, 3).passed and applied == []
-
-
-def code15_cosets():
-    description = code_15_8_3()
-    basis, least = _basis_matrix(description)
-    return basis, (*_shift_echelon(description.spec), least)
-
-
-def test_code15_coset_frames_give_the_dense_mask():
-    basis, cosets = code15_cosets()
-    assert len(cosets[1]) == 14  # digit 14 is free: 91 pairs T drop it, 14 keep it
-    for d, cleared in ((3, 990), (4, 13_059)):
-        _, _, supports = error_supports(2, 15, d - 1)
-        mask = _reduced_screen(basis, 2, d - 1, supports, TOL, cosets)
-        assert mask.sum() == cleared
-        assert np.array_equal(mask, reference_reduced_screen(basis, 2, d - 1, supports, TOL))
-
-
-@st.composite
-def coset_screen_cases(draw):
-    """(description, m): a code over a maximal spec, the only kind that
-    `kl_check` screens, with L of any rank, of rank n (no digit to drop) or
-    zero (every column one word)."""
-    shape = draw(st.sampled_from(["any rank", "zero", "maximal", "full"]))
-    if shape == "maximal":
-        description, d = draw(maximal_descriptions())
-    elif shape == "any rank":
-        description, d = draw(maximal_member_sets()), draw(st.sampled_from([2, 3]))
-    else:
-        q = draw(st.sampled_from(sorted(DIGITS_FOR_Q)))
-        n = draw(st.integers(*DIGITS_FOR_Q[q]))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        if shape == "full":  # L = I, M symmetric
-            l_mat, m_mat = np.eye(n, dtype=np.int64), np.triu(rng.integers(0, q, (n, n)))
-            m_mat = (m_mat + np.triu(m_mat, 1).T) % q
-        else:  # L = 0, M invertible
-            l_mat = np.zeros((n, n), dtype=np.int64)
-            m_mat = rng.permutation(np.eye(n, dtype=np.int64))
-        spec = GottesmanSpec(q=q, L=l_mat, M=m_mat, D=synthesize_phase_matrix(q, l_mat, m_mat))
-        assert validate(spec) == []
-        description, d = random_description(rng, spec), draw(st.sampled_from([2, 3]))
-    event(shape)
-    return description, min(d - 1, 2)
-
-
-@settings(max_examples=120)
-@given(coset_screen_cases())
-def test_coset_frames_give_the_dense_mask(case):
-    description, m = case
-    spec = description.spec
-    q, n = spec.q, spec.n
-    basis, least = _projected_basis(spec, description.sorted_members())
-    shifts, pivots = _shift_echelon(spec)
-    # each column is zero off the coset of its least word, which is zero at the pivots
-    assert not least[:, list(pivots)].any()
-    for column, word in zip(basis.T, least):
-        offset = (unpack(np.flatnonzero(column), q, n) - word) % q
-        assert np.array_equal(offset[:, list(pivots)] @ shifts % q, offset)
-    _, _, supports = error_supports(q, n, m)
-    mask = _reduced_screen(basis, q, m, supports, TOL, (shifts, pivots, least))
-    event(f"cleared {'all' if mask.all() else 'some' if mask.any() else 'none'}")
-    assert np.array_equal(mask, reference_reduced_screen(basis, q, m, supports, TOL))
-
-
-def corrupted_greedy_code():
-    """A greedy q = 2, n = 7 code of distance 3 with one member added at a
-    forbidden difference: real but for rounding, and its screen at d = 3
-    clears 126 of the 210 errors."""
-    spec = random_maximal_spec(np.random.default_rng(3), 7, 2)
-    code = greedy_construct(spec, 3)
-    bad = (np.array(code.sorted_members()[0]) + sorted(forbidden_set(spec, 3).members)[0]) % 2
-    return code, FourierDescription(spec, code.members | {tuple(int(v) for v in bad)})
-
-
-def test_a_global_phase_takes_the_complex_path_to_the_same_mask():
-    for description, d in ((code_15_8_3(), 3), (corrupted_greedy_code()[1], 3)):
-        spec = description.spec
-        basis, _ = _basis_matrix(description)
-        _, _, supports = error_supports(spec.q, spec.n, d - 1)
-        turned = basis * np.exp(0.7j)
-        assert 6 * np.linalg.norm(turned.imag) > TOL / (2 * spec.q ** (d - 1))
-        mask = _reduced_screen(basis, spec.q, d - 1, supports, TOL)
-        assert np.array_equal(_reduced_screen(turned, spec.q, d - 1, supports, TOL), mask)
-    assert 0 < mask.sum() == 126 < len(mask)
-
-
-def test_an_imaginary_violation_is_not_cleared():
-    # a real code that passes at d = 3, with column 1 given i delta E^dagger
-    # phi_0 for one error E: <phi_0| E |phi_1> moves by i delta, beyond TOL,
-    # and the imaginary part is far above the switch to the real path
-    code, _ = corrupted_greedy_code()
-    members = code.sorted_members()
-    assert kl_check(code, 3).passed and len(members) == 2
-    xs, ys, supports = error_supports(2, 7, 2)
-    for e in (0, 17, len(xs) - 1):
-        basis = np.array(_basis_matrix(code)[0])
-        _, adjoint = weyl_times(basis, xs[e], ys[e], 2)
-        basis[:, 1] += 2j * TOL * adjoint[:, 0]
-        assert 6 * np.linalg.norm(basis.imag) > TOL / (2 * 2**2)
-        cleared = _reduced_screen(basis, 2, 2, supports, TOL)
-        violated = [
-            i for i, (x, y) in enumerate(zip(xs, ys))
-            if _gram_witness(basis, weyl_times(basis, x, y, 2)[0], members, TOL) is not None
-        ]
-        assert e in violated and not cleared[violated].any()
-
-
-def test_reduced_screen_clears_every_error_of_a_passing_code():
-    # R_T equals delta_uv rho_T up to rounding on every T, so nothing is left to confirm
-    for description, d in (
-        (distance2_family(5, 3)[1], 2),
-        (distance2_family(5, 5)[1], 2),
-        (code_15_8_3(), 3),
-    ):
-        spec = description.spec
-        xs, ys = bounded_pair_arrays(spec.q, spec.n, d - 1)
-        basis, _ = _basis_matrix(description)
-        assert _reduced_screen(basis, spec.q, d - 1, (xs != 0) | (ys != 0), TOL).all()
 
 
 def test_kl_check_never_unpacks_the_words(monkeypatch):
@@ -832,13 +620,13 @@ def test_kl_check_never_unpacks_the_words(monkeypatch):
         return unpack_(keys, q, width)
 
     monkeypatch.setattr(oracle, "unpack", counted)
-    # code15 at d = 3: the screen clears all 990 errors
+    # code15 at d = 3: the weight enumerators pass all 990 errors
     description = code_15_8_3()
     _basis_matrix(description)
     sizes.clear()
     assert kl_check(description, 3).passed and sizes == []
-    # d2 (5, 2) at d = 3: K = 6 exceeds the Singleton bound, so nothing is
-    # screened and every error is applied to the packed words 0 .. 2^5 - 1
+    # d2 (5, 2) at d = 3: K = 6 exceeds the Singleton bound, and the errors
+    # of the witness walk are applied to the packed words 0 .. 2^5 - 1
     _, description = distance2_family(5, 2)
     _basis_matrix(description)
     sizes.clear()
@@ -908,11 +696,9 @@ def test_the_subgroup_table_readers_are_bit_equal_to_the_digit_table_references(
     q, maximal = spec.q, spec.is_maximal()
     event(f"maximal={maximal}")
     if maximal:
-        basis = _projected_basis(spec, members)[0]
+        basis = _projected_basis(spec, members)
         expected = per_word_projected_basis(spec, members)
-    else:
-        basis, expected = _coset_basis(spec, members), reference_coset_basis(spec, members)
-    assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
     got, want = dense_projection(description), reference_dense_projection(description)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     got, want = projection_coefficients(description), reference_projection_coefficients(description)
@@ -950,6 +736,11 @@ def code_5_1_3(q):
     )
 
 
+def code_3_1_2_5():
+    """[[3,1,2]]_5: X X X and Z Z Z^-2."""
+    return stabilizer_code(5, [(1, 1, 1), (0, 0, 0)], [(0, 0, 0), (1, 1, -2)])
+
+
 @pytest.mark.parametrize(
     "code, q, d, errors",
     [
@@ -970,15 +761,13 @@ def test_stabilizer_codes_pass_on_the_screen_alone(monkeypatch, code, q, d, erro
     built = []
     monkeypatch.setattr(oracle, "dense_projection", built.append)
     assert outcome(kl_check(description, d)) == outcome(expected)
-    assert built == []  # every error cleared by its Gram on the coset basis
+    assert built == []  # the weight enumerators pass every error, with no state built
 
 
 def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
     from nonstab import oracle
 
-    # with the Gram test turned away, every error is checked on the dense
-    # projection, which is built once
-    monkeypatch.setattr(oracle, "_scalar_prefix", lambda basis, xs, ys, q, tol: 0)
+    # a passing code builds no projection, and a failing one builds it once
     builds = []
     dense = oracle.dense_projection
     monkeypatch.setattr(oracle, "dense_projection", lambda b: builds.append(b) or dense(b))
@@ -988,54 +777,51 @@ def test_nonmaximal_confirmation_builds_the_projection_once(monkeypatch):
         builds.clear()
         expected = reference_nonmaximal_kl_check(description, d)
         assert outcome(kl_check(description, d)) == outcome(expected)
-        assert len(builds) == 1
+        assert len(builds) == (0 if expected.passed else 1)
     assert not expected.passed
 
 
 def test_nonmaximal_kl_check_neither_screens_nor_frames(monkeypatch):
     from nonstab import oracle
 
+    # no codeword basis, and one confirmation on the dense projection for a
+    # failing code: the first error that the residual flags is the witness
     def refused(*args):
-        raise AssertionError("a non-maximal check reached the reduced-matrix screen")
+        raise AssertionError("a non-maximal check reached the codeword basis")
 
-    monkeypatch.setattr(oracle, "_reduced_screen", refused)
-    monkeypatch.setattr(oracle, "_frame", refused)
-    three_one_two = stabilizer_code(5, [(1, 1, 1), (0, 0, 0)], [(0, 0, 0), (1, 1, -2)])
+    monkeypatch.setattr(oracle, "_basis_matrix", refused)
+    monkeypatch.setattr(oracle, "_gram_witness", refused)
+    confirmed = []
+    witness = oracle._projection_witness
+    monkeypatch.setattr(oracle, "_projection_witness", lambda *a: confirmed.append(a) or witness(*a))
     cases = [(code_4_2_2(2), 2, True), (code_5_1_3(2), 3, True), (code_4_2_2(3), 2, True),
-             (three_one_two, 2, True)]  # [[3,1,2]]_5
+             (code_3_1_2_5(), 2, True)]
     rng = np.random.default_rng(1)
     for q in (2, 3, 5):
         cases.append((random_description(rng, random_nonmaximal_spec(rng, 3, 2, q)), 2, False))
     for description, d, passes in cases:
         expected = reference_nonmaximal_kl_check(description, d)
         assert expected.passed == passes
+        confirmed.clear()
         assert outcome(kl_check(description, d)) == outcome(expected)
-
-
-def test_a_maximal_kl_check_screens_once(monkeypatch):
-    from nonstab import oracle
-
-    calls = []
-    screen = oracle._reduced_screen
-    monkeypatch.setattr(oracle, "_reduced_screen", lambda *a: calls.append(a) or screen(*a))
-    _, d2 = distance2_family(5, 2)
-    for description, d, passes in ((d2, 2, True), (d2, 3, False), (code_15_8_3(), 3, True)):
-        calls.clear()
-        assert kl_check(description, d).passed == passes
-        assert len(calls) == 1
+        assert len(confirmed) == (0 if passes else 1)
 
 
 @settings(max_examples=40)
 @given(nonmaximal_descriptions())
 def test_code_space_basis_of_a_nonmaximal_spec(case):
     description, _ = case
-    basis = _coset_basis(description.spec, description.sorted_members())
+    # the eigenvectors of eigenvalue 1 of the dense projection span the code
+    projection = dense_projection(description)
+    np.testing.assert_allclose(projection, projection.conj().T, rtol=0, atol=1e-12)
+    values, vectors = np.linalg.eigh(projection)
+    basis = vectors[:, values > 0.5]
     assert basis.shape[1] == code_dimension(description)
+    assert np.abs(values[values > 0.5] - 1).max() <= BASIS_TOL
+    assert np.abs(values[values <= 0.5]).max(initial=0) <= BASIS_TOL
     gram = basis.conj().T @ basis
     assert np.abs(gram - np.eye(len(gram))).max() <= BASIS_TOL
-    np.testing.assert_allclose(
-        basis @ basis.conj().T, dense_projection(description), rtol=0, atol=1e-10
-    )
+    np.testing.assert_allclose(basis @ basis.conj().T, projection, rtol=0, atol=1e-10)
 
 
 def test_nonmaximal_kl_check_peak_memory():
@@ -1064,3 +850,66 @@ def test_kl_check_refuses_distance_below_one():
     for d in (0, -1):
         with pytest.raises(ValueError, match=r"^d must be >= 1$"):
             kl_check(b, d)
+
+
+def enumerator_failures(description, d):
+    """The weights j < d at which q^n alpha_j != K sum_w alpha_w K_j(w), with
+    alpha_w summed in floats from the projection coefficients and the
+    elements' weights, and the Krawtchouk values by their definition."""
+    spec = description.spec
+    q, n, size = spec.q, spec.n, spec.size
+    alpha = np.zeros(n + 1)
+    for a, t_a in projection_coefficients(description).items():
+        element = spec.element(np.array(a, dtype=np.int64))
+        alpha[sum(1 for x, y in zip(element.a, element.b) if x or y)] += abs(t_a * size) ** 2
+    assert np.abs(alpha - np.rint(alpha)).max() < 1e-6
+    alpha = [int(v) for v in np.rint(alpha)]
+
+    def krawtchouk(j, w):
+        return sum((-1) ** s * (q * q - 1) ** (j - s) * math.comb(w, s) * math.comb(n - w, j - s)
+                   for s in range(j + 1))
+
+    dim = code_dimension(description)
+    return [j for j in range(1, min(d - 1, n) + 1)
+            if q**n * alpha[j] != dim * sum(a * krawtchouk(j, w) for w, a in enumerate(alpha))]
+
+
+STABILIZER_CASES = [(code(q), d) for code, q in ((code_4_2_2, 2), (code_4_2_2, 3), (code_5_1_3, 2))
+                    for d in (2, 3)] + [(code_5_1_3(2), 4), (code_5_1_3(3), 2), (code_3_1_2_5(), 2),
+                                        (code_3_1_2_5(), 3)]
+
+
+@settings(max_examples=60)
+@given(st.one_of(maximal_descriptions(), nonmaximal_descriptions(), st.sampled_from(STABILIZER_CASES)))
+def test_kl_check_decides_each_weight_like_the_dense_reference(case):
+    description, d = case
+    maximal = description.spec.is_maximal()
+    expected = (reference_kl_check if maximal else reference_nonmaximal_kl_check)(description, d)
+    got = kl_check(description, d)
+    event(f"maximal={maximal} passed={got.passed}")
+    assert outcome(got) == outcome(expected)
+    # the first failing weight is the weight of the witness error
+    failures = enumerator_failures(description, d)
+    if expected.passed:
+        assert failures == []
+    else:
+        error = expected.witness["error"]
+        assert failures[0] == sum(1 for x, y in zip(error["x"], error["y"]) if x or y)
+
+
+def test_a_passing_maximal_kl_check_builds_no_basis(monkeypatch):
+    from nonstab import oracle
+
+    builds, applied = [], []
+    projected = oracle._projected_basis
+    monkeypatch.setattr(oracle, "_projected_basis", lambda *a: builds.append(a) or projected(*a))
+    times = oracle._weyl_times
+    monkeypatch.setattr(oracle, "_weyl_times", lambda *a: applied.append(a) or times(*a))
+    _, d2 = distance2_family(5, 2)
+    for description, d in ((d2, 2), (distance2_family(5, 3)[1], 2), (code_15_8_3(), 3)):
+        assert kl_check(description, d).passed
+        assert builds == [] and applied == []
+    # at d = 3 d2 (5, 2) fails: the basis is built once, for the witness walk
+    oracle._cached_basis.cache_clear()
+    report = kl_check(d2, 3)
+    assert not report.passed and len(builds) == 1 and len(applied) >= 1
