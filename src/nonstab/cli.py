@@ -102,6 +102,7 @@ def _read_bundle(path: str | None, check_distance: bool = False) -> CodeBundle:
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed bundle: {exc}") from None
     if check_distance:
+        _check_spec(bundle)
         report = verify_distance(bundle.description, bundle.claimed_distance)
         if not report.passed:
             raise ValueError(
@@ -185,11 +186,16 @@ class InvalidSpec(Exception):
     """The spec breaks its invariants; the violations are reported with exit status 1."""
 
 
-def cmd_family(args) -> int:
-    bundle = make_family(args.name, args)
+def _check_spec(bundle: CodeBundle) -> None:
+    """Raise InvalidSpec with the violations of the bundle's spec, if any."""
     violations = validate(bundle.spec)
     if violations:
         raise InvalidSpec(violations)
+
+
+def cmd_family(args) -> int:
+    bundle = make_family(args.name, args)
+    _check_spec(bundle)
     _emit(bundle.to_json_dict())
     return 0
 
@@ -199,9 +205,7 @@ def _checked_bundle(args) -> tuple[CodeBundle, int]:
     bundle = _read_bundle(args.infile)
     d = _at_least("d", args.d if args.d is not None else bundle.claimed_distance, 1)
     check_sphere(bundle.spec.n, bundle.spec.q, min(d - 1, bundle.spec.n))
-    violations = validate(bundle.spec)
-    if violations:
-        raise InvalidSpec(violations)
+    _check_spec(bundle)
     return bundle, d
 
 
@@ -230,6 +234,7 @@ def cmd_oracle(args) -> int:
 def cmd_greedy(args) -> int:
     bundle = _read_bundle(args.infile)
     _at_least("d", args.d, 1)
+    _check_spec(bundle)
     description = greedy_construct(bundle.spec, args.d)
     report = verify_distance(description, args.d)
     if not report.passed:

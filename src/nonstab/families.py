@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fourier_code import FourierDescription
+from .fourier_code import FourierDescription, Report
 from .galois import PrimeField, gaussian_binomial, pack, unpack
 from .gottesman import GottesmanSpec, forbidden_set
 from .weyl import SUBSET_CAP
@@ -245,21 +245,13 @@ def puncture(family: SetFamily, coordinate: int) -> SetFamily:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaGoodReport:
-    passed: bool
-    failed_condition: int | None = None
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def alpha_good(r_mat, alpha) -> AlphaGoodReport:
+def alpha_good(r_mat, alpha) -> Report:
     """Check the four sum-of-rows/columns weight conditions on a binary matrix.
 
     Every floor(alpha n)-subset of columns (conditions i, iii) and of rows
     (ii, iv) must sum to a vector of weight in [alpha n, (1 - alpha) n].
+    The witness of a failure is the condition and the first subset, in
+    `itertools.combinations` order, that breaks it.
     """
     r_mat = PrimeField(2).check(np.asarray(r_mat, dtype=np.int64), "matrix")
     if r_mat.ndim != 2 or r_mat.shape[0] != r_mat.shape[1]:
@@ -278,11 +270,10 @@ def alpha_good(r_mat, alpha) -> AlphaGoodReport:
         vectors = r_mat.T if axis == 1 else r_mat
         for subset in itertools.combinations(range(n), t):
             weight = int(np.sum(np.bitwise_xor.reduce(vectors[list(subset)], axis=0)))
-            if weight < lo:
-                return AlphaGoodReport(False, cond_lo, subset)
-            if weight > hi:
-                return AlphaGoodReport(False, cond_hi, subset)
-    return AlphaGoodReport(True)
+            if not lo <= weight <= hi:
+                condition = cond_lo if weight < lo else cond_hi
+                return Report(False, witness={"condition": condition, "subset": list(subset)})
+    return Report(True)
 
 
 def alpha_good_spec(r_mat) -> GottesmanSpec:

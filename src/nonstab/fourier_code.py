@@ -197,11 +197,11 @@ def _weight_lex_keys(q: int, r: int) -> np.ndarray:
     return np.argsort(weights, kind="stable")
 
 
-def greedy_construct(spec: GottesmanSpec, d: int, order=None) -> FourierDescription:
+def greedy_construct(spec: GottesmanSpec, d: int) -> FourierDescription:
     """Greedy packing of character indices whose differences avoid the
-    forbidden set.  Requires a d-pure spec; deterministic given `order`
-    (default: weight-lex with 0 first).  Picks at least floor(#S / #X)
-    members when the forbidden set X is nonempty.
+    forbidden set, walked in weight-lex order with 0 first.  Requires a
+    d-pure spec; deterministic.  Picks at least floor(#S / #X) members when
+    the forbidden set X is nonempty.
 
     One enumeration of the error sphere gives both: the spec is d-pure
     when no pair has a zero syndrome shift, and X is the set of shifts of
@@ -222,15 +222,7 @@ def greedy_construct(spec: GottesmanSpec, d: int, order=None) -> FourierDescript
         raise ValueError(f"spec is not {d}-pure; greedy construction needs purity")
     forbidden = _chunk_values(_forbidden_keys(shift_keys, in_image), q, r)
     layout = _chunk_layout(q, r)
-    if order is None:
-        keys = _weight_lex_keys(q, r)
-    else:
-        rows = np.array(order, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != r or np.any((rows < 0) | (rows >= q)):
-            raise ValueError("order must enumerate all of GF(q)^r")
-        keys = pack(rows, q)
-        if len(unique_keys(keys)) != spec.size:
-            raise ValueError("order must enumerate all of GF(q)^r")
+    keys = _weight_lex_keys(q, r)
     position = np.empty(spec.size, dtype=np.int64)  # of each key in the walk
     position[keys] = np.arange(spec.size)
     alive = np.ones(spec.size, dtype=bool)

@@ -221,7 +221,7 @@ class GottesmanSpec:
 class ForbiddenSet:
     """Character indices that the difference set of a code must avoid.
 
-    Stored as the sorted unique packed keys of `galois.pack`; the tuple views
+    Stored as the sorted unique packed keys of `galois.pack`; the digit rows
     are derived from them.
     """
 
@@ -229,13 +229,6 @@ class ForbiddenSet:
     q: int
     r: int
     keys: np.ndarray
-
-    @cached_property
-    def members(self) -> frozenset:
-        return frozenset(self.sorted_members())
-
-    def __contains__(self, u) -> bool:
-        return tuple(int(v) for v in u) in self.members
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -246,9 +239,6 @@ class ForbiddenSet:
 
     def weights(self) -> set:
         return set(np.count_nonzero(self.rows(), axis=1).tolist())
-
-    def sorted_members(self) -> list:
-        return list(map(tuple, self.rows().tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +360,7 @@ def _shift_keys(spec: GottesmanSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
 
 def _sphere(spec: GottesmanSpec, w: int):
     """The pairs (x, y) with 1 <= wt <= w, in canonical order, with their
-    shift keys (`_shift_keys`) and their image solve.
+    shift keys (as `_shift_keys` gives them) and their image solve.
 
     Returns (xs, ys, in_image, members, shift_keys): the pairs, whether each
     is (La, Ma) for some a, the solutions a of the pairs in the image (one
@@ -379,23 +369,26 @@ def _sphere(spec: GottesmanSpec, w: int):
     With T the transform of the reduction of [L; M] (T [L; M] in RREF), a
     pair is in the image exactly when T [x; y] mod q vanishes below the
     rank, and then its first entries are the pivot coordinates of the
-    solution.  The solve is one exact product [x y] T^T over blocks of
-    PRODUCT_ROWS pairs, and each block keeps only the rows in the image, so
-    no N x 2n image is ever held.
+    solution.  Shift and solve are both linear in [x; y], so one exact
+    product [x y] [M; -L | T^T] and one remainder give both.  It runs over
+    blocks of PRODUCT_ROWS pairs, and each block keeps only what callers
+    read, so no N x (r + 2n) image is ever held.
     """
     q, n, r = spec.q, spec.n, spec.r
     xs, ys = bounded_pair_arrays(q, n, w)
-    shift_keys = _shift_keys(spec, xs, ys)
     pivots, transform = _image_reduction(spec)
     rank = len(pivots)
+    operator = np.hstack([np.vstack([spec.M, -spec.L]), transform.T])
     in_image = np.empty(len(xs), dtype=bool)
+    shift_keys = np.empty(len(xs), dtype=places(q, r).dtype)
     solved = [np.empty((0, rank), dtype=np.int64)]
     for start in range(0, len(xs), PRODUCT_ROWS):
         block = slice(start, start + PRODUCT_ROWS)
-        image = _remainder(_exact_product(np.hstack([xs[block], ys[block]]), transform.T), q)
-        inside = ~image[:, rank:].any(axis=1)
+        image = _remainder(_exact_product(np.hstack([xs[block], ys[block]]), operator), q)
+        shift_keys[block] = pack(image[:, :r], q)
+        inside = ~image[:, r + rank :].any(axis=1)
         in_image[block] = inside
-        solved.append(image[inside, :rank])
+        solved.append(image[inside, r : r + rank])
     solved = np.vstack(solved)
     members = np.zeros((len(solved), r), dtype=np.int64)
     members[:, pivots] = solved

@@ -31,7 +31,7 @@ from .galois import (
     places,
     unpack,
 )
-from .gottesman import GottesmanSpec, _shift_keys, bounded_pair_arrays
+from .gottesman import GottesmanSpec, _sphere
 from .weyl import DENSE_MATRIX_CAP, AlphabetGroup, WeylElement, check_size, check_sphere, root_table
 
 PRUNE_TOL = 1e-14
@@ -517,43 +517,36 @@ def _first_failure(description: FourierDescription, chars: np.ndarray, j: int):
     vectors, confirming only the errors whose residual is not 0 (`kl_check`).
 
     E = U_x V_y takes s_a to E^H s_a E = w_q^(+-a . sigma) s_a, with sigma =
-    M^T x - L^T y its syndrome shift (`gottesman._shift_keys`), and
-    tr(s_a s_b) = q^n when a + b = 0, else 0.  So the residual is
+    M^T x - L^T y its syndrome shift, and tr(s_a s_b) = q^n when a + b = 0,
+    else 0.  So the residual is
 
         q^n / (K #S^2) (K G(sigma) - q^n |F(a_E)|^2),
 
     with G(sigma) the sum over a of |F(a)|^2 w_q^(-a . sigma), one DFT of
     |F|^2 on the (q,)^r grid read at the shift keys, and F(a_E) present only
-    when E = U_La V_Ma for an element a_E, which is looked up in
-    `_subgroup_keys` for the errors whose shift is 0.  G(sigma) is #S times
-    the number of pairs (u, v) in B^2 with v - u = sigma, so it rounds to a
-    multiple of #S, which is checked.  For E = U_La V_Ma the residual is
-    q^(2n) / (K #S^2) (#B^2 - |F(a)|^2), 0 exactly when u . a is the same for
-    every member u.  The residual is thus 0, exactly, when sigma is not a
-    difference of members, or when E is such an element.
+    when E = U_La V_Ma for an element a_E.  The errors, their shift keys and
+    their elements a_E come from one pass of `gottesman._sphere`, whose
+    pairs of weight below j come first and are dropped.  G(sigma) is #S
+    times the number of pairs (u, v) in B^2 with v - u = sigma, so it rounds
+    to a multiple of #S, which is checked.  For E = U_La V_Ma the residual
+    is q^(2n) / (K #S^2) (#B^2 - |F(a)|^2), 0 exactly when u . a is the same
+    for every member u.  The residual is thus 0, exactly, when sigma is not
+    a difference of members, or when E is such an element.
     """
     spec = description.spec
     q, n = spec.q, spec.n
-    xs, ys = bounded_pair_arrays(q, n, j)
+    xs, ys, in_image, elements, shifts = _sphere(spec, j)
     first = error_sphere_count(n, q, j - 1) - 1
-    xs, ys = xs[first:], ys[first:]
-    shifts = _shift_keys(spec, xs, ys)
+    elements = elements[np.count_nonzero(in_image[:first]) :]
+    xs, ys, in_image, shifts = xs[first:], ys[first:], in_image[first:], shifts[first:]
     power = np.abs(root_table(q)[_remainder(-chars, q)].sum(axis=0)) ** 2  # |F(a)|^2
     pairs = np.fft.fftn(power.reshape((q,) * spec.r)).real.ravel() / spec.size
     counted = np.rint(pairs)
     if np.abs(pairs - counted).max() > 0.25:
         raise ValueError("the autocorrelation of B does not round to integers")
     flagged = counted[shifts] > 0
-    central = np.flatnonzero(shifts == 0)
-    if central.size:
-        la, ma, _ = _subgroup_keys(spec)
-        words = q**n  # q^(2n) <= 2^48 under the basis and dense caps
-        elements = la * words + ma
-        order = np.argsort(elements)
-        keys = pack(xs[central], q) * words + pack(ys[central], q)
-        a = order.take(np.searchsorted(elements, keys, sorter=order), mode="clip")
-        constant = (elements[a] == keys) & (chars[:, a] == chars[:1, a]).all(axis=0)
-        flagged[central[constant]] = False
+    a = pack(elements, q)
+    flagged[np.flatnonzero(in_image)[(chars[:, a] == chars[:1, a]).all(axis=0)]] = False
     if spec.is_maximal():
         basis, members = _basis_matrix(description), description.sorted_members()
 

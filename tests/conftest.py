@@ -130,6 +130,11 @@ def brute_force_forbidden(spec, d):
     return out
 
 
+def forbidden_members(forbidden):
+    """The members of a `gottesman.ForbiddenSet` as a set of digit tuples."""
+    return frozenset(map(tuple, forbidden.rows().tolist()))
+
+
 def shift_phase(words, x, y, q):
     """U_x V_y on digit rows w: the packed keys of w + x and the exponents
     y . w mod q, the reference for `galois._weyl_action`.  Rows broadcast,

@@ -17,6 +17,7 @@ import numpy as np
 from conftest import (
     brute_force_forbidden,
     brute_force_subspace_count,
+    forbidden_members,
     random_description,
     random_maximal_spec,
     random_nonmaximal_spec,
@@ -217,7 +218,7 @@ def test_accept_08_cross_validation():
             spec = random_nonmaximal_spec(rng, n, int(rng.integers(1, n)))
         ok &= validate(spec) == []
         for d in (2, 3):
-            ok &= forbidden_set(spec, d).members == brute_force_forbidden(spec, d)
+            ok &= forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
         for _ in range(2):
             description = random_description(rng, spec)
             ok &= kl_check(description, 2).passed == verify_distance(description, 2).passed
@@ -260,7 +261,7 @@ def test_accept_10_alpha_good_machinery():
     alpha = Fraction(1, 6)
     ok = alpha_good(np.eye(12, dtype=np.int64), alpha).passed
     ones_report = alpha_good(np.ones((12, 12), dtype=np.int64), alpha)
-    ok &= not ones_report.passed and ones_report.failed_condition == 1
+    ok &= not ones_report.passed and ones_report.witness["condition"] == 1
     found = search_alpha_good(12, alpha, attempts=200, seed=7)
     ok &= found is not None
     if found is not None:

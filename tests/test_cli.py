@@ -428,6 +428,29 @@ def test_oracle_validates_the_spec_first(capsys, tmp_path):
         assert report["violations"][0].startswith("phase cocycle fails"), command
 
 
+def break_symmetry(spec):
+    spec["M"][0][1] ^= 1  # L^T M is no longer symmetric
+
+
+def break_cocycle(spec):
+    spec["D"][0][0] += 1
+
+
+@pytest.mark.parametrize("corrupt", [break_symmetry, break_cocycle])
+def test_every_command_that_reads_a_bundle_validates_its_spec(capsys, tmp_path, corrupt):
+    _, doc = family_bundle(capsys, tmp_path, "--name", "laflamme", "--n", "7")
+    corrupt(doc["spec"])
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(doc))
+    code, expected = run(capsys, "verify", "--in", str(path))
+    assert code == 1 and json.loads(expected)["violations"]
+    zero = ",".join(["0"] * 7)
+    for argv in (["greedy", "--d", "3"], ["encode-sim", "--message", zero], ["decode-sim", "--u", zero]):
+        code = main([*argv, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, expected, ""), argv
+
+
 def test_bad_product_form_certificate_exits_2(capsys, tmp_path):
     def break_certificate(spec):
         spec["quad_upper"][0][1] ^= 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import symmetric_difference_sizes
+from conftest import forbidden_members, symmetric_difference_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,7 +64,7 @@ def test_distance2_family_n3_is_impossible():
     # F_2 covers every nonzero index at n = 3, so no multi-dimensional
     # distance-2 code exists on this subgroup (Singleton: K <= 2^(n-2))
     spec, b = distance2_family(3, 2)
-    assert forbidden_set(spec, 2).members == {
+    assert forbidden_members(forbidden_set(spec, 2)) == {
         u for u in itertools.product(range(2), repeat=3) if any(u)
     }
     assert not verify_distance(b, 2).passed
@@ -75,7 +75,7 @@ def test_forbidden_set_matches_closed_form_parts():
     for n in (3, 5, 7):
         spec, _ = distance2_family(n, 2)
         r1, r2, r3, r4 = closed_form_forbidden_parts(n)
-        assert forbidden_set(spec, 2).members == r1 | r2 | r3 | r4
+        assert forbidden_members(forbidden_set(spec, 2)) == r1 | r2 | r3 | r4
 
 
 def test_difference_set_avoids_forbidden_parts():
@@ -233,15 +233,15 @@ def test_alpha_good_identity_fixture():
     report = alpha_good(eye, Fraction(1, 4))  # t = 3 < alpha n = 3? 3 >= 3 ok
     assert report.passed
     report = alpha_good(np.eye(10, dtype=np.int64), Fraction(7, 20))  # t=3 < 3.5
-    assert not report.passed and report.failed_condition == 1
+    assert not report.passed and report.witness["condition"] == 1
 
 
 def test_alpha_good_all_ones_fails_first_condition():
     ones = np.ones((12, 12), dtype=np.int64)
     report = alpha_good(ones, Fraction(1, 6))  # two equal columns sum to zero
     assert not report.passed
-    assert report.failed_condition == 1
-    assert len(report.witness) == 2
+    assert report.witness["condition"] == 1
+    assert len(report.witness["subset"]) == 2
 
 
 def test_alpha_good_requires_positive_t():

@@ -7,6 +7,7 @@ from conftest import (
     brute_force_forbidden,
     character_exponent,
     dense_matrix,
+    forbidden_members,
     phase_value,
     random_maximal_spec,
     random_nonmaximal_spec,
@@ -156,7 +157,7 @@ def test_forbidden_set_distance2_size():
         spec, _ = distance2_family(n, q)
         assert len(forbidden_set(spec, 2)) == n * (q * q - 1)
     spec3, _ = distance2_family(3, 2)
-    assert forbidden_set(spec3, 2).members == {
+    assert forbidden_members(forbidden_set(spec3, 2)) == {
         u for u in itertools.product(range(2), repeat=3) if any(u)
     }
 
@@ -175,8 +176,8 @@ def test_forbidden_weights_laflamme15():
 def test_forbidden_sumset_relation_laflamme7():
     # one more error position extends the forbidden set by elementwise sums
     spec = laflamme_spec(7)
-    f2 = forbidden_set(spec, 2).members | {(0,) * 7}
-    f3 = forbidden_set(spec, 3).members
+    f2 = forbidden_members(forbidden_set(spec, 2)) | {(0,) * 7}
+    f3 = forbidden_members(forbidden_set(spec, 3))
     sums = {
         tuple((np.array(u1) + np.array(u2)) % 2) for u1 in f2 for u2 in f2
     }
@@ -191,7 +192,7 @@ def test_forbidden_set_matches_bruteforce_fixed_specs():
         (laflamme_spec(7), 3),
         (weight_one_member_spec(), 2),
     ):
-        assert forbidden_set(spec, d).members == brute_force_forbidden(spec, d)
+        assert forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
 
 
 def test_forbidden_set_matches_bruteforce_random_specs():
@@ -199,12 +200,12 @@ def test_forbidden_set_matches_bruteforce_random_specs():
     for _ in range(6):
         spec = random_maximal_spec(rng, int(rng.integers(4, 7)))
         for d in (2, 3):
-            assert forbidden_set(spec, d).members == brute_force_forbidden(spec, d)
+            assert forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
     for _ in range(6):
         n = int(rng.integers(3, 6))
         spec = random_nonmaximal_spec(rng, n, int(rng.integers(1, n)))
         for d in (2, 3):
-            assert forbidden_set(spec, d).members == brute_force_forbidden(spec, d)
+            assert forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
 
 
 def test_low_weight_members_examples():
@@ -414,6 +415,18 @@ def test_sphere_pass_spans_several_blocks():
     want = reference_sphere(spec, 1)
     assert got[4].dtype == object and got[4].tolist() == want[2].tolist()
     assert np.array_equal(got[2], want[0])
+
+
+def test_sphere_pass_makes_one_product_per_block(monkeypatch):
+    # the shift keys and the image solve of a block come from one product
+    from nonstab import gottesman
+
+    products = []
+    product = gottesman._exact_product
+    monkeypatch.setattr(gottesman, "_exact_product", lambda *a: products.append(a) or product(*a))
+    spec = random_maximal_spec(np.random.default_rng(7), 7, q=3)
+    xs = _sphere(spec, 3)[0]
+    assert len(products) == -(-len(xs) // PRODUCT_ROWS) == 19
 
 
 def test_purity_and_the_decoders_search_reduce_nothing(monkeypatch):

@@ -9,6 +9,7 @@ from conftest import (
     closed_form_codeword,
     dense_matrix,
     dense_vector,
+    forbidden_members,
     normalized,
     oversized_nonmaximal_description,
     phase_value,
@@ -195,7 +196,7 @@ def test_kl_check_fails_on_corrupted_description():
     spec, b = distance2_family(5, 2)
     from nonstab.gottesman import forbidden_set
 
-    f2 = sorted(forbidden_set(spec, 2).members)[0]
+    f2 = sorted(forbidden_members(forbidden_set(spec, 2)))[0]
     base = b.sorted_members()[0]
     bad_member = tuple((np.array(base) + np.array(f2)) % 2)
     corrupted = FourierDescription(spec, b.members | {bad_member})
@@ -428,7 +429,7 @@ def maximal_descriptions(draw):
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         description = random_description(rng, spec)
-    forbidden = sorted(forbidden_set(spec, d).members)
+    forbidden = sorted(forbidden_members(forbidden_set(spec, d)))
     if forbidden and draw(st.booleans()):
         f = np.array(draw(st.sampled_from(forbidden)))
         base = np.array(draw(st.sampled_from(description.sorted_members())))
@@ -913,3 +914,21 @@ def test_a_passing_maximal_kl_check_builds_no_basis(monkeypatch):
     oracle._cached_basis.cache_clear()
     report = kl_check(d2, 3)
     assert not report.passed and len(builds) == 1 and len(applied) >= 1
+
+
+def test_a_failing_walk_reads_one_error_sphere(monkeypatch):
+    from nonstab import oracle
+
+    # the errors, their shift keys and their subgroup elements come from one
+    # `_sphere` pass, up to the weight of the witness
+    spheres = []
+    sphere = oracle._sphere
+    monkeypatch.setattr(oracle, "_sphere", lambda *a: spheres.append(a[1]) or sphere(*a))
+    rng = np.random.default_rng(1)
+    nonmaximal = random_description(rng, random_nonmaximal_spec(rng, 8, 3))
+    for description, d, weight in ((code_15_8_3(), 4, 3), (nonmaximal, 2, 1)):
+        spheres.clear()
+        report = kl_check(description, d)
+        error = report.witness["error"]
+        assert not report.passed and spheres == [weight]
+        assert sum(1 for x, y in zip(error["x"], error["y"]) if x or y) == weight
