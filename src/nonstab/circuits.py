@@ -85,14 +85,15 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
     Gates read their operand digits from the packed word indices and write
     a changed digit back by adding (new - old) times its place value.  The
     digits of every register read so far are kept, entry by entry with the
-    support: a gate that writes a register keeps the new digit it computed,
+    support, in the narrowest signed dtype that holds q^2, which no gate
+    exceeds: a gate that writes a register keeps the new digit it computed,
     and a Fourier gate, which changes the support, drops them all.
     """
     group = prime_group(circuit.q)
     if state.group != group or state.n != circuit.registers:
         raise ValueError("input state does not match the circuit's registers")
     q = circuit.q
-    roots = root_table(q)
+    roots, narrow = root_table(q), np.min_scalar_type(-q * q)
     place = places(q, circuit.registers)
     packed, amps = state.packed, state.amps
     known: dict = {}  # register -> its digit in each entry of `packed`
@@ -100,7 +101,7 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
         ops = gate.operands
         for r in ops:
             if r not in known:
-                known[r] = _digit(packed, place[r], q)
+                known[r] = _digit(packed, place[r], q).astype(narrow)
         digits = [known[r] for r in ops]
         if gate.kind == "inverter":
             (old,) = digits

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -254,13 +254,23 @@ def bounds(n: int, q: int, t: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
+@lru_cache(maxsize=1)
+def _member_characters(description: FourierDescription) -> np.ndarray:
+    """`galois._characters` of the sorted members, read-only, kept for the
+    readers of one description to share (`oracle.kl_check`, its codeword
+    basis, `projection_coefficients`), which check the `group` budget first."""
+    chars = _characters(description.member_array, description.spec.q, description.spec.r)
+    chars.setflags(write=False)
+    return chars
+
+
 def projection_coefficients(description: FourierDescription) -> dict:
     """Coefficient map a -> T_{s_a} of the code projection in the group algebra."""
     spec = description.spec
     check_size("subgroup size", spec.size, "group")
     q, r, p = spec.q, spec.r, spec.phase_denominator
     unit = p // q
-    exponents = (unit * _characters(description.member_array, q, r)) % p
+    exponents = (unit * _member_characters(description)) % p
     roots = np.exp(-2j * np.pi * np.arange(p) / p)  # conj(chi_u)(s_a)
     coeffs = roots[exponents].sum(axis=0) / spec.size
     a_rows = unpack(np.arange(spec.size), q, r)  # the keys of the map

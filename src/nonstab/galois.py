@@ -279,11 +279,39 @@ def _weyl_action(keys: np.ndarray, a, b, q: int, n: int):
     return targets, exponents
 
 
+@lru_cache(maxsize=None)
+def _half_digits(q: int, width: int) -> tuple:
+    """Digit rows of every value of the leading h = width // 2 digits (hi) and
+    of the rest (lo), in key order (read-only): a table over every index
+    a = hi q^(width - h) + lo is a q^h x q^(width - h) table whose ravel is
+    in key order."""
+    halves = tuple(unpack(np.arange(q**k), q, k) for k in (width // 2, width - width // 2))
+    for digits in halves:
+        digits.setflags(write=False)
+    return halves
+
+
 def _characters(members, q: int, width: int) -> np.ndarray:
     """u . a mod q for each member u (a row) and each index a of GF(q)^width
-    in key order (a column): the exponents of V_u on the packed indices."""
-    zero, indices = np.zeros(width, dtype=np.int64), np.arange(q**width)
-    return np.array([_remainder(_weyl_action(indices, zero, u, q, width)[1], q) for u in members])
+    in key order (a column): the exponents of V_u on the packed indices,
+    as u_hi . a_hi + u_lo . a_lo over the halves of `_half_digits`."""
+    hi, lo = _half_digits(q, width)
+    members = np.asarray(members, dtype=np.int64)
+    h = hi.shape[1]
+    out = (members[:, :h] @ hi.T)[:, :, None] + (members[:, h:] @ lo.T)[:, None, :]
+    return _remainder(out, q).reshape(len(members), -1)
+
+
+def _quadratic_table(form: np.ndarray, q: int, modulus: int) -> np.ndarray:
+    """a^T F a mod `modulus` for every a in GF(q)^len(F), over the halves of
+    `_half_digits`: hi^T F_hh hi + lo^T F_ll lo, plus one exact product for
+    the cross term hi^T (F_hl + F_lh^T) lo."""
+    hi, lo = _half_digits(q, len(form))
+    h = hi.shape[1]
+    out = _exact_product(hi @ (form[:h, h:] + form[h:, :h].T), lo.T)
+    out += ((hi @ form[:h, :h]) * hi).sum(axis=1)[:, None]
+    out += ((lo @ form[h:, h:]) * lo).sum(axis=1)
+    return _remainder(out, modulus)
 
 
 def _chunk_values(keys, q: int, width: int) -> list:

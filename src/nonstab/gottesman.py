@@ -164,10 +164,6 @@ class GottesmanSpec:
             raise ValueError(f"index vector must have length {self.r}")
         return int(a @ self.D @ a) % self.phase_denominator
 
-    def rho_batch(self, a_rows: np.ndarray) -> np.ndarray:
-        """Phase exponents a^T D a mod 2q of the rows of an int64 array."""
-        return (_exact_product(a_rows, self.D) * a_rows).sum(axis=1) % self.phase_denominator
-
     def element(self, a) -> WeylElement:
         """The group element s_a = w^rho(a) U_{La} V_{Ma}."""
         a = self.field.check(np.atleast_1d(np.asarray(a, dtype=np.int64)), "index vector")

@@ -16,21 +16,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier_code import FourierDescription, Report, code_dimension, projection_coefficients
-from .galois import (
-    PRODUCT_ROWS,
-    _characters,
-    _chunk_digits,
-    _chunk_layout,
-    _digit,
-    _exact_product,
-    _remainder,
-    _weyl_action,
-    error_sphere_count,
-    pack,
-    places,
-    unpack,
-)
+from .fourier_code import FourierDescription, Report, _member_characters, code_dimension
+from .fourier_code import projection_coefficients
+from .galois import _characters, _chunk_digits, _chunk_layout, _chunk_values, _digit, _half_digits
+from .galois import _key_differences, _quadratic_table, _remainder, _weyl_action, error_sphere_count
+from .galois import pack, unpack
 from .gottesman import GottesmanSpec, _sphere
 from .weyl import DENSE_MATRIX_CAP, AlphabetGroup, WeylElement, check_size, check_sphere, root_table
 
@@ -155,19 +145,19 @@ def _subgroup_keys(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(packed La, packed Ma, rho(a)) in element index order, read-only: the one
     table of the subgroup, kept for the readers of the last spec to share.
     Readers check the `group` budget first, so that a table built under a
-    larger budget is refused under a smaller one.  The products with L, M and
-    D are taken PRODUCT_ROWS elements at a time, so that the digit table of
-    the elements is the only array of the whole subgroup's size besides the
-    keys."""
-    q, size = spec.q, spec.size
-    la, ma = (np.empty(size, dtype=places(q, spec.n).dtype) for _ in range(2))
-    rho = np.empty(size, dtype=np.int64)
-    a_rows = unpack(np.arange(size), q, spec.r)
-    for start in range(0, size, PRODUCT_ROWS):
-        block = slice(start, start + PRODUCT_ROWS)
-        for keys, part in ((la, spec.L), (ma, spec.M)):
-            keys[block] = pack(_remainder(_exact_product(a_rows[block], part.T), q), q)
-        rho[block] = spec.rho_batch(a_rows[block])
+    larger budget is refused under a smaller one.  With a split into halves
+    (hi, lo) (`galois._half_digits`), La = L_hi hi - (-L_lo lo) is keyed by
+    `_key_differences` from one product of each half with [L | M] (Ma
+    likewise), and rho(a) is the `_quadratic_table` of D."""
+    q, n, h = spec.q, spec.n, spec.r // 2
+    hi, lo = _half_digits(q, spec.r)
+    lm = np.hstack([spec.L.T, spec.M.T])  # row k: L e_k, then M e_k
+    halves = _remainder(hi @ lm[:h], q), _remainder(lo @ -lm[h:], q)
+    la, ma = (
+        _key_differences(*(_chunk_values(pack(half[:, part], q), q, n) for half in halves), q, n).ravel()
+        for part in (slice(0, n), slice(n, None))
+    )
+    rho = _quadratic_table(spec.D, q, spec.phase_denominator).ravel()
     for arr in (la, ma, rho):
         arr.setflags(write=False)
     return la, ma, rho
@@ -185,7 +175,7 @@ def codeword(description: FourierDescription, u) -> SparseState:
         raise ValueError("u is not a member of the Fourier description")
     if not spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
-    column = _projected_basis(spec, [u])[:, 0]
+    column = _projected_basis(spec, [u], _characters([u], spec.q, spec.n))[:, 0]
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 
 
@@ -206,30 +196,28 @@ def _basis_matrix(description: FourierDescription) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _cached_basis(description: FourierDescription) -> np.ndarray:
-    basis = _projected_basis(description.spec, description.sorted_members())
+    basis = _projected_basis(description.spec, description.sorted_members(), _member_characters(description))
     basis.setflags(write=False)
     return basis
 
 
-def _projected_basis(spec: GottesmanSpec, members) -> np.ndarray:
+def _projected_basis(spec: GottesmanSpec, members, chis: np.ndarray) -> np.ndarray:
     """The codewords of `members` over a maximal spec, as the columns of a
-    matrix in the order given.
+    matrix in the order given; `chis` are their `galois._characters`.
 
     Each column is P_u e_w, normalized, for a member u and the first standard
     basis word w, in lexicographic order, on which the character projection
-    P_u is nonzero.  The shared keys of `_subgroup_keys` and the characters
-    u . a of `galois._characters` are read, and the targets and phases of a
-    word are computed once for every member still waiting for one.  When the
-    spec carries a product-form certificate, the closed form is evaluated as
-    an independent second path and every column must agree with it within
-    BASIS_TOL.
+    P_u is nonzero.  The shared keys of `_subgroup_keys` are read, and the
+    targets and phases of a word are computed once for every member still
+    waiting for one.  When the spec carries a product-form certificate, the
+    closed form is evaluated as an independent second path and every column
+    must agree with it within BASIS_TOL.
     """
     check_size("subgroup size", spec.size, "group")
     q, n, p = spec.q, spec.n, spec.phase_denominator
     unit = p // q
     la, ma, rho = _subgroup_keys(spec)
-    zero, chis = np.zeros(n, dtype=np.int64), _characters(members, q, n)  # r = n digits
-    roots = root_table(p)
+    zero, roots = np.zeros(n, dtype=np.int64), root_table(p)
     dim = q**n
     basis = np.zeros((dim, len(members)), dtype=complex)
     pending = list(range(len(members)))
@@ -263,36 +251,31 @@ def _projected_basis(spec: GottesmanSpec, members) -> np.ndarray:
 
 def _check_closed_form(spec: GottesmanSpec, members, basis: np.ndarray) -> None:
     """Every column of `basis` must have fidelity 1 within BASIS_TOL with the
-    closed form of its member, where that member has product-form coordinates."""
-    by_delta: dict[int, list] = {}
+    closed form of its member, where that member has product-form coordinates
+    (c, delta): the sum over sum-zero x of w^(z^T Q z) conj(w)^(x . c) |z>,
+    z = x + delta 1, normalized, with the keys of z from `_weyl_action`."""
+    q, n, quad = spec.q, spec.n, _closed_form_exponents(spec)
+    roots = root_table(q)
+    hi, lo = _half_digits(q, n - 1)  # x: n - 1 free digits f, then -sum(f)
+    sums = (hi.sum(axis=1)[:, None] + lo.sum(axis=1)).ravel()
+    xs = np.arange(len(sums)) * q + _remainder(-sums, q)
     for col, u in enumerate(members):
         try:
             c_vec, delta = message_coordinates(spec, u)
         except ValueError:
             continue  # no unique product-form coordinates
-        by_delta.setdefault(delta, []).append((col, c_vec))
-    roots = root_table(spec.q)
-    xs = sum_zero_words(spec.n, spec.q)
-    offsets = _closed_form_offsets(spec)
-    for delta, columns in by_delta.items():
-        if delta not in offsets:
-            _, zs, quad_phase = _closed_form_terms(spec, delta)
-            offsets[delta] = pack(zs, spec.q), quad_phase
-        rows, quad_phase = offsets[delta]
-        cols, c_vecs = zip(*columns)
-        lins = _remainder(_exact_product(xs, np.column_stack(c_vecs)), spec.q)
-        for col, lin in zip(cols, lins.T):
-            amps = quad_phase * np.conj(roots[lin]) / math.sqrt(len(xs))
-            if abs(abs(np.sum(np.conj(basis[rows, col]) * amps)) - 1.0) > BASIS_TOL:
-                raise ValueError("projection-built codeword disagrees with the closed form")
+        rows, lin = _weyl_action(xs, np.full(n, delta), c_vec, q, n)
+        amps = roots[quad[rows]] * np.conj(roots[_remainder(lin, q)]) / math.sqrt(len(xs))
+        if abs(abs(np.sum(np.conj(basis[rows, col]) * amps)) - 1.0) > BASIS_TOL:
+            raise ValueError("projection-built codeword disagrees with the closed form")
 
 
 @lru_cache(maxsize=1)
-def _closed_form_offsets(spec: GottesmanSpec) -> dict:
-    """offset delta -> (packed words z, w^(z^T Q z)) of `_closed_form_terms`,
-    filled by `_check_closed_form` as it meets the offsets of the last spec:
-    the codewords of one offset share them, and no digit table is kept."""
-    return {}
+def _closed_form_exponents(spec: GottesmanSpec) -> np.ndarray:
+    """z^T Q z mod q for every word z in key order, read-only, for the last spec's codewords."""
+    exponents = _quadratic_table(spec.quad_upper, spec.q, spec.q).ravel()
+    exponents.setflags(write=False)
+    return exponents
 
 
 def message_coordinates(spec: GottesmanSpec, u) -> tuple[np.ndarray, int]:
@@ -335,24 +318,6 @@ def _product_form_reduction(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray
     transform.setflags(write=False)
     pivots.setflags(write=False)
     return transform, pivots
-
-
-@lru_cache(maxsize=16)
-def sum_zero_words(n: int, q: int) -> np.ndarray:
-    """All words in GF(q)^n with zero digit sum, in lexicographic order (read-only)."""
-    free = unpack(np.arange(q ** (n - 1)), q, n - 1)
-    last = (-free.sum(axis=1)) % q
-    words = np.hstack([free, last[:, None]])
-    words.setflags(write=False)
-    return words
-
-
-def _closed_form_terms(spec: GottesmanSpec, delta: int):
-    """(sum-zero words x, words z = x + delta, w^(z^T Q z)) of the closed form."""
-    xs = sum_zero_words(spec.n, spec.q)
-    zs = (xs + delta) % spec.q
-    quad = (_exact_product(zs, spec.quad_upper) * zs).sum(axis=1) % spec.q
-    return xs, zs, root_table(spec.q)[quad]
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +409,7 @@ def kl_check(description: FourierDescription, d: int) -> Report:
     else:
         check_size("dense dimension", q**n, DENSE_MATRIX_CAP)
     weights = _weights(spec)  # builds the subgroup table before the characters are held
-    chars = _characters(description.member_array, q, spec.r)
+    chars = _member_characters(description)
     alpha = _enumerator(chars, weights, q, n)
     failing = (
         j for j in range(1, m + 1)

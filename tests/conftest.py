@@ -12,12 +12,7 @@ from nonstab.circuits import Circuit, Gate
 from nonstab.families import maximal_form_spec
 from nonstab.galois import PrimeField, pack, unpack
 from nonstab.gottesman import GottesmanSpec, synthesize_phase_matrix, validate
-from nonstab.oracle import (
-    PRUNE_TOL,
-    SparseState,
-    _closed_form_terms,
-    message_coordinates,
-)
+from nonstab.oracle import PRUNE_TOL, SparseState, message_coordinates
 from nonstab.weyl import DENSE_MATRIX_CAP, check_size, prime_group, root_table
 
 # One profile for every property: the same examples on every run, no
@@ -157,12 +152,17 @@ def weyl_times(operand, x, y, q):
     return moved, np.conj(phases) * operand[targets]
 
 
+def rho_batch(spec, a_rows):
+    """Phase exponents a^T D a mod 2q of the rows of an int64 array."""
+    return ((a_rows @ spec.D) * a_rows).sum(axis=1) % spec.phase_denominator
+
+
 def spec_tables(spec):
     """(index rows a, La, Ma, rho(a)) of the whole subgroup as digit tables,
     the reference for the packed keys of `oracle._subgroup_keys`."""
     a_rows = unpack(np.arange(spec.size), spec.q, spec.r)
     la, ma = (a_rows @ spec.L.T) % spec.q, (a_rows @ spec.M.T) % spec.q
-    return a_rows, la, ma, spec.rho_batch(a_rows)
+    return a_rows, la, ma, rho_batch(spec, a_rows)
 
 
 def reference_projection_coefficients(description):
@@ -232,6 +232,26 @@ def symmetric_difference_sizes(family):
     return {len(s1 ^ s2) for s1, s2 in itertools.combinations(family.members, 2)}
 
 
+@functools.lru_cache(maxsize=16)
+def sum_zero_words(n, q):
+    """All words in GF(q)^n with zero digit sum, in lexicographic order (read-only)."""
+    free = unpack(np.arange(q ** (n - 1)), q, n - 1)
+    last = (-free.sum(axis=1)) % q
+    words = np.hstack([free, last[:, None]])
+    words.setflags(write=False)
+    return words
+
+
+def closed_form_terms(spec, delta):
+    """(sum-zero words x, words z = x + delta, w^(z^T Q z)) of the closed form,
+    as digit tables: the reference for the keys and the quadratic table that
+    `oracle._check_closed_form` reads."""
+    xs = sum_zero_words(spec.n, spec.q)
+    zs = (xs + delta) % spec.q
+    quad = ((zs @ spec.quad_upper) * zs).sum(axis=1) % spec.q
+    return xs, zs, root_table(spec.q)[quad]
+
+
 def closed_form_codeword(spec, u):
     """Codeword of a product-form spec, from its explicit amplitude formula:
 
@@ -241,7 +261,7 @@ def closed_form_codeword(spec, u):
     the product-form coordinates of u.
     """
     c_vec, delta = message_coordinates(spec, u)
-    xs, zs, quad_phase = _closed_form_terms(spec, delta)
+    xs, zs, quad_phase = closed_form_terms(spec, delta)
     amps = quad_phase * np.conj(root_table(spec.q)[(xs @ c_vec) % spec.q]) / np.sqrt(len(xs))
     return SparseState.from_pairs(spec.group, spec.n, zs, amps)
 

@@ -495,6 +495,24 @@ def test_oracle_projects_the_basis_once(capsys, tmp_path, monkeypatch):
     assert calls == [8]
 
 
+def test_oracle_forms_the_member_characters_once(capsys, tmp_path, monkeypatch):
+    # the enumerator of kl_check and the codeword basis read the same u . a
+    from nonstab import fourier_code, galois, oracle
+
+    calls = []
+
+    def counted(members, q, width):
+        calls.append(len(members))
+        return galois._characters(members, q, width)
+
+    path, _ = family_bundle(capsys, tmp_path, "--name", "code15")
+    for module in (fourier_code, oracle):
+        monkeypatch.setattr(module, "_characters", counted)
+    code, out = run(capsys, "oracle", "--in", str(path))
+    assert code == 0 and json.loads(out)["orthonormality"]["pass"]
+    assert calls == [8]
+
+
 def test_oracle_refuses_an_oversized_codeword_basis(capsys, tmp_path):
     from nonstab.families import code_15_8_3
     from nonstab.fourier_code import greedy_construct

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     character_exponent,
     closed_form_codeword,
+    closed_form_terms,
     dense_matrix,
     dense_vector,
     forbidden_members,
@@ -51,6 +52,7 @@ from nonstab.oracle import (
     SparseState,
     _basis_matrix,
     _cached_basis,
+    _closed_form_exponents,
     _gram_witness,
     _projected_basis,
     _subgroup_keys,
@@ -314,14 +316,13 @@ def test_codewords_of_one_description_build_the_subgroup_table_once(monkeypatch)
 
     description = code_15_8_3()
     builds = counted_table_builds(monkeypatch)
-    # and the closed form of each of the two offsets of code15's members once
-    offsets = []
-    terms = oracle._closed_form_terms
-    monkeypatch.setattr(oracle, "_closed_form_terms", lambda *a: offsets.append(a[1]) or terms(*a))
+    # and the quadratic table of the closed form once, for both offsets of
+    # code15's members
+    oracle._closed_form_exponents.cache_clear()
     for u in description.sorted_members():
         codeword(description, u)
     assert builds == [description.spec]
-    assert sorted(offsets) == [0, 1]
+    assert oracle._closed_form_exponents.cache_info().misses == 1
 
 
 def test_a_failing_nonmaximal_kl_check_builds_the_subgroup_table_once(monkeypatch):
@@ -605,8 +606,9 @@ def test_projected_basis_is_bit_equal_to_the_per_word_loop():
     descriptions = [code_15_8_3(), distance2_family(7, 3)[1], *crosscheck_maximal_descriptions()]
     for description in descriptions:
         members = description.sorted_members()
-        got = _projected_basis(description.spec, members)
-        expected = per_word_projected_basis(description.spec, members)
+        spec = description.spec
+        got = _projected_basis(spec, members, _characters(members, spec.q, spec.n))
+        expected = per_word_projected_basis(spec, members)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -690,14 +692,36 @@ def test_nonmaximal_kl_check_matches_the_dense_per_error_loop(case):
     assert outcome(got) == outcome(reference_nonmaximal_kl_check(description, d))
 
 
-@settings(max_examples=60)
-@given(st.one_of(maximal_member_sets(), nonmaximal_descriptions().map(lambda case: case[0])))
+@st.composite
+def odd_rank_descriptions(draw):
+    """A random description over a random spec with r = 1, where the leading
+    half of an element index is empty, or r = 3; the dense dimension stays
+    at most 625."""
+    q, r = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 3]))
+    n = r + draw(st.integers(1, 1 if q == 5 else 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_description(rng, random_stabilizer_spec(rng, n, r, q))
+
+
+@settings(max_examples=80)
+@given(st.one_of(
+    maximal_member_sets(), nonmaximal_descriptions().map(lambda case: case[0]), odd_rank_descriptions()
+))
 def test_the_subgroup_table_readers_are_bit_equal_to_the_digit_table_references(description):
     spec, members = description.spec, description.sorted_members()
     q, maximal = spec.q, spec.is_maximal()
-    event(f"maximal={maximal}")
+    event(f"maximal={maximal} r={spec.r}")
+    # the table itself, built from two half tables, and its dtypes
+    _, la, ma, rho = spec_tables(spec)
+    for got, want in zip(_subgroup_keys(spec), (pack(la, q), pack(ma, q), rho)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    if spec.quad_upper is not None:  # z^T Q z at the words z of every offset
+        for delta in range(q):
+            _, zs, quad_phase = closed_form_terms(spec, delta)
+            got = root_table(q)[_closed_form_exponents(spec)[pack(zs, q)]]
+            assert np.array_equal(got.view(np.uint64), quad_phase.view(np.uint64))
     if maximal:
-        basis = _projected_basis(spec, members)
+        basis = _projected_basis(spec, members, _characters(members, q, spec.n))
         expected = per_word_projected_basis(spec, members)
         assert np.array_equal(basis.view(np.uint64), expected.view(np.uint64))
     got, want = dense_projection(description), reference_dense_projection(description)

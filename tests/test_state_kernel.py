@@ -6,8 +6,16 @@ packed kernel must give the same packed indices, the same amplitude bits
 and the same exceptions.
 """
 
+import tracemalloc
+
 import numpy as np
-from conftest import closed_form_codeword, linear_solve, reference_inner, shift_phase
+from conftest import (
+    closed_form_codeword,
+    linear_solve,
+    reference_inner,
+    shift_phase,
+    sum_zero_words,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +35,6 @@ from nonstab.oracle import (
     SparseState,
     apply,
     message_coordinates,
-    sum_zero_words,
 )
 from nonstab.weyl import WeylElement, prime_group, root_table
 
@@ -355,6 +362,22 @@ def test_sum_zero_words_is_built_once_and_read_only():
     words = sum_zero_words(4, 3)
     assert sum_zero_words(4, 3) is words and not words.flags.writeable
     assert words.shape == (27, 4) and not (words.sum(axis=1) % 3).any()
+
+
+def test_one_code15_encode_peaks_below_4_mb():
+    # `simulate` keeps the digits of every register it reads, 60 registers on
+    # a support of 16,384 words: as int64 they alone took 7.7 MB
+    description = code_15_8_3()
+    spec = description.spec
+    circuit = build_encoder(spec)
+    message = message_state(spec, *message_coordinates(spec, description.sorted_members()[0]))
+    tracemalloc.start()
+    try:
+        simulate(circuit, message)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_code15_encoder_and_generators_match_word_matrix_reference():
