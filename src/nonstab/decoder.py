@@ -19,7 +19,7 @@ import numpy as np
 
 from .fourier_code import FourierDescription
 from .galois import _remainder, pack, unpack
-from .gottesman import GottesmanSpec, _shift_keys, bounded_pair_arrays
+from .gottesman import GottesmanSpec, _sphere
 from .oracle import SparseState, apply
 from .weyl import WeylElement, inverse, root_table
 
@@ -81,7 +81,7 @@ def search_error(
     The identity is tried first.  The eigenvalue of s_i on g|phi_u> is
     gamma(s_i, g) chi_u(s_i), so with v read off the syndrome an error
     (x, y) forces u = v - (M^T x - L^T y): the shift keys of the error
-    sphere (`gottesman._shift_keys`) give every candidate's u, in canonical
+    sphere (`gottesman._sphere`) give every candidate's u, in canonical
     weight order, and one membership test against the members' keys finds
     the first hit.  The matching u is unique.  Raises DecodingError when no
     candidate of weight <= t solves the equations.
@@ -96,8 +96,8 @@ def search_error(
         if stats is not None:
             stats["candidates"] = 1
         return WeylElement.identity(spec.group, spec.n), tuple(map(int, v))
-    xs, ys = bounded_pair_arrays(q, spec.n, min(t, spec.n))
-    candidates = _remainder(v - unpack(_shift_keys(spec, xs, ys), q, spec.r), q)
+    xs, ys, _, _, shift_keys = _sphere(spec, t)
+    candidates = _remainder(v - unpack(shift_keys, q, spec.r), q)
     hits = np.flatnonzero(np.isin(pack(candidates, q), pack(description.member_array, q)))
     if stats is not None:
         stats["candidates"] = 1 + (int(hits[0]) + 1 if hits.size else len(xs))

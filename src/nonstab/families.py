@@ -93,7 +93,7 @@ def maximal_form_spec(q: int, n: int, upper) -> GottesmanSpec:
 
 def laflamme_spec(n: int) -> GottesmanSpec:
     """The binary circulant-coupling maximal spec on n digits (n odd)."""
-    return maximal_form_spec(2, n, np.triu(circulant_coupling(n), 1))
+    return distance2_spec(n, 2)
 
 
 def distance2_spec(n: int, q: int) -> GottesmanSpec:

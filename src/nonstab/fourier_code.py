@@ -29,11 +29,9 @@ from .galois import (
     _characters,
     _chunk_layout,
     _chunk_values,
-    _digit,
     _key_differences,
     error_sphere_count,
     pack,
-    places,
     unique_keys,
     unpack,
 )
@@ -143,29 +141,28 @@ def verify_distance(description: FourierDescription, d: int) -> Report:
     if d < 1:
         raise ValueError("d must be >= 1")
     check_size("difference pairs", len(description) ** 2, "sphere")
-    xs, ys, in_image, members, shift_keys = _sphere(spec, min(d - 1, spec.n))
-    diffs = description.difference_keys()
+    xs, ys, in_image, members, shift_keys = _sphere(spec, d - 1)
     if len(members):
         values = (description.member_array @ members.T) % q
         failing = np.flatnonzero(np.any(values != values[0], axis=0))
         if failing.size:
-            a = members[failing[0]].tolist()
             pair = np.flatnonzero(in_image)[failing[0]]
-            # u . a over the difference keys, one digit of a at a time
-            place = places(q, r)
-            dots = sum(_digit(diffs, place[k], q) * a_k for k, a_k in enumerate(a) if a_k)
-            first = np.flatnonzero(dots % q)[0]
+            # (u - v) . a = u . a - v . a: the differences whose values differ
+            value = values[:, failing[0]]
+            chunks = _chunk_values(pack(description.member_array, q), q, r)
+            keys = _key_differences(chunks, chunks, q, r)[value[:, None] != value]
             return Report(
                 False,
                 witness={
                     "condition": 1,
-                    "subgroup_index": a,
+                    "subgroup_index": members[failing[0]].tolist(),
                     "weight": int(np.count_nonzero(xs[pair] | ys[pair])),
-                    "difference": unpack(diffs[first : first + 1], q, r)[0].tolist(),
+                    "difference": unpack(keys[[keys.argmin()]], q, r)[0].tolist(),
                 },
                 counts={"low_weight_members": len(members)},
             )
     forbidden = _forbidden_keys(shift_keys, in_image)
+    diffs = description.difference_keys()
     hits = np.intersect1d(diffs, forbidden, assume_unique=True)
     if hits.size:
         return Report(
@@ -217,7 +214,7 @@ def greedy_construct(spec: GottesmanSpec, d: int) -> FourierDescription:
     check_size("character space", spec.size, "sphere")
     if d < 1:
         raise ValueError("d must be >= 1")
-    _, _, in_image, _, shift_keys = _sphere(spec, min(d - 1, spec.n))
+    _, _, in_image, _, shift_keys = _sphere(spec, d - 1)
     if not shift_keys.all():
         raise ValueError(f"spec is not {d}-pure; greedy construction needs purity")
     forbidden = _chunk_values(_forbidden_keys(shift_keys, in_image), q, r)

@@ -9,9 +9,6 @@ from functools import lru_cache
 
 import numpy as np
 
-Matrix = np.ndarray
-Vector = np.ndarray
-
 
 # Miller-Rabin on the first 13 primes as bases is exact below PRIME_LIMIT
 # (Sorenson and Webster, Math. Comp. 86 (2017) 985)
@@ -230,12 +227,18 @@ def _digit(keys: np.ndarray, place, q: int) -> np.ndarray:
 CHUNK_VALUES = 256  # values that one chunk of key digits spans at most
 
 
-@lru_cache(maxsize=None)
-def _chunk_digits(q: int) -> np.ndarray:
-    """Digit rows of every value of a full chunk, in key order (read-only)."""
+def _chunk_width(q: int) -> int:
+    """Digits in a full chunk: the most c with q^c <= CHUNK_VALUES, at least one."""
     width = 1
     while q ** (width + 1) <= CHUNK_VALUES:
         width += 1
+    return width
+
+
+@lru_cache(maxsize=None)
+def _chunk_digits(q: int) -> np.ndarray:
+    """Digit rows of every value of a full chunk, in key order (read-only)."""
+    width = _chunk_width(q)
     digits = unpack(np.arange(q**width), q, width)
     digits.setflags(write=False)
     return digits
@@ -245,7 +248,7 @@ def _chunk_digits(q: int) -> np.ndarray:
 def _chunk_layout(q: int, width: int) -> tuple:
     """(place value, number of values, digit positions) of each chunk of a
     `width`-digit key, leading chunk first; the positions are a slice."""
-    chunk = _chunk_digits(q).shape[1]
+    chunk = _chunk_width(q)
     spans = [slice(max(0, hi - chunk), hi) for hi in range(width, 0, -chunk)]
     return tuple((q ** (width - s.stop), q ** (s.stop - s.start), s) for s in reversed(spans))
 

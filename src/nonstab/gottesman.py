@@ -337,30 +337,13 @@ def _image_reduction(spec: GottesmanSpec) -> tuple[np.ndarray, np.ndarray]:
     return pivots, transform
 
 
-def _shift_keys(spec: GottesmanSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Packed keys (`galois.pack`) of the syndrome shifts M^T x - L^T y of the
-    pairs (x, y), the rows of `xs` and `ys`.
-
-    One exact product [x y] [M; -L], over blocks of PRODUCT_ROWS pairs; no
-    reduction of the spec is needed.  The shift is 0 exactly when U_x V_y
-    commutes with every element of the subgroup.
-    """
-    q = spec.q
-    operator = np.vstack([spec.M, -spec.L])
-    keys = np.empty(len(xs), dtype=places(q, spec.r).dtype)
-    for start in range(0, len(xs), PRODUCT_ROWS):
-        block = slice(start, start + PRODUCT_ROWS)
-        keys[block] = pack(_remainder(_exact_product(np.hstack([xs[block], ys[block]]), operator), q), q)
-    return keys
-
-
 def _sphere(spec: GottesmanSpec, w: int):
-    """The pairs (x, y) with 1 <= wt <= w, in canonical order, with their
-    shift keys (as `_shift_keys` gives them) and their image solve.
+    """The pairs (x, y) with 1 <= wt <= min(w, n), in canonical order, with
+    their syndrome shifts and their image solve.
 
     Returns (xs, ys, in_image, members, shift_keys): the pairs, whether each
     is (La, Ma) for some a, the solutions a of the pairs in the image (one
-    row each, in pair order), and the shift keys.
+    row each, in pair order), and the packed keys of the shifts M^T x - L^T y.
 
     With T the transform of the reduction of [L; M] (T [L; M] in RREF), a
     pair is in the image exactly when T [x; y] mod q vanishes below the
@@ -371,7 +354,7 @@ def _sphere(spec: GottesmanSpec, w: int):
     read, so no N x (r + 2n) image is ever held.
     """
     q, n, r = spec.q, spec.n, spec.r
-    xs, ys = bounded_pair_arrays(q, n, w)
+    xs, ys = bounded_pair_arrays(q, n, min(w, n))
     pivots, transform = _image_reduction(spec)
     rank = len(pivots)
     operator = np.hstack([np.vstack([spec.M, -spec.L]), transform.T])
@@ -409,12 +392,11 @@ def purity_radius(spec: GottesmanSpec, cutoff: int) -> int | None:
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    xs, ys = bounded_pair_arrays(spec.q, spec.n, min(cutoff - 1, spec.n))
-    central = _shift_keys(spec, xs, ys) == 0
-    if not central.any():
+    xs, ys, _, _, shift_keys = _sphere(spec, cutoff - 1)
+    central = np.flatnonzero(shift_keys == 0)
+    if not central.size:
         return None
-    weights = np.sum((xs != 0) | (ys != 0), axis=1)
-    return int(weights[central].min())
+    return int(np.count_nonzero(xs[central[0]] | ys[central[0]]))  # pairs are in weight order
 
 
 def forbidden_set(spec: GottesmanSpec, d: int) -> ForbiddenSet:
@@ -426,7 +408,7 @@ def forbidden_set(spec: GottesmanSpec, d: int) -> ForbiddenSet:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    _, _, in_image, _, shift_keys = _sphere(spec, min(d - 1, spec.n))
+    _, _, in_image, _, shift_keys = _sphere(spec, d - 1)
     return ForbiddenSet(d, spec.q, spec.r, _forbidden_keys(shift_keys, in_image))
 
 
@@ -434,5 +416,5 @@ def low_weight_members(spec: GottesmanSpec, w: int) -> list[tuple[tuple, WeylEle
     """All (a, s_a) whose element has weight in [1, w], in canonical order."""
     if w < 0:
         raise ValueError("w must be >= 0")
-    members = _sphere(spec, min(w, spec.n))[3]
+    members = _sphere(spec, w)[3]
     return [(tuple(a), spec.element(a)) for a in members.tolist()]

@@ -604,6 +604,27 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert built == []
 
 
+def test_verify_on_a_large_prime_builds_no_chunk_digit_table(capsys, tmp_path, monkeypatch):
+    # q = 10^9 + 7 puts one digit in a chunk; the chunk width is read without
+    # the digit rows of every chunk value, which would be 10^9 rows here
+    from nonstab import galois
+
+    digits = galois._chunk_digits
+
+    def refused(q):
+        if q > galois.CHUNK_VALUES:
+            pytest.fail(f"the digit rows of {q} chunk values were built")
+        return digits(q)
+
+    monkeypatch.setattr(galois, "_chunk_digits", refused)
+    galois._chunk_layout.cache_clear()
+    doc = {"spec": {"q": 10**9 + 7, "L": [[1]], "M": [[0]], "D": [[0]]}, "B": [[0]]}
+    path = tmp_path / "large_q.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", "--in", str(path), "--d", "1")
+    assert code == 0 and json.loads(out)["pass"]
+
+
 def test_greedy_enumerates_the_error_sphere_twice(capsys, tmp_path, monkeypatch):
     # greedy_construct reads purity and the forbidden set from one enumeration,
     # and the verify_distance of its result makes the other

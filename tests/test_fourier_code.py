@@ -27,6 +27,7 @@ from nonstab.fourier_code import (
 from nonstab.galois import pack, unpack
 from nonstab.gottesman import (
     GottesmanSpec,
+    bounded_pair_arrays,
     forbidden_set,
     low_weight_members,
     purity_radius,
@@ -326,6 +327,16 @@ def specs(draw):
     return random_maximal_spec(rng, n, q=q)
 
 
+@settings(max_examples=60)
+@given(specs(), st.integers(1, 3))
+def test_purity_radius_is_the_least_weight_of_a_central_pair(spec, cutoff):
+    # brute force: the least weight of a nonzero pair with M^T x = L^T y
+    xs, ys = bounded_pair_arrays(spec.q, spec.n, min(cutoff - 1, spec.n))
+    central = ~((xs @ spec.M - ys @ spec.L) % spec.q).any(axis=1)
+    weights = np.count_nonzero(xs[central] | ys[central], axis=1)
+    assert purity_radius(spec, cutoff) == (int(weights.min()) if weights.size else None)
+
+
 @st.composite
 def pure_cases(draw):
     """A spec with the distance d at which it is pure, and d = 3 where it is not.
@@ -362,6 +373,19 @@ def test_greedy_matches_tuple_set_reference(case):
 def test_verify_distance_matches_tuple_set_reference(spec, d, seed, size):
     description = random_description(np.random.default_rng(seed), spec, max_size=size)
     assert verify_distance(description, d).to_json_dict() == reference_verify(description, d)
+
+
+def test_condition_one_witness_beyond_int64_is_exact():
+    # L = I, M = 0 on 64 digits: U_{e_0} is a weight-1 member, and u . e_0
+    # differs on B = {0, e_0}; the witness e_0 has the key 2^63
+    eye = np.eye(64, dtype=np.int64)
+    spec = GottesmanSpec(q=2, L=eye, M=0 * eye, D=0 * eye)
+    description = FourierDescription(spec, frozenset({(0,) * 64, tuple(eye[0])}))
+    assert description.difference_keys().tolist() == [0, 2**63]
+    report = verify_distance(description, 2).to_json_dict()
+    assert report["witness"]["condition"] == 1
+    assert report["witness"]["difference"] == eye[0].tolist()
+    assert report == reference_verify(description, 2)
 
 
 def test_verify_keys_beyond_int64_stay_exact():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonstab.families import distance2_family, laflamme_spec, maximal_form_spec
-from nonstab.galois import PRODUCT_ROWS, error_sphere_count, pack, unpack
+from nonstab.galois import PRODUCT_ROWS, error_sphere_count, pack
 from nonstab.gottesman import (
     GottesmanSpec,
     _sphere,
@@ -429,24 +429,30 @@ def test_sphere_pass_makes_one_product_per_block(monkeypatch):
     assert len(products) == -(-len(xs) // PRODUCT_ROWS) == 19
 
 
-def test_purity_and_the_decoders_search_reduce_nothing(monkeypatch):
-    # both read only the shift keys of the error pairs, one product with
-    # [M; -L]; the reduction of [L; M] is for the image solve of `_sphere`
+def test_one_reduction_serves_validate_purity_verify_and_the_decoders_search(monkeypatch):
+    # every reader of the error sphere goes through `_sphere`, which reads the
+    # cached reduction of [L; M]: one reduction per spec serves them all
     from nonstab import gottesman
     from nonstab.decoder import Syndrome, search_error
+    from nonstab.fourier_code import verify_distance
     from nonstab.galois import PrimeField
 
     spec, description = distance2_family(5, 3)
     member_one = weight_one_member_spec()
     u = np.array(description.sorted_members()[1])
-    x, y = np.eye(5, dtype=np.int64)[:1], np.zeros((1, 5), dtype=np.int64)
-    shift = unpack(gottesman._shift_keys(spec, x, y), 3, 5)[0]
+    x, y = np.eye(5, dtype=np.int64)[0], np.zeros(5, dtype=np.int64)
+    shift = (x @ spec.M - y @ spec.L) % 3
     syndrome = Syndrome(tuple(int(v) for v in 2 * ((u + shift) % 3)), 6)
     expected = search_error(syndrome, description, 1)
-    monkeypatch.setattr(PrimeField, "rref", lambda self, a: pytest.fail("[L; M] was reduced"))
+    reductions = []
+    rref = PrimeField.rref
+    monkeypatch.setattr(PrimeField, "rref", lambda self, a: reductions.append(np.shape(a)) or rref(self, a))
     gottesman._image_reduction.cache_clear()
-    assert purity_radius(spec, 2) is None and purity_radius(member_one, 2) == 1
+    assert validate(spec) == [] and purity_radius(spec, 2) is None
+    assert verify_distance(description, 2).passed
     assert search_error(syndrome, description, 1) == expected
+    assert reductions == [(10, 5)]
+    assert purity_radius(member_one, 2) == 1 and reductions == [(10, 5), (4, 1)]
 
 
 def test_validate_and_the_error_sphere_share_one_reduction(monkeypatch):
