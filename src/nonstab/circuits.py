@@ -31,7 +31,7 @@ import numpy as np
 
 from .galois import _digit, _remainder, is_prime, places
 from .gottesman import GottesmanSpec
-from .oracle import SparseState, _canonical
+from .oracle import PRUNE_TOL, SparseState, _canonical, _pruned
 from .weyl import prime_group, root_table
 
 GATE_ARITY = {
@@ -84,10 +84,19 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
 
     Gates read their operand digits from the packed word indices and write
     a changed digit back by adding (new - old) times its place value.  The
-    digits of every register read so far are kept, entry by entry with the
-    support, in the narrowest signed dtype that holds q^2, which no gate
-    exceeds: a gate that writes a register keeps the new digit it computed,
-    and a Fourier gate, which changes the support, drops them all.
+    digits of every register read so far are kept, in the narrowest signed
+    dtype that holds q^2, which no gate exceeds, and a gate that writes a
+    register keeps the new digit it computed.  A register varies once a
+    Fourier gate acts on it or a write reads one that varies; on a one-word
+    input the others are held as their one digit, read from the first row.
+    Every other gate permutes words, so rows can meet only at a Fourier
+    gate on a register that varies.  There the rows are put in the order
+    that a sort at the previous Fourier gate would have left, merged by
+    `_canonical`, and the varying digits are read again.  At a Fourier gate
+    on a register that does not vary, the rows stay in gate order and
+    near-zeros are pruned.  The merge at the end turns -0.0 parts into
+    +0.0, and no sum or product of nonzero parts tells the two apart, so
+    every amplitude bit is that of a sort after each Fourier gate.
     """
     group = prime_group(circuit.q)
     if state.group != group or state.n != circuit.registers:
@@ -96,12 +105,14 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
     roots, narrow = root_table(q), np.min_scalar_type(-q * q)
     place = places(q, circuit.registers)
     packed, amps = state.packed, state.amps
-    known: dict = {}  # register -> its digit in each entry of `packed`
+    varying = set() if len(packed) == 1 else set(range(circuit.registers))
+    known: dict = {}  # register -> its digit in each row of `packed`, or its one digit
+    keys = None  # the keys after the last Fourier gate, while the rows are not in their order
     for gate in circuit.gates:
         ops = gate.operands
         for r in ops:
             if r not in known:
-                known[r] = _digit(packed, place[r], q).astype(narrow)
+                known[r] = _digit(packed if r in varying else packed[:1], place[r], q).astype(narrow)
         digits = [known[r] for r in ops]
         if gate.kind == "inverter":
             (old,) = digits
@@ -110,26 +121,44 @@ def simulate(circuit: Circuit, state: SparseState) -> SparseState:
             src, old = digits
             new = _remainder(old + src, q)
         elif gate.kind == "c-v":
-            amps = amps * roots[_remainder(digits[0] * digits[1], q)]
+            # an index over every row, even from two one-digit registers: numpy takes a
+            # product with a large temporary in place, operands swapped, and with FMA
+            # its bits differ from those of a product with a broadcast operand
+            amps = amps * roots[_remainder(np.broadcast_to(digits[0] * digits[1], amps.shape), q)]
         elif gate.kind == "cc-u":
             a, b, old = digits
             new = _remainder(old + a * b, q)
         elif gate.kind == "cc-v":
             a, b, c = digits
-            amps = amps * roots[_remainder(c + a * b, q)]
+            amps = amps * roots[_remainder(np.broadcast_to(c + a * b, amps.shape), q)]
         elif gate.kind == "prepare-zero":
-            if np.any(digits[0]):
+            if len(packed) and np.any(digits[0]):  # one digit outlives the pruned rows
                 raise ValueError(f"prepare-zero on register {ops[0]}: digit not |0>")
         elif gate.kind == "fourier":
-            old = np.repeat(digits[0], q)
+            (old,) = digits
+            meet = ops[0] in varying
+            if meet:
+                if keys is not None:
+                    order = np.argsort(keys)  # unique keys
+                    packed, amps, old = packed[order], amps[order], old[order]
+                old = np.repeat(old, q)
             new = np.tile(np.arange(q, dtype=np.int64), len(packed))
             packed = np.repeat(packed, q) + (new - old) * place[ops[0]]
             amps = np.repeat(amps, q) * roots[_remainder(old * new, q)] / np.sqrt(q)
-            packed, amps = _canonical(packed, amps)
-            known.clear()
+            if meet:
+                packed, amps = _canonical(packed, amps)
+                known, keys = {r: d for r, d in known.items() if r not in varying}, None
+            else:
+                keep = np.abs(amps) > PRUNE_TOL
+                known = {r: np.repeat(d, q)[keep] if r in varying else d for r, d in known.items()}
+                varying.add(ops[0])
+                packed, amps, known[ops[0]] = packed[keep], amps[keep], new[keep].astype(narrow)
+                keys = packed
         if gate.kind in ("inverter", "c-u", "cc-u"):  # they write their last operand
             packed = packed + (new - old) * place[ops[-1]]
             known[ops[-1]] = new
+            if varying.intersection(ops):
+                varying.add(ops[-1])
     return SparseState._from_packed(group, circuit.registers, packed, amps)
 
 
@@ -188,6 +217,8 @@ def encoder_output_data(state: SparseState, n: int) -> SparseState:
 
     Requires a nonzero state whose message registers hold a single basis
     word across the support and whose ancilla register is exactly |0^n>.
+    The data keys are then unique and in the order of the state's keys, so
+    what the merge of `_canonical` would do is adding 0.0 and the prune.
     """
     if state.n != 4 * n:
         raise ValueError(f"an encoder output has {4 * n} registers, not {state.n}")
@@ -199,4 +230,4 @@ def encoder_output_data(state: SparseState, n: int) -> SparseState:
     head = state.packed // block**2
     if np.any(head != head[0]):
         raise ValueError("message registers are entangled with the data")
-    return SparseState._from_packed(state.group, n, state.packed // block % block, state.amps)
+    return SparseState(state.group, n, *_pruned(state.packed // block % block, state.amps + 0.0))

@@ -14,14 +14,15 @@ original codeword up to a global phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .fourier_code import FourierDescription
-from .galois import _remainder, pack, unpack
+from .galois import _remainder, pack
 from .gottesman import GottesmanSpec, _sphere
 from .oracle import SparseState, apply
-from .weyl import WeylElement, inverse, root_table
+from .weyl import WeylElement, check_sphere, inverse, root_table
 
 EIGENVALUE_TOL = 1e-9
 
@@ -80,11 +81,11 @@ def search_error(
 
     The identity is tried first.  The eigenvalue of s_i on g|phi_u> is
     gamma(s_i, g) chi_u(s_i), so with v read off the syndrome an error
-    (x, y) forces u = v - (M^T x - L^T y): the shift keys of the error
-    sphere (`gottesman._sphere`) give every candidate's u, in canonical
-    weight order, and one membership test against the members' keys finds
-    the first hit.  The matching u is unique.  Raises DecodingError when no
-    candidate of weight <= t solves the equations.
+    (x, y) forces u = v - (M^T x - L^T y): the first error, in canonical
+    weight order, whose shift key is that of v - u for a member u is the
+    hit, read from the spec's `_syndrome_table`.  The matching u is unique.
+    Raises DecodingError when no candidate of weight <= t solves the
+    equations.
     """
     spec = description.spec
     q, p = spec.q, spec.phase_denominator
@@ -96,16 +97,30 @@ def search_error(
         if stats is not None:
             stats["candidates"] = 1
         return WeylElement.identity(spec.group, spec.n), tuple(map(int, v))
-    xs, ys, _, _, shift_keys = _sphere(spec, t)
-    candidates = _remainder(v - unpack(shift_keys, q, spec.r), q)
-    hits = np.flatnonzero(np.isin(pack(candidates, q), pack(description.member_array, q)))
+    check_sphere(spec.n, q, min(t, spec.n))  # also when the table was built under a larger budget
+    xs, ys, keys, first = _syndrome_table(spec, t)
+    members = description.member_array
+    wanted = pack(_remainder(v - members, q), q)  # the shift key that each member needs
+    hit = np.isin(wanted, keys)
+    pairs = first[np.searchsorted(keys, wanted[hit])]  # the first pair with each key
     if stats is not None:
-        stats["candidates"] = 1 + (int(hits[0]) + 1 if hits.size else len(xs))
-    if not hits.size:
+        stats["candidates"] = 1 + (int(pairs.min()) + 1 if pairs.size else len(xs))
+    if not pairs.size:
         raise DecodingError(f"no error of weight <= {t} matches the syndrome")
-    idx = hits[0]
+    idx = pairs.min()
     g = WeylElement(spec.group, 0, tuple(xs[idx]), tuple(ys[idx]))
-    return g, tuple(map(int, candidates[idx]))
+    return g, tuple(map(int, members[hit][np.argmin(pairs)]))
+
+
+@lru_cache(maxsize=1)
+def _syndrome_table(spec: GottesmanSpec, t: int) -> tuple:
+    """(xs, ys, keys, first) for the errors of weight 1 .. t (`gottesman._sphere`):
+    the sorted unique shift keys, and the index of the first pair with each."""
+    xs, ys, _, _, shift_keys = _sphere(spec, t)
+    keys, first = np.unique(shift_keys, return_index=True)
+    for arr in (xs, ys, keys, first):
+        arr.setflags(write=False)
+    return xs, ys, keys, first
 
 
 def decode(state: SparseState, description: FourierDescription, t: int) -> SparseState:

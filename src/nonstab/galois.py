@@ -253,27 +253,29 @@ def _chunk_layout(q: int, width: int) -> tuple:
     return tuple((q ** (width - s.stop), q ** (s.stop - s.start), s) for s in reversed(spans))
 
 
-def _weyl_action(keys: np.ndarray, a, b, q: int, n: int):
+def _weyl_action(keys: np.ndarray, a, b, q: int, n: int, values=None):
     """U_a V_b on packed words x of n digits: the keys of x + a, and the
     exponents b . x, unreduced (each caller reduces them against its root table).
 
     The keys are read one chunk of `_chunk_layout` at a time, and only in the
-    chunks where (a, b) is nonzero: one division reads the chunk value, and
-    two tables over the chunk's values, built from the cached digit rows of
-    `_chunk_digits`, give the change of the key under the shift and the
-    chunk's part of b . x.
+    chunks where (a, b) is nonzero: one division reads the chunk value (or
+    `values`, the keys' `_chunk_values`, holds it), and two tables over the
+    chunk's values, built from the cached digit rows of `_chunk_digits`,
+    give the change of the key under the shift and the chunk's part of b . x.
     """
     targets = keys
     exponents = np.zeros(len(keys), dtype=np.int64)
-    for place, size, span in _chunk_layout(q, n):
+    for k, (place, size, span) in enumerate(_chunk_layout(q, n)):
         a_c, b_c = a[span], b[span]
         if not (any(a_c) or any(b_c)):
             continue
         digits = _chunk_digits(q)[:size, -len(a_c) :]  # of each chunk value
-        # the chunk value: no division for the last chunk, no remainder for the first
-        value = keys // place if place > 1 else keys
-        if span.start:
-            value = _remainder(value, size)
+        if values is not None:
+            value = values[k]
+        else:  # no division for the last chunk, no remainder for the first
+            value = keys // place if place > 1 else keys
+            if span.start:
+                value = _remainder(value, size)
         if any(a_c):
             moved = pack(_remainder(digits + a_c, q), q)
             targets = targets + ((moved - np.arange(size)) * place)[value]

@@ -43,9 +43,10 @@ def _canonical(packed: np.ndarray, amps: np.ndarray):
 
 
 def _pruned(packed: np.ndarray, amps: np.ndarray):
-    """Read-only copies of sorted unique indices and amplitudes, near-zeros dropped."""
+    """Sorted unique indices and amplitudes, near-zeros dropped, read-only: the
+    inputs themselves when nothing is dropped, so callers hand in fresh arrays."""
     keep = np.abs(amps) > PRUNE_TOL
-    out_packed, out_amps = packed[keep], amps[keep]
+    out_packed, out_amps = (packed, amps) if keep.all() else (packed[keep], amps[keep])
     out_packed.setflags(write=False)
     out_amps.setflags(write=False)
     return out_packed, out_amps
@@ -90,6 +91,11 @@ class SparseState:
         return cls.from_pairs(group, len(word), [word], [1.0])
 
     @cached_property
+    def _key_chunks(self) -> list:
+        """The `galois._chunk_values` of the support, for every `apply` to this state."""
+        return _chunk_values(self.packed, self.group.q, self.n)
+
+    @cached_property
     def words(self) -> np.ndarray:
         """Digit rows of the support, one per packed index (read-only)."""
         words = unpack(self.packed, self.group.q, self.n)
@@ -107,6 +113,8 @@ class SparseState:
         """<self | other>, conjugate-linear in self."""
         if self.group != other.group or self.n != other.n:
             raise ValueError("states live on different word spaces")
+        if np.array_equal(self.packed, other.packed):  # the same pairs, without the search
+            return complex(np.sum(np.conj(self.amps) * other.amps))
         ib = np.searchsorted(other.packed, self.packed)  # sorted unique keys: pairs in order
         ia = np.flatnonzero(other.packed.take(ib, mode="clip") == self.packed) if len(other) else []
         return complex(np.sum(np.conj(self.amps[ia]) * other.amps[ib[ia]]))
@@ -118,7 +126,9 @@ class SparseState:
 def apply(g: WeylElement, state: SparseState) -> SparseState:
     """Monomial action of w^phase U_a V_b: shift by a, multiply by <b, x>.
 
-    `_weyl_action` gives the targets and b . x, and <b, x> = w^(2 b . x).
+    `_weyl_action` gives the targets and b . x, and <b, x> = w^(2 b . x),
+    from the chunk values of the support, which a state reads once for
+    every element applied to it (the generators of a syndrome, say).
     The element permutes words, so no two targets meet: one argsort orders
     them (a stable one, which is the same permutation on unique keys and is
     faster on the long ascending runs that a shift leaves), and adding 0.0
@@ -129,7 +139,7 @@ def apply(g: WeylElement, state: SparseState) -> SparseState:
         raise ValueError("element and state act on different word spaces")
     grp = state.group
     p = grp.phase_denominator
-    targets, exponents = _weyl_action(state.packed, g.a, g.b, grp.q, state.n)
+    targets, exponents = _weyl_action(state.packed, g.a, g.b, grp.q, state.n, state._key_chunks)
     phases = root_table(p)[_remainder(2 * exponents + g.phase, p)]
     order = np.argsort(targets, kind="stable")
     return SparseState(grp, state.n, *_pruned(targets[order], (state.amps * phases)[order] + 0.0))
@@ -175,6 +185,7 @@ def codeword(description: FourierDescription, u) -> SparseState:
         raise ValueError("u is not a member of the Fourier description")
     if not spec.is_maximal():
         raise ValueError("codeword construction requires a maximal spec")
+    check_size("subgroup size", spec.size, "group")  # before the q^n characters are held
     column = _projected_basis(spec, [u], _characters([u], spec.q, spec.n))[:, 0]
     return SparseState(spec.group, spec.n, *_pruned(np.arange(len(column)), column))
 

@@ -211,3 +211,18 @@ def test_encoder_output_data_rejects_entanglement():
         encoder_output_data(SparseState.from_pairs(group, 4, [[0, 0, 0, 0]], [0.0]), 1)
     with pytest.raises(ValueError, match="has 8 registers, not 4"):
         encoder_output_data(nonzero_anc, 2)
+
+
+def test_encoder_output_data_keeps_the_bits_of_a_merge():
+    # with the message constant and the ancilla zero, the data keys are unique and
+    # in key order: the extraction adds 0.0 and prunes, as `_canonical` would
+    group, q, n = prime_group(3), 3, 2
+    data_words = [[0, 1], [1, 0], [1, 2], [2, 2]]
+    words = np.array([[1, 2, 0, 1, *x, 0, 0] for x in data_words])
+    packed = words @ (q ** np.arange(4 * n - 1, -1, -1))
+    amps = np.array([complex(-0.0, 0.5), complex(0.6, -0.0), 5e-15 + 0j, complex(-0.0, -0.0) - 0.6])
+    state = SparseState(group, 4 * n, packed, amps)
+    data = encoder_output_data(state, n)
+    merged = SparseState._from_packed(group, n, packed // q**n % q**n, amps)
+    assert data.packed.tolist() == merged.packed.tolist() == [1, 3, 8]
+    assert data.amps.view(np.uint64).tolist() == merged.amps.view(np.uint64).tolist()

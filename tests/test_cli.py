@@ -625,6 +625,40 @@ def test_verify_on_a_large_prime_builds_no_chunk_digit_table(capsys, tmp_path, m
     assert code == 0 and json.loads(out)["pass"]
 
 
+def test_decode_sim_refuses_an_oversized_codeword_before_any_allocation(capsys, tmp_path, monkeypatch):
+    # subspace33 has 2^33 subgroup elements: the characters of its codeword over
+    # all 2^33 words would take 64 GiB, so the group budget refuses it first
+    from nonstab import galois, oracle
+
+    def refused(*args):
+        pytest.fail("the characters of every word were built")
+
+    path, doc = family_bundle(capsys, tmp_path, "--name", "subspace33")
+    for module in (galois, oracle):
+        monkeypatch.setattr(module, "_characters", refused)
+    u = ",".join(map(str, doc["B"][0]))
+    code = main(["decode-sim", "--in", str(path), "--u", u, "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: subgroup size 8589934592 exceeds cap 65536\n"
+
+
+def test_codeword_on_a_large_prime_is_refused_before_any_allocation(monkeypatch):
+    # q = 10^9 + 7, n = 1: the characters of the 10^9 + 7 words would take 7.45 GiB
+    from nonstab import galois, oracle
+    from nonstab.fourier_code import FourierDescription
+
+    def refused(*args):
+        pytest.fail("the characters of every word were built")
+
+    for module in (galois, oracle):
+        monkeypatch.setattr(module, "_characters", refused)
+    doc = {"spec": {"q": 10**9 + 7, "L": [[1]], "M": [[0]], "D": [[0]]}, "B": [[0]]}
+    description = FourierDescription.from_json_dict(doc)
+    with pytest.raises(ValueError, match="^subgroup size 1000000007 exceeds cap 65536$"):
+        oracle.codeword(description, (0,))
+
+
 def test_greedy_enumerates_the_error_sphere_twice(capsys, tmp_path, monkeypatch):
     # greedy_construct reads purity and the forbidden set from one enumeration,
     # and the verify_distance of its result makes the other

@@ -288,3 +288,72 @@ def test_search_error_matches_the_candidate_loop(case):
     got = search_outcome(search_error, syndrome, description, t)
     event(f"t={t} {'no match' if got[0] == 'DecodingError' else 'found'}")
     assert got == search_outcome(reference_search_error, syndrome, description, t)
+
+
+def test_one_syndrome_reads_the_chunk_values_of_its_state_once(monkeypatch):
+    # the 15 generator applies of one measure_syndrome share the chunk values
+    # of the state's keys, which the state reads once
+    from nonstab import oracle
+
+    description = code_15_8_3()
+    spec = description.spec
+    phi = codeword(description, description.sorted_members()[0])
+    digit = tuple(int(k == 4) for k in range(spec.n))
+    corrupted = apply(WeylElement(spec.group, 0, digit, digit), phi)
+    calls = []
+    values = oracle._chunk_values
+
+    def counted(*args):
+        calls.append(args[1:])
+        return values(*args)
+
+    monkeypatch.setattr(oracle, "_chunk_values", counted)
+    measure_syndrome(corrupted, spec)
+    assert calls == [(spec.q, spec.n)]
+
+
+def test_one_code15_round_trip_applies_17_elements_and_measures_once(monkeypatch):
+    # the call counts that perfbench's codec-code15 workload pins per round trip:
+    # the error, one apply per generator in measure_syndrome, and the correction
+    from nonstab import circuits, decoder, oracle
+
+    description = code_15_8_3()
+    spec = description.spec
+    u = description.sorted_members()[0]
+    reference = codeword(description, u)
+    encoder = circuits.build_encoder(spec)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (oracle, decoder, circuits):  # every namespace that binds them
+        for name in ("apply", "measure_syndrome"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    message = circuits.message_state(spec, *oracle.message_coordinates(spec, u))
+    data = circuits.encoder_output_data(circuits.simulate(encoder, message), spec.n)
+    assert data.fidelity(reference) >= 1 - 1e-9
+    digit = tuple(int(k == 4) for k in range(spec.n))
+    corrupted = oracle.apply(WeylElement(spec.group, 0, digit, (0,) * spec.n), data)
+    assert decoder.decode(corrupted, description, 1).fidelity(reference) >= 1 - 1e-9
+    assert calls.count("apply") == 17 and calls.count("measure_syndrome") == 1
+
+
+def test_a_cached_syndrome_table_is_refused_under_a_smaller_sphere():
+    from nonstab.weyl import budget
+
+    description = code_15_8_3()
+    spec = description.spec
+    phi = codeword(description, description.sorted_members()[0])
+    digit = tuple(int(k == 4) for k in range(spec.n))
+    syndrome = measure_syndrome(apply(WeylElement(spec.group, 0, digit, digit), phi), spec)
+    found = search_error(syndrome, description, 1)  # builds and caches the table of t = 1
+    with budget(sphere=45):
+        with pytest.raises(ValueError, match="^enumeration budget exceeded: need 46 pairs, cap 45$"):
+            search_error(syndrome, description, 1)
+    with budget(sphere=46):
+        assert search_error(syndrome, description, 1) == found

@@ -9,6 +9,7 @@ and the same exceptions.
 import tracemalloc
 
 import numpy as np
+import pytest
 from conftest import (
     closed_form_codeword,
     linear_solve,
@@ -123,16 +124,18 @@ def outcome(fn, *args):
 
 
 @st.composite
-def states(draw, q=None, n=None):
-    """A state from 1 to 12 random rows; rows may repeat and amplitudes cancel."""
+def states(draw, q=None, n=None, rows=st.integers(1, 12), scale=1.0):
+    """A state from a number of random rows drawn from `rows`, 1 to 12 by default;
+    rows may repeat and amplitudes cancel.  The parts of every amplitude are
+    drawn in [-1, 1] and multiplied by `scale`."""
     q = draw(st.sampled_from(QS)) if q is None else q
     n = draw(st.integers(1, MAX_DIGITS[q])) if n is None else n
-    rows = draw(st.integers(1, 12))
+    rows = draw(rows)
     digit = st.just(0) | st.integers(0, q - 1)  # zero-heavy, so prepare-zero often passes
     words = draw(st.lists(st.lists(digit, min_size=n, max_size=n),
                           min_size=rows, max_size=rows))
     parts = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(-1, 1)
-    amps = [complex(draw(parts), draw(parts)) for _ in range(rows)]
+    amps = [complex(draw(parts) * scale, draw(parts) * scale) for _ in range(rows)]
     return SparseState.from_pairs(prime_group(q), n, words, amps)
 
 
@@ -165,11 +168,31 @@ def random_gates(draw, registers, count):
 
 @st.composite
 def circuit_cases(draw):
+    """A random circuit and input state.  Half the inputs are one word, whose
+    registers keep one digit until a Fourier gate, or a write that reads a
+    register that varies, reaches them.  Half the circuits hold a Fourier
+    gate, a write and the Fourier gate again on one register, at random
+    places, so that rows meet in an order that the write changed, and half
+    end on a prepare-zero.  A third of the inputs are scaled to a few
+    PRUNE_TOL, so that Fourier gates prune rows, at times all of them."""
     q = draw(st.sampled_from(QS))
     registers = draw(st.integers(1, MAX_DIGITS[q]))
     gates = random_gates(draw, registers, draw(st.integers(0, 24)))
+    if draw(st.booleans()):
+        f = draw(st.integers(0, registers - 1))
+        writes = [Gate("inverter", (f,))] + [Gate("c-u", (r, f)) for r in range(registers) if r != f]
+        at = 0
+        for gate in (Gate("fourier", (f,)), draw(st.sampled_from(writes)), Gate("fourier", (f,))):
+            at = draw(st.integers(at, len(gates)))
+            gates.insert(at, gate)
+            at += 1
+    if draw(st.booleans()):
+        gates.append(Gate("prepare-zero", (draw(st.integers(0, registers - 1)),)))
     n = registers if draw(st.integers(0, 9)) else registers + 1  # sometimes mismatched
-    return Circuit(q, registers, tuple(gates)), draw(states(q=q, n=n))
+    rows = st.just(1) if draw(st.booleans()) else st.integers(1, 12)
+    scale = PRUNE_TOL * draw(st.floats(1, 2)) * np.sqrt(q) ** draw(st.integers(0, 3))
+    scale = scale if draw(st.integers(0, 2)) == 0 else 1.0
+    return Circuit(q, registers, tuple(gates)), draw(states(q=q, n=n, rows=rows, scale=scale))
 
 
 @st.composite
@@ -266,6 +289,43 @@ def test_weyl_action_matches_the_digit_row_reference(case):
 def test_simulate_matches_word_matrix_reference(case):
     circuit, state = case
     assert outcome(simulate, circuit, state) == outcome(reference_simulate, circuit, state)
+
+
+@pytest.mark.parametrize(
+    "q, registers, gates, word, amp",
+    [
+        # the rows that the two Fourier gates on one-digit registers leave are out of
+        # key order, and the last merge sums three of them, which rounds by order
+        (3, 4, [("fourier", (2,)), ("fourier", (0,)), ("cc-v", (3, 0, 2)), ("cc-u", (2, 1, 0)),
+                ("fourier", (2,))], [1, 1, 2, 0], -0.59914139 + 0.05616772j),
+        # the Fourier gate prunes every row; register 1 still holds its digit 1
+        (2, 2, [("c-v", (0, 1)), ("fourier", (0,)), ("prepare-zero", (1,))], [0, 1], 1.2e-14),
+    ],
+    ids=["merge in key order", "prepare-zero on no rows"],
+)
+def test_simulate_matches_the_reference_where_one_digit_registers_meet_the_merge(
+    q, registers, gates, word, amp
+):
+    circuit = Circuit(q, registers, tuple(Gate(kind, ops) for kind, ops in gates))
+    state = SparseState.from_pairs(prime_group(q), registers, [word], [amp])
+    assert outcome(simulate, circuit, state) == outcome(reference_simulate, circuit, state)
+
+
+def test_simulate_phases_a_large_support_from_one_digit_registers_as_the_reference():
+    # a phase from two registers that keep one digit, on at least 2^14 rows: numpy
+    # multiplies by a temporary of 256 KiB or more in place, and the bits then
+    # depend on the shape of the phase index
+    for q, registers, spread in ((3, 12, 9), (5, 10, 7)):
+        mix = [Gate("c-v", (i, (i + 3) % spread)) for i in range(spread)]
+        mix += [Gate("cc-v", (i, (i + 1) % spread, (i + 2) % spread)) for i in range(spread)]
+        gates = [Gate("fourier", (i,)) for i in range(spread)] + mix
+        gates += [Gate("c-v", (spread, registers - 1)), Gate("cc-v", (registers - 1, spread, 0)),
+                  Gate("cc-v", (registers - 1, spread, registers - 2)), Gate("c-u", (1, 0)),
+                  Gate("fourier", (2,)), Gate("c-v", (registers - 1, spread))]
+        circuit = Circuit(q, registers, tuple(gates))
+        word = [0] * spread + [1, 1, 2]
+        state = SparseState.from_pairs(prime_group(q), registers, [word], [0.6 + 0.8j])
+        assert outcome(simulate, circuit, state) == outcome(reference_simulate, circuit, state)
 
 
 @settings(max_examples=100)
