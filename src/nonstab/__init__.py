@@ -11,7 +11,6 @@ from .fourier_code import (
 )
 from .galois import PrimeField, error_sphere_count, gaussian_binomial
 from .gottesman import (
-    ForbiddenSet,
     GottesmanSpec,
     forbidden_set,
     purity_radius,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetGroup",
-    "ForbiddenSet",
     "FourierDescription",
     "GottesmanSpec",
     "PrimeField",

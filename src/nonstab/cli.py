@@ -37,6 +37,7 @@ from .fourier_code import (
     greedy_construct,
     verify_distance,
 )
+from .galois import unpack
 from .gottesman import GottesmanSpec, json_integer, validate
 from .oracle import apply, codeword, kl_check, message_coordinates, orthonormality_check
 from .weyl import ENUMERATION_CAP, GROUP_CAP, WeylElement, budget, check_size, check_sphere, inverse
@@ -245,6 +246,15 @@ def cmd_greedy(args) -> int:
     return 0
 
 
+def _top_amplitudes(state, top: int) -> list[dict]:
+    """The `top` largest amplitudes and their words, ties in word order.  np.hypot
+    is bit-equal to abs of a Python complex; np.abs is not on every CPU."""
+    amps = state.amps
+    order = np.lexsort((state.packed, -np.hypot(amps.real, amps.imag)))[:top]
+    words = unpack(state.packed[order], state.group.q, state.n).tolist()
+    return [{"word": w, "re": a.real, "im": a.imag} for w, a in zip(words, amps[order].tolist())]
+
+
 def cmd_encode_sim(args) -> int:
     _at_least("--top", args.top)
     bundle = _read_bundle(args.infile, check_distance=True)
@@ -256,17 +266,12 @@ def cmd_encode_sim(args) -> int:
     out = simulate(circuit, message_state(bundle.spec, c_vec, delta))
     data = encoder_output_data(out, bundle.spec.n)
     reference = codeword(bundle.description, u)
-    amplitudes = sorted(
-        data.items(), key=lambda kv: (-abs(kv[1]), kv[0])
-    )[: args.top]
     _emit(
         {
             "message": list(u),
             "fidelity": data.fidelity(reference),
             "support": len(data),
-            "top_amplitudes": [
-                {"word": list(w), "re": a.real, "im": a.imag} for w, a in amplitudes
-            ],
+            "top_amplitudes": _top_amplitudes(data, args.top),
         }
     )
     return 0

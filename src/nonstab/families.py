@@ -26,7 +26,7 @@ import numpy as np
 
 from .fourier_code import FourierDescription, Report
 from .galois import PrimeField, gaussian_binomial, pack, unpack
-from .gottesman import GottesmanSpec, forbidden_set
+from .gottesman import GottesmanSpec
 from .weyl import SUBSET_CAP
 
 LAFLAMME_15_8_3_SETS = (
@@ -193,24 +193,34 @@ def subspace_family(m: int, r: int, q: int) -> SetFamily:
 
 
 def family_to_b(family: SetFamily, n: int) -> FourierDescription:
-    """Embed a set family as a Fourier description over laflamme_spec(n).
+    """Embed a set family as a Fourier description over laflamme_spec(n), n >= 5.
 
-    Requires the universe to fit in {1..n} and every pairwise symmetric
-    difference size to avoid the weights of the distance-3 forbidden set;
-    the first offending pair, in `itertools.combinations` order, is reported
-    otherwise.  With I the 0/1 indicator matrix of the members, the sizes
-    are |s_i| + |s_j| - 2 (I I^T)_ij, all from one integer product.
+    The universe must fit in {1..n}, and every pairwise symmetric difference
+    size w must avoid the weights of the distance-3 forbidden set, that is,
+    7 <= w <= n - 7 or w = n; the first offending pair, in
+    `itertools.combinations` order, is reported otherwise.  With I the 0/1
+    indicator matrix of the members, the sizes are |s_i| + |s_j| - 2 (I I^T)_ij.
+
+    The rule: a pair (x, y) of weight <= 2 has forbidden index z = E^T v +
+    (sum x) 1, v = y + S x (S the circulant coupling, E the sum-zero image
+    matrix, M = S E + J).  E^T v clears v_n, or flips the other digits if
+    v_n = 1, so wt(z) is wt(v) <= 6 or n - wt(v).  Weight n needs sum x = 1
+    and E^T v = 0: x = e_i and v = 0 (wt(v) <= 4 < n), so y = S e_i, three
+    positions.  The other weights in [1, 6] and [n - 6, n - 1] are reached
+    (tested for odd n <= 41); n = 3 bans {1, 2, 3}, so n < 5 is refused.
     """
+    if n < 5:
+        raise ValueError(f"set families embed over laflamme_spec(n) for odd n >= 5 only, got n={n}")
     if family.universe > n:
         raise ValueError(f"universe {family.universe} does not embed in 1..{n}")
     spec = laflamme_spec(n)
-    banned = np.array(sorted(forbidden_set(spec, 3).weights()), dtype=np.int64)
     indicators = np.zeros((len(family), n), dtype=np.int64)
     for row, s in zip(indicators, family.members):
         row[[label - 1 for label in s]] = 1
     sizes = indicators.sum(axis=1)
     differences = sizes[:, None] + sizes[None, :] - 2 * (indicators @ indicators.T)
-    offending = np.argwhere(np.triu(np.isin(differences, banned), 1))
+    allowed = ((differences >= 7) & (differences <= n - 7)) | (differences == n)
+    offending = np.argwhere(np.triu(~allowed, 1))
     if len(offending):
         i, j = offending[0]  # argwhere is row-major: combinations order
         s1, s2 = family.members[i], family.members[j]

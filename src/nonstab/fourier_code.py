@@ -261,14 +261,12 @@ def _member_characters(description: FourierDescription) -> np.ndarray:
     return chars
 
 
-def projection_coefficients(description: FourierDescription) -> dict:
-    """Coefficient map a -> T_{s_a} of the code projection in the group algebra."""
+def projection_coefficients(description: FourierDescription) -> np.ndarray:
+    """The coefficients T_{s_a} of the code projection in the group algebra: a
+    complex array whose entry k is T_{s_a} for the a of packed key k (`galois.pack`)."""
     spec = description.spec
     check_size("subgroup size", spec.size, "group")
-    q, r, p = spec.q, spec.r, spec.phase_denominator
-    unit = p // q
-    exponents = (unit * _member_characters(description)) % p
+    p = spec.phase_denominator
+    exponents = (p // spec.q * _member_characters(description)) % p
     roots = np.exp(-2j * np.pi * np.arange(p) / p)  # conj(chi_u)(s_a)
-    coeffs = roots[exponents].sum(axis=0) / spec.size
-    a_rows = unpack(np.arange(spec.size), q, r)  # the keys of the map
-    return {tuple(map(int, row)): complex(c) for row, c in zip(a_rows, coeffs)}
+    return roots[exponents].sum(axis=0) / spec.size

@@ -38,7 +38,6 @@ from .galois import (
     pack,
     places,
     unique_keys,
-    unpack,
 )
 from .weyl import AlphabetGroup, WeylElement, check_sphere, prime_group
 
@@ -213,30 +212,6 @@ class GottesmanSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ForbiddenSet:
-    """Character indices that the difference set of a code must avoid.
-
-    Stored as the sorted unique packed keys of `galois.pack`; the digit rows
-    are derived from them.
-    """
-
-    d: int
-    q: int
-    r: int
-    keys: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def rows(self) -> np.ndarray:
-        """The members as digit rows, in lexicographic order."""
-        return unpack(self.keys, self.q, self.r)
-
-    def weights(self) -> set:
-        return set(np.count_nonzero(self.rows(), axis=1).tolist())
-
-
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
@@ -399,8 +374,9 @@ def purity_radius(spec: GottesmanSpec, cutoff: int) -> int | None:
     return int(np.count_nonzero(xs[central[0]] | ys[central[0]]))  # pairs are in weight order
 
 
-def forbidden_set(spec: GottesmanSpec, d: int) -> ForbiddenSet:
-    """Character indices L^T y - M^T x over pairs with 0 < wt(x, y) < d.
+def forbidden_set(spec: GottesmanSpec, d: int) -> np.ndarray:
+    """Sorted unique packed keys (`galois.pack`) of the character indices
+    L^T y - M^T x over pairs with 0 < wt(x, y) < d.
 
     Pairs (x, y) lying in the image of a -> (La, Ma) are excluded: those
     correspond to elements of the subgroup closure and are handled by
@@ -409,7 +385,7 @@ def forbidden_set(spec: GottesmanSpec, d: int) -> ForbiddenSet:
     if d < 1:
         raise ValueError("d must be >= 1")
     _, _, in_image, _, shift_keys = _sphere(spec, d - 1)
-    return ForbiddenSet(d, spec.q, spec.r, _forbidden_keys(shift_keys, in_image))
+    return _forbidden_keys(shift_keys, in_image)
 
 
 def low_weight_members(spec: GottesmanSpec, w: int) -> list[tuple[tuple, WeylElement]]:

@@ -57,9 +57,9 @@ class SparseState:
     """Sparse complex state on words of n digits mod q.
 
     The state is its sorted packed word indices (`galois.pack`) and the
-    amplitudes on them; the digit rows are derived.  Packed indices are
-    int64, so a word space of more than 2^63 words is refused here rather
-    than left to wrap around.
+    amplitudes on them; `galois.unpack` gives the digit rows.  Packed
+    indices are int64, so a word space of more than 2^63 words is refused
+    here rather than left to wrap around.
     """
 
     group: AlphabetGroup
@@ -94,17 +94,6 @@ class SparseState:
     def _key_chunks(self) -> list:
         """The `galois._chunk_values` of the support, for every `apply` to this state."""
         return _chunk_values(self.packed, self.group.q, self.n)
-
-    @cached_property
-    def words(self) -> np.ndarray:
-        """Digit rows of the support, one per packed index (read-only)."""
-        words = unpack(self.packed, self.group.q, self.n)
-        words.setflags(write=False)
-        return words
-
-    def items(self):
-        for row, amp in zip(self.words, self.amps):
-            yield tuple(int(v) for v in row), complex(amp)
 
     def __len__(self) -> int:
         return len(self.amps)
@@ -549,9 +538,9 @@ def dense_projection(description: FourierDescription) -> np.ndarray:
     q, n, p = spec.q, spec.n, spec.phase_denominator
     dim = q**n
     check_size("dense dimension", dim, DENSE_MATRIX_CAP)
-    coeffs = list(projection_coefficients(description).values())  # checks the group budget
+    coeffs = projection_coefficients(description)  # checks the group budget
     la, ma, rho = _subgroup_keys(spec)  # in element index order, as the coefficients
-    kept = [i for i, t_a in enumerate(coeffs) if abs(t_a) >= PRUNE_TOL]
+    kept = np.flatnonzero(np.abs(coeffs) >= PRUNE_TOL)
     roots = root_table(p)
     unit = p // q
     out = np.zeros((dim, dim), dtype=complex)

@@ -125,9 +125,31 @@ def brute_force_forbidden(spec, d):
     return out
 
 
-def forbidden_members(forbidden):
-    """The members of a `gottesman.ForbiddenSet` as a set of digit tuples."""
-    return frozenset(map(tuple, forbidden.rows().tolist()))
+def forbidden_members(keys, q, r):
+    """The packed keys of `gottesman.forbidden_set` as a set of digit tuples."""
+    return frozenset(map(tuple, unpack(keys, q, r).tolist()))
+
+
+def forbidden_weights(keys, q, r):
+    """The set of weights of the members of `gottesman.forbidden_set`."""
+    return set(np.count_nonzero(unpack(keys, q, r), axis=1).tolist())
+
+
+def state_rows(state):
+    """The digit rows of a state's support, in packed key order."""
+    return unpack(state.packed, state.group.q, state.n)
+
+
+def amplitude_map(state):
+    """A state as a dict from word tuples to Python complex amplitudes."""
+    return dict(zip(map(tuple, state_rows(state).tolist()), state.amps.tolist()))
+
+
+def reference_top_amplitudes(state, top):
+    """`cli._top_amplitudes` as the sort that `encode-sim` used: Python tuples
+    of words and Python complex amplitudes, by (-abs(amplitude), word)."""
+    ranked = sorted(amplitude_map(state).items(), key=lambda kv: (-abs(kv[1]), kv[0]))[:top]
+    return [{"word": list(w), "re": a.real, "im": a.imag} for w, a in ranked]
 
 
 def shift_phase(words, x, y, q):
@@ -173,8 +195,7 @@ def reference_projection_coefficients(description):
     a_rows = unpack(np.arange(spec.size), q, spec.r)
     exponents = (p // q * ((description.member_array @ a_rows.T) % q)) % p
     roots = np.exp(-2j * np.pi * np.arange(p) / p)  # conj(chi_u)(s_a)
-    coeffs = roots[exponents].sum(axis=0) / spec.size
-    return {tuple(map(int, row)): complex(c) for row, c in zip(a_rows, coeffs)}
+    return roots[exponents].sum(axis=0) / spec.size
 
 
 def reference_dense_projection(description):
@@ -183,7 +204,7 @@ def reference_dense_projection(description):
     spec = description.spec
     q, n, p = spec.q, spec.n, spec.phase_denominator
     _, la, ma, rho = spec_tables(spec)
-    coeffs = reference_projection_coefficients(description).values()
+    coeffs = reference_projection_coefficients(description)
     roots = root_table(p)
     out = np.zeros((q**n, q**n), dtype=complex)
     cols = np.arange(q**n)
@@ -291,7 +312,7 @@ def linear_solve(field, a, b):
 def normalized(state):
     """`state` scaled to unit norm."""
     amps = state.amps / np.linalg.norm(state.amps)
-    return SparseState.from_pairs(state.group, state.n, state.words, amps)
+    return SparseState.from_pairs(state.group, state.n, state_rows(state), amps)
 
 
 def phase_value(exponent, denominator):

@@ -21,6 +21,7 @@ from conftest import (
     random_description,
     random_maximal_spec,
     random_nonmaximal_spec,
+    state_rows,
     symmetric_difference_sizes,
 )
 
@@ -170,7 +171,7 @@ def test_accept_06_encoder():
     for u in b.sorted_members():
         c_vec, delta = message_coordinates(spec, u)
         final = simulate(circuit, message_state(spec, c_vec, delta))
-        ok &= not np.any(final.words[:, 15:])  # ancillas exactly zero
+        ok &= not np.any(state_rows(final)[:, 15:])  # ancillas exactly zero
         data = encoder_output_data(final, 5)
         ok &= data.fidelity(codeword(b, u)) >= 1 - 1e-10
     elapsed = time.perf_counter() - start
@@ -218,7 +219,8 @@ def test_accept_08_cross_validation():
             spec = random_nonmaximal_spec(rng, n, int(rng.integers(1, n)))
         ok &= validate(spec) == []
         for d in (2, 3):
-            ok &= forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
+            forbidden = forbidden_members(forbidden_set(spec, d), spec.q, spec.r)
+            ok &= forbidden == brute_force_forbidden(spec, d)
         for _ in range(2):
             description = random_description(rng, spec)
             ok &= kl_check(description, 2).passed == verify_distance(description, 2).passed

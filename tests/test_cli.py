@@ -5,12 +5,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from conftest import reference_top_amplitudes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonstab.cli import CodeBundle, main
+from nonstab.cli import CodeBundle, _top_amplitudes, main
 from nonstab.families import distance2_family
+from nonstab.oracle import SparseState
+from nonstab.weyl import prime_group
 
 
 def run(capsys, *argv):
@@ -130,6 +134,23 @@ def test_encode_sim_refuses_negative_top(capsys, tmp_path):
         assert captured.err == f"error: --top must be >= 0, got {top}\n"
     code, out = run(capsys, "encode-sim", "--in", str(path), "--message", "0,0,0,0,1", "--top", "0")
     assert code == 0 and json.loads(out)["top_amplitudes"] == []
+
+
+@pytest.mark.parametrize("q, n", [(2, 9), (3, 6), (5, 4)])
+def test_encode_sim_ranks_near_ties_as_the_sorted_reference(q, n):
+    # each random amplitude a comes with partners of equal or adjacent
+    # magnitude: |a| on the real axis, a with its parts swapped, and the next
+    # float above |a|; a magnitude one bit off (np.abs on some CPUs) reorders them
+    rng = np.random.default_rng(q)
+    base = rng.normal(size=40) + 1j * rng.normal(size=40)
+    magnitude = np.hypot(base.real, base.imag)
+    amps = np.concatenate([base, magnitude + 0j, base.imag + 1j * base.real,
+                           np.nextafter(magnitude, np.inf) + 0j])
+    keys = np.sort(rng.choice(q**n, size=len(amps), replace=False))
+    state = SparseState(prime_group(q), n, keys, rng.permutation(amps))
+    for top in (len(state), 7):
+        want = reference_top_amplitudes(state, top)
+        assert json.dumps(_top_amplitudes(state, top)) == json.dumps(want)
 
 
 def test_encode_sim_gf3(capsys, tmp_path):

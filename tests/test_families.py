@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import forbidden_members, symmetric_difference_sizes
+from conftest import forbidden_members, forbidden_weights, symmetric_difference_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,7 +64,7 @@ def test_distance2_family_n3_is_impossible():
     # F_2 covers every nonzero index at n = 3, so no multi-dimensional
     # distance-2 code exists on this subgroup (Singleton: K <= 2^(n-2))
     spec, b = distance2_family(3, 2)
-    assert forbidden_members(forbidden_set(spec, 2)) == {
+    assert forbidden_members(forbidden_set(spec, 2), spec.q, spec.r) == {
         u for u in itertools.product(range(2), repeat=3) if any(u)
     }
     assert not verify_distance(b, 2).passed
@@ -75,7 +75,7 @@ def test_forbidden_set_matches_closed_form_parts():
     for n in (3, 5, 7):
         spec, _ = distance2_family(n, 2)
         r1, r2, r3, r4 = closed_form_forbidden_parts(n)
-        assert forbidden_members(forbidden_set(spec, 2)) == r1 | r2 | r3 | r4
+        assert forbidden_members(forbidden_set(spec, 2), spec.q, spec.r) == r1 | r2 | r3 | r4
 
 
 def test_difference_set_avoids_forbidden_parts():
@@ -102,8 +102,7 @@ def test_laflamme_spec_basics():
     assert validate(spec) == []
     assert spec.is_maximal()
     assert purity_radius(spec, 3) is None
-    f2 = forbidden_set(laflamme_spec(15), 2)
-    assert f2.weights() == {1, 2, 3, 12, 13, 14}
+    assert forbidden_weights(forbidden_set(laflamme_spec(15), 2), 2, 15) == {1, 2, 3, 12, 13, 14}
 
 
 def test_code_15_8_3():
@@ -169,12 +168,36 @@ def test_family_to_b_rejects_banned_difference():
 
 def reference_family_to_b(family, n):
     """The first banned pair by the pairwise loop, or None when there is none."""
-    banned = forbidden_set(laflamme_spec(n), 3).weights()
+    banned = forbidden_weights(forbidden_set(laflamme_spec(n), 3), 2, n)
     for s1, s2 in itertools.combinations(family.members, 2):
         if len(s1 ^ s2) in banned:
             return (f"symmetric difference of {sorted(s1)} and {sorted(s2)} has "
                     f"banned size {len(s1 ^ s2)}")
     return None
+
+
+def test_family_to_b_size_rule_is_the_weights_of_the_forbidden_set():
+    # family_to_b allows a difference of size w exactly when 7 <= w <= n - 7
+    # or w = n; those are the sizes that no distance-3 forbidden index has
+    for n in range(5, 42, 2):
+        banned = forbidden_weights(forbidden_set(laflamme_spec(n), 3), 2, n)
+        assert banned == {w for w in range(1, n + 1) if not (7 <= w <= n - 7 or w == n)}
+        for w in range(1, n + 1):
+            pair = SetFamily(n, (frozenset(), frozenset(range(1, w + 1))))
+            if w in banned:
+                with pytest.raises(ValueError, match=f"banned size {w}$"):
+                    family_to_b(pair, n)
+            else:
+                assert len(family_to_b(pair, n)) == 2
+
+
+def test_family_to_b_refuses_n_below_5_in_one_line():
+    # at n = 3 the forbidden weights are {1, 2, 3}: the size rule fails there
+    assert forbidden_weights(forbidden_set(laflamme_spec(3), 3), 2, 3) == {1, 2, 3}
+    for n in (1, 3):
+        with pytest.raises(ValueError) as exc:
+            family_to_b(SetFamily(n, (frozenset({1}),)), n)
+        assert "\n" not in str(exc.value) and f"got n={n}" in str(exc.value)
 
 
 @st.composite

@@ -8,6 +8,7 @@ from conftest import (
     character_exponent,
     dense_matrix,
     forbidden_members,
+    forbidden_weights,
     phase_value,
     random_maximal_spec,
     random_nonmaximal_spec,
@@ -157,7 +158,7 @@ def test_forbidden_set_distance2_size():
         spec, _ = distance2_family(n, q)
         assert len(forbidden_set(spec, 2)) == n * (q * q - 1)
     spec3, _ = distance2_family(3, 2)
-    assert forbidden_members(forbidden_set(spec3, 2)) == {
+    assert forbidden_members(forbidden_set(spec3, 2), spec3.q, spec3.r) == {
         u for u in itertools.product(range(2), repeat=3) if any(u)
     }
 
@@ -169,15 +170,15 @@ def test_forbidden_set_d1_empty():
 
 def test_forbidden_weights_laflamme15():
     spec = laflamme_spec(15)
-    assert forbidden_set(spec, 2).weights() == {1, 2, 3, 12, 13, 14}
-    assert forbidden_set(spec, 3).weights() <= set(range(1, 7)) | set(range(9, 15))
+    assert forbidden_weights(forbidden_set(spec, 2), 2, 15) == {1, 2, 3, 12, 13, 14}
+    assert forbidden_weights(forbidden_set(spec, 3), 2, 15) <= set(range(1, 7)) | set(range(9, 15))
 
 
 def test_forbidden_sumset_relation_laflamme7():
     # one more error position extends the forbidden set by elementwise sums
     spec = laflamme_spec(7)
-    f2 = forbidden_members(forbidden_set(spec, 2)) | {(0,) * 7}
-    f3 = forbidden_members(forbidden_set(spec, 3))
+    f2 = forbidden_members(forbidden_set(spec, 2), spec.q, spec.r) | {(0,) * 7}
+    f3 = forbidden_members(forbidden_set(spec, 3), spec.q, spec.r)
     sums = {
         tuple((np.array(u1) + np.array(u2)) % 2) for u1 in f2 for u2 in f2
     }
@@ -192,7 +193,8 @@ def test_forbidden_set_matches_bruteforce_fixed_specs():
         (laflamme_spec(7), 3),
         (weight_one_member_spec(), 2),
     ):
-        assert forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
+        found = forbidden_members(forbidden_set(spec, d), spec.q, spec.r)
+        assert found == brute_force_forbidden(spec, d)
 
 
 def test_forbidden_set_matches_bruteforce_random_specs():
@@ -200,12 +202,14 @@ def test_forbidden_set_matches_bruteforce_random_specs():
     for _ in range(6):
         spec = random_maximal_spec(rng, int(rng.integers(4, 7)))
         for d in (2, 3):
-            assert forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
+            found = forbidden_members(forbidden_set(spec, d), spec.q, spec.r)
+            assert found == brute_force_forbidden(spec, d)
     for _ in range(6):
         n = int(rng.integers(3, 6))
         spec = random_nonmaximal_spec(rng, n, int(rng.integers(1, n)))
         for d in (2, 3):
-            assert forbidden_members(forbidden_set(spec, d)) == brute_force_forbidden(spec, d)
+            found = forbidden_members(forbidden_set(spec, d), spec.q, spec.r)
+            assert found == brute_force_forbidden(spec, d)
 
 
 def test_low_weight_members_examples():

@@ -371,12 +371,6 @@ def test_apply_sort_matches_canonical_merge(case):
     assert outcome(apply, g, state) == outcome(merged_apply, g, state)
 
 
-def test_words_are_derived_from_packed():
-    state = SparseState.from_pairs(prime_group(3), 3, [[2, 1, 0], [0, 0, 1]], [0.6, 0.8])
-    assert state.packed.tolist() == [1, 21]
-    assert state.words.tolist() == [[0, 0, 1], [2, 1, 0]]
-    assert not state.words.flags.writeable and not state.packed.flags.writeable
-
 
 @st.composite
 def product_form_cases(draw):
