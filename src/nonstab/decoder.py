@@ -36,7 +36,6 @@ class Syndrome:
     """One exact eigenvalue exponent per subgroup generator, mod 2q."""
 
     exponents: tuple
-    denominator: int
 
 
 def measure_syndrome(state: SparseState, spec: GottesmanSpec) -> Syndrome:
@@ -68,7 +67,7 @@ def measure_syndrome(state: SparseState, spec: GottesmanSpec) -> Syndrome:
         if abs(ratio - root_table(p)[exponent]) > EIGENVALUE_TOL:
             raise DecodingError(f"eigenvalue of generator {i} is not a root of unity")
         exponents.append(exponent)
-    return Syndrome(tuple(exponents), p)
+    return Syndrome(tuple(exponents))
 
 
 def search_error(

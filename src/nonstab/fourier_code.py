@@ -36,7 +36,7 @@ from .galois import (
     unpack,
 )
 from .gottesman import GottesmanSpec, _forbidden_keys, _sphere, json_matrix
-from .weyl import check_size
+from .weyl import check_size, root_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,5 +268,4 @@ def projection_coefficients(description: FourierDescription) -> np.ndarray:
     check_size("subgroup size", spec.size, "group")
     p = spec.phase_denominator
     exponents = (p // spec.q * _member_characters(description)) % p
-    roots = np.exp(-2j * np.pi * np.arange(p) / p)  # conj(chi_u)(s_a)
-    return roots[exponents].sum(axis=0) / spec.size
+    return np.conj(root_table(p))[exponents].sum(axis=0) / spec.size  # conj(chi_u)(s_a)

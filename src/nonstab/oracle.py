@@ -382,17 +382,20 @@ def kl_check(description: FourierDescription, d: int) -> Report:
     is an identity of integers (`_enumerator`), decided with no tolerance.
 
     At the least j < d where it fails, `_first_failure` walks the errors of
-    weight j in canonical order.  Those whose residual is exactly 0 are
-    skipped: every entry of the Gram V^H E V - c I on the codeword basis V
-    (`_gram_witness`, maximal specs), and of P E P - c P on the dense
-    projection (`_projection_witness`, any other spec), is then rounding,
-    since the largest entry of a matrix is at most its Frobenius norm, and
-    both are isometric images of X - c P.  The others are confirmed on
-    those states, and the first that fails within KL_TOL is the witness that
-    the walk over every error would find, since every error of lower weight
-    has residual 0.  When none fails, the identity and KL_TOL disagree, and
-    a ValueError says so.  Every cap, of the budget or fixed, is checked
-    before anything is built.
+    weight up to j in canonical order.  The identity holds at every weight
+    below j and each residual is >= 0, so every lighter error has residual
+    0.  The errors whose residual is not 0 are exactly those that break
+    condition 1 or 2 of `fourier_code`, which the walk flags from exact
+    integer sets; the rest are skipped: every entry of the Gram V^H E V - c I
+    on the codeword basis V (`_gram_witness`, maximal specs), and of
+    P E P - c P on the dense projection (`_projection_witness`, any other
+    spec), is then rounding, since the largest entry of a matrix is at most
+    its Frobenius norm, and both are isometric images of X - c P.  The
+    flagged errors are confirmed on those states, and the first that fails
+    within KL_TOL is the witness that the walk over every error would find.
+    When none fails, the identity and KL_TOL disagree, and a ValueError
+    says so.  Every cap, of the budget or fixed, is checked before anything
+    is built.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -409,8 +412,7 @@ def kl_check(description: FourierDescription, d: int) -> Report:
     else:
         check_size("dense dimension", q**n, DENSE_MATRIX_CAP)
     weights = _weights(spec)  # builds the subgroup table before the characters are held
-    chars = _member_characters(description)
-    alpha = _enumerator(chars, weights, q, n)
+    alpha = _enumerator(_member_characters(description), weights, q, n)
     failing = (
         j for j in range(1, m + 1)
         if q**n * alpha[j] != dim * sum(a * _krawtchouk(j, w, q * q, n) for w, a in enumerate(alpha))
@@ -418,7 +420,7 @@ def kl_check(description: FourierDescription, d: int) -> Report:
     weight = next(failing, None)
     if weight is None:
         return Report(True, counts=counts)
-    x, y, found = _first_failure(description, chars, weight)
+    x, y, found = _first_failure(description, weight)
     return Report(False, witness={"error": {"x": x.tolist(), "y": y.tolist()}, **found})
 
 
@@ -477,7 +479,7 @@ def _weights(spec: GottesmanSpec) -> np.ndarray:
     return weights
 
 
-def _first_failure(description: FourierDescription, chars: np.ndarray, j: int):
+def _first_failure(description: FourierDescription, j: int):
     """(x, y, witness) of the first error of weight j that fails on state
     vectors, confirming only the errors whose residual is not 0 (`kl_check`).
 
@@ -487,31 +489,22 @@ def _first_failure(description: FourierDescription, chars: np.ndarray, j: int):
 
         q^n / (K #S^2) (K G(sigma) - q^n |F(a_E)|^2),
 
-    with G(sigma) the sum over a of |F(a)|^2 w_q^(-a . sigma), one DFT of
-    |F|^2 on the (q,)^r grid read at the shift keys, and F(a_E) present only
-    when E = U_La V_Ma for an element a_E.  The errors, their shift keys and
-    their elements a_E come from one pass of `gottesman._sphere`, whose
-    pairs of weight below j come first and are dropped.  G(sigma) is #S
-    times the number of pairs (u, v) in B^2 with v - u = sigma, so it rounds
-    to a multiple of #S, which is checked.  For E = U_La V_Ma the residual
-    is q^(2n) / (K #S^2) (#B^2 - |F(a)|^2), 0 exactly when u . a is the same
-    for every member u.  The residual is thus 0, exactly, when sigma is not
-    a difference of members, or when E is such an element.
+    with G(sigma) #S times the number of pairs (u, v) in B^2 with v - u =
+    sigma, and F(a_E) present only when E = U_La V_Ma for an element a_E.
+    Then sigma = 0 and K G(0) = q^n #B^2, so the residual is 0 exactly when
+    |F(a_E)| = #B, when u . a is the same for every member u.  So it is not
+    0 exactly when E breaks condition 1 of `fourier_code` (E is such an
+    element, u . a not constant on B) or condition 2 (E is not one, and
+    sigma is in B - B), read as exact integer sets from one
+    `gottesman._sphere` pass as `verify_distance` reads them.  No pair of
+    weight below j is flagged, as its residual is 0.
     """
     spec = description.spec
-    q, n = spec.q, spec.n
+    q = spec.q
     xs, ys, in_image, elements, shifts = _sphere(spec, j)
-    first = error_sphere_count(n, q, j - 1) - 1
-    elements = elements[np.count_nonzero(in_image[:first]) :]
-    xs, ys, in_image, shifts = xs[first:], ys[first:], in_image[first:], shifts[first:]
-    power = np.abs(root_table(q)[_remainder(-chars, q)].sum(axis=0)) ** 2  # |F(a)|^2
-    pairs = np.fft.fftn(power.reshape((q,) * spec.r)).real.ravel() / spec.size
-    counted = np.rint(pairs)
-    if np.abs(pairs - counted).max() > 0.25:
-        raise ValueError("the autocorrelation of B does not round to integers")
-    flagged = counted[shifts] > 0
-    a = pack(elements, q)
-    flagged[np.flatnonzero(in_image)[(chars[:, a] == chars[:1, a]).all(axis=0)]] = False
+    flagged = np.isin(shifts, description.difference_keys())
+    values = (description.member_array @ elements.T) % q
+    flagged[np.flatnonzero(in_image)[(values == values[:1]).all(axis=0)]] = False
     if spec.is_maximal():
         basis, members = _basis_matrix(description), description.sorted_members()
 

@@ -106,7 +106,7 @@ def test_zero_state_is_not_decodable():
 def test_search_identity_shortcut():
     b = stabilizer_description()
     stats = {}
-    g, u = search_error(Syndrome((0,) * 7, 4), b, 1, stats=stats)
+    g, u = search_error(Syndrome((0,) * 7), b, 1, stats=stats)
     assert not any(g.a) and not any(g.b) and g.phase == 0
     assert u == (0,) * 7
     assert stats["candidates"] == 1
@@ -157,7 +157,7 @@ def test_weight2_error_at_t1_has_no_solution():
 def test_search_rejects_non_subgroup_syndrome():
     b = stabilizer_description()
     with pytest.raises(DecodingError, match="not characters"):
-        search_error(Syndrome((1,) + (0,) * 6, 4), b, 1)
+        search_error(Syndrome((1,) + (0,) * 6), b, 1)
 
 
 def test_syndrome_collisions_are_harmless():
@@ -269,7 +269,7 @@ def search_cases(draw):
     exponents = [unit * int(e) for e in v]
     if kind == "odd":
         exponents[draw(st.integers(0, spec.r - 1))] += 1
-    return Syndrome(tuple(exponents), spec.phase_denominator), description, draw(st.integers(0, 2))
+    return Syndrome(tuple(exponents)), description, draw(st.integers(0, 2))
 
 
 def search_outcome(search, syndrome, description, t):

@@ -446,7 +446,7 @@ def test_one_reduction_serves_validate_purity_verify_and_the_decoders_search(mon
     u = np.array(description.sorted_members()[1])
     x, y = np.eye(5, dtype=np.int64)[0], np.zeros(5, dtype=np.int64)
     shift = (x @ spec.M - y @ spec.L) % 3
-    syndrome = Syndrome(tuple(int(v) for v in 2 * ((u + shift) % 3)), 6)
+    syndrome = Syndrome(tuple(int(v) for v in 2 * ((u + shift) % 3)))
     expected = search_error(syndrome, description, 1)
     reductions = []
     rref = PrimeField.rref

@@ -955,3 +955,66 @@ def test_a_failing_walk_reads_one_error_sphere(monkeypatch):
         error = report.witness["error"]
         assert not report.passed and spheres == [weight]
         assert sum(1 for x, y in zip(error["x"], error["y"]) if x or y) == weight
+
+
+def dense_residuals(description, xs, ys):
+    """||X - c P||_F^2 of X = P E P, c = tr(X) / K, for each error E = U_x V_y:
+    as the Gram V^H E V - c I on the codeword matrix V (maximal specs), or on
+    the dense projection (any other spec)."""
+    spec = description.spec
+    if spec.is_maximal():
+        operand = codeword_matrix(description)
+        frame, unit = operand.conj().T, np.eye(operand.shape[1])
+    else:
+        operand = frame = unit = dense_projection(description)
+    dim = code_dimension(description)
+    residuals = []
+    for x, y in zip(xs, ys):
+        product = frame @ weyl_times(operand, x, y, spec.q)[0]
+        residuals.append(np.sum(np.abs(product - np.trace(product) / dim * unit) ** 2))
+    return np.array(residuals)
+
+
+@settings(max_examples=60)
+@given(st.one_of(maximal_descriptions(), nonmaximal_descriptions()))
+def test_the_walk_confirms_exactly_the_errors_of_nonzero_residual(case):
+    from nonstab import oracle
+
+    # the errors handed to `_weyl_times` are those of weight <= j, in
+    # canonical order and up to the witness, whose dense residual is not 0;
+    # with every confirmation made to pass, the walk hands over all of them
+    description, d = case
+    spec = description.spec
+    report = kl_check(description, d)
+    event(f"maximal={spec.is_maximal()} passed={report.passed}")
+    if report.passed:
+        j = min(d - 1, spec.n)
+    else:
+        error = report.witness["error"]
+        j = sum(1 for x, y in zip(error["x"], error["y"]) if x or y)
+    xs, ys = bounded_pair_arrays(spec.q, spec.n, j)
+    residuals = dense_residuals(description, xs, ys)
+    assert np.all((residuals < 1e-9) | (residuals > 0.1))  # 0 or bounded away from it
+    nonzero = [(x.tolist(), y.tolist()) for x, y, res in zip(xs, ys, residuals) if res > 0.1]
+    assert all(np.count_nonzero(np.array(x) | np.array(y)) == j for x, y in nonzero)
+    if report.passed:
+        assert nonzero == []
+        return
+    witness = (report.witness["error"]["x"], report.witness["error"]["y"])
+    confirmed = []
+    times = oracle._weyl_times
+
+    def recorded(x, y, *rest):
+        confirmed.append((x.tolist(), y.tolist()))
+        return times(x, y, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_weyl_times", recorded)
+        assert outcome(kl_check(description, d)) == outcome(report)
+        assert confirmed == nonzero[: nonzero.index(witness) + 1]
+        confirmed.clear()
+        patch.setattr(oracle, "_gram_witness", lambda *a: None)
+        patch.setattr(oracle, "_projection_witness", lambda *a: None)
+        with pytest.raises(ValueError, match=f"no error of weight {j} fails within KL_TOL"):
+            kl_check(description, d)
+        assert confirmed == nonzero
